@@ -20,7 +20,6 @@ from .analysis import (
     loss_threshold,
     noise_reduction_factor,
     noise_threshold,
-    parallel_map,
     spectral_overlap_factor,
 )
 from .config import DEFAULTS, RunConfig, dump_effective, load_config, resolve
@@ -33,12 +32,10 @@ from .errors import (
 from .kerr import (
     EnergyScan,
     FiberSpec,
-    PumpNoiseModel,
     SwitchProfile,
     SwitchingTrace,
     calibrated_mode_area,
     nonlinear_phase_profile,
-    pump_noise_counts,
     switch_profile,
     switching_efficiency,
     switching_trace,

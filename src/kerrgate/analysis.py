@@ -8,8 +8,6 @@ comparison, and the pulse-broadening (temporal fluctuation) study.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +15,7 @@ import numpy as np
 from .errors import ThresholdNotFoundError
 from .kerr import SwitchProfile
 from .pulses import (
+    SPEED_OF_LIGHT,
     GaussianPulse,
     SpectralFilter,
     TemporalMode,
@@ -30,6 +29,7 @@ from .qkd import (
     ChannelScenario,
     DecoyParams,
     DetectorParams,
+    KeyRateReport,
     binary_entropy,
     evaluate_scenario,
 )
@@ -70,20 +70,6 @@ class Table:
         for row in self.rows:
             lines.append("\t".join(cell(v) for v in row))
         return "\n".join(lines) + "\n"
-
-
-def parallel_map(fn, items, jobs: int | None = None) -> list:
-    """Ordered map over independent work items.
-
-    ``jobs=1`` runs inline; otherwise a thread pool sized to ``jobs`` (or
-    the CPU count) is used.  Results keep input order regardless.
-    """
-    items = list(items)
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +116,8 @@ def spectral_overlap_factor(
         line_offset = 0.0
     else:
         line_offset = (
-            299792458.0 / noise_center_wavelength
-            - 299792458.0 / spectral_filter.center_wavelength
+            SPEED_OF_LIGHT / noise_center_wavelength
+            - SPEED_OF_LIGHT / spectral_filter.center_wavelength
         )
 
     if noise_linewidth == 0.0:
@@ -204,6 +190,38 @@ class SweepSpec:
 
 _VARIABLE_COLUMNS = {"noise_rate": "noise_rate_hz", "channel_loss_db": "channel_loss_db"}
 
+# key-rate columns of a sweep row, in the order of ``keyrate_cells``
+KEYRATE_COLUMNS = ("q_mu", "e_mu", "q1_lower", "e1_upper", "rate_per_pulse", "rate_per_second")
+
+
+def keyrate_cells(report: KeyRateReport) -> tuple:
+    """The ``KEYRATE_COLUMNS`` values of one report."""
+    return (
+        report.observed.q_mu,
+        report.observed.e_mu,
+        report.q1_lower,
+        report.e1_upper,
+        report.rate_per_pulse,
+        report.rate_per_second,
+    )
+
+
+def sweep_reports(
+    spec: SweepSpec,
+    detector: DetectorParams,
+    decoy: DecoyParams,
+    switch: SwitchProfile,
+    spectral_overlap: float = 1.0,
+) -> list[tuple[float, str, KeyRateReport]]:
+    """``(value, filter, report)`` at every grid value, electronic arm first."""
+    points = []
+    for value in map(float, spec.grid()):
+        for kind in (ELECTRONIC, ULTRAFAST):
+            scenario = spec.scenario.with_(**{spec.variable: value}, filter_kind=kind)
+            report = evaluate_scenario(scenario, detector, decoy, switch, spectral_overlap)
+            points.append((value, kind, report))
+    return points
+
 
 def keyrate_sweep(
     spec: SweepSpec,
@@ -211,41 +229,11 @@ def keyrate_sweep(
     decoy: DecoyParams,
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
-    jobs: int | None = None,
 ) -> Table:
     """Key-rate chain along the swept variable for both filter kinds."""
-    column = _VARIABLE_COLUMNS[spec.variable]
-    table = Table(
-        columns=(
-            column,
-            "filter",
-            "q_mu",
-            "e_mu",
-            "q1_lower",
-            "e1_upper",
-            "rate_per_pulse",
-            "rate_per_second",
-        )
-    )
-
-    def evaluate(point) -> list[tuple]:
-        value, kind = point
-        scenario = spec.scenario.with_(**{spec.variable: value}, filter_kind=kind)
-        report = evaluate_scenario(scenario, detector, decoy, switch, spectral_overlap)
-        return (
-            value,
-            kind,
-            report.observed.q_mu,
-            report.observed.e_mu,
-            report.q1_lower,
-            report.e1_upper,
-            report.rate_per_pulse,
-            report.rate_per_second,
-        )
-
-    points = [(float(v), kind) for v in spec.grid() for kind in (ELECTRONIC, ULTRAFAST)]
-    for row in parallel_map(evaluate, points, jobs):
-        table.append(*row)
+    table = Table(columns=(_VARIABLE_COLUMNS[spec.variable], "filter", *KEYRATE_COLUMNS))
+    for value, kind, report in sweep_reports(spec, detector, decoy, switch, spectral_overlap):
+        table.append(value, kind, *keyrate_cells(report))
     return table
 
 
@@ -258,6 +246,8 @@ class ThresholdResult:
 
 def _bisect_positive(rate_fn, lo: float, hi: float, rel_width: float, geometric: bool) -> ThresholdResult:
     """Largest argument with positive rate, assuming rate decreases."""
+    if not rel_width > 0.0:
+        raise ValueError("rel_width must be positive")
     if rate_fn(lo) <= 0.0:
         raise ThresholdNotFoundError(
             "rate is non-positive at the lower bracket end %.6g" % lo, side="low"
@@ -326,18 +316,34 @@ def loss_threshold(
 class ImprovementFactors:
     """Threshold ratios between the two filter arms.
 
-    ``noise_ratio`` holds UTF/ETF noise thresholds per loss value;
-    ``distance`` holds UTF/ETF loss thresholds per noise value.  Rows where
-    a threshold does not exist inside its bracket stay in the table with an
-    explanatory status.  ``crossover_noise`` is the interpolated noise rate
-    where the distance improvement first exceeds 1.
+    ``noise_thresholds`` holds every noise threshold behind the ratios, one
+    row per loss value and filter with its bisection iterations, or the
+    bracket side that failed.  ``noise_ratio`` holds UTF/ETF noise
+    thresholds per loss value; ``distance`` holds UTF/ETF loss thresholds
+    per noise value.  Rows where a threshold does not exist inside its
+    bracket stay in the table with an explanatory status.
+    ``crossover_noise`` is the interpolated noise rate where the distance
+    improvement first exceeds 1.
     """
 
+    noise_thresholds: Table
     noise_ratio: Table
     distance: Table
     crossover_noise: float | None
     max_improvement: float | None
     max_improvement_noise: float | None
+
+
+def _threshold_or_side(search, *args) -> ThresholdResult | str:
+    """``search(*args)``, or the failing bracket side if there is no threshold."""
+    try:
+        return search(*args)
+    except ThresholdNotFoundError as exc:
+        return exc.side
+
+
+def _value(result: ThresholdResult | str) -> float | None:
+    return result.threshold_value if isinstance(result, ThresholdResult) else None
 
 
 def improvement_factors(
@@ -350,51 +356,43 @@ def improvement_factors(
     spectral_overlap: float = 1.0,
     loss_bracket: tuple[float, float] = (5.0, 45.0),
     noise_bracket: tuple[float, float] = (1.0, 1e12),
-    jobs: int | None = None,
+    rel_width: float = 0.005,
 ) -> ImprovementFactors:
     """UTF-over-ETF threshold ratios across the two grids."""
+    arms = (ELECTRONIC, ULTRAFAST)
+    gate = (detector, decoy, switch, spectral_overlap)
 
-    def one_noise_threshold(args) -> float | None:
-        loss_db, kind = args
-        trial = scenario.with_(channel_loss_db=loss_db)
-        try:
-            return noise_threshold(
-                trial, detector, decoy, switch, spectral_overlap, kind, noise_bracket
-            ).threshold_value
-        except ThresholdNotFoundError:
-            return None
-
-    def one_loss_threshold(args) -> float | None:
-        noise, kind = args
-        trial = scenario.with_(noise_rate=noise)
-        try:
-            return loss_threshold(
-                trial, detector, decoy, switch, spectral_overlap, kind, loss_bracket
-            ).threshold_value
-        except ThresholdNotFoundError:
-            return None
-
-    loss_grid = [float(v) for v in loss_grid]
-    noise_grid = [float(v) for v in noise_grid]
-
+    noise_thresholds = Table(
+        columns=("channel_loss_db", "filter", "threshold_hz", "iterations", "status")
+    )
     noise_ratio = Table(
         columns=("channel_loss_db", "etf_threshold_hz", "utf_threshold_hz", "ratio", "status")
     )
-    pairs = [(loss, ELECTRONIC) for loss in loss_grid] + [(loss, ULTRAFAST) for loss in loss_grid]
-    results = parallel_map(one_noise_threshold, pairs, jobs)
-    etf_vals, utf_vals = results[: len(loss_grid)], results[len(loss_grid) :]
-    for loss, etf, utf in zip(loss_grid, etf_vals, utf_vals):
+    for loss in map(float, loss_grid):
+        trial = scenario.with_(channel_loss_db=loss)
+        results = [
+            _threshold_or_side(noise_threshold, trial, *gate, kind, noise_bracket, rel_width)
+            for kind in arms
+        ]
+        for kind, result in zip(arms, results):
+            if isinstance(result, ThresholdResult):
+                noise_thresholds.append(loss, kind, result.threshold_value, result.iterations, "ok")
+            else:
+                noise_thresholds.append(loss, kind, None, None, "no-threshold-%s" % result)
+        etf, utf = map(_value, results)
         ratio = utf / etf if (etf and utf) else None
         noise_ratio.append(loss, etf, utf, ratio, _status(etf, utf))
 
     distance = Table(
         columns=("noise_rate_hz", "etf_threshold_db", "utf_threshold_db", "improvement", "status")
     )
-    pairs = [(n, ELECTRONIC) for n in noise_grid] + [(n, ULTRAFAST) for n in noise_grid]
-    results = parallel_map(one_loss_threshold, pairs, jobs)
-    etf_vals, utf_vals = results[: len(noise_grid)], results[len(noise_grid) :]
     improvements: list[tuple[float, float]] = []
-    for noise, etf, utf in zip(noise_grid, etf_vals, utf_vals):
+    for noise in map(float, noise_grid):
+        trial = scenario.with_(noise_rate=noise)
+        etf, utf = (
+            _value(_threshold_or_side(loss_threshold, trial, *gate, kind, loss_bracket, rel_width))
+            for kind in arms
+        )
         improvement = utf / etf if (etf and utf) else None
         distance.append(noise, etf, utf, improvement, _status(etf, utf))
         if improvement is not None:
@@ -415,6 +413,7 @@ def improvement_factors(
     else:
         best_noise, best = None, None
     return ImprovementFactors(
+        noise_thresholds=noise_thresholds,
         noise_ratio=noise_ratio,
         distance=distance,
         crossover_noise=crossover,
@@ -493,7 +492,7 @@ def fluctuation_study(
     sifting_q: float = 0.5,
     error_correction_f: float = 1.22,
     loss_bracket: tuple[float, float] = (0.0, 80.0),
-    jobs: int | None = None,
+    rel_width: float = 0.005,
 ) -> FluctuationStudy:
     """Single-photon QKD under deterministic temporal broadening.
 
@@ -522,20 +521,20 @@ def fluctuation_study(
 
     overlaps = {d: gate_overlap(d) for d in durations}
 
-    def arm_terms(kind: str, duration: float, noise: float) -> tuple[float, float]:
-        # returns (signal transmission, background yield)
-        dark = dark_rate * electronic_window
+    dark = dark_rate * electronic_window
+
+    def point(kind: str, duration: float, noise: float, loss_db: float) -> tuple[float, float, float]:
+        """(gain, qber, rate per pulse) of one arm at one operating point."""
         if kind == ELECTRONIC:
             transmission = 1.0 if duration <= electronic_window else electronic_window / duration
-            return transmission, dark + noise * electronic_window
-        return overlaps[duration], dark + noise * gate.effective_width
-
-    def rate_at(kind: str, duration: float, noise: float, loss_db: float) -> float:
-        transmission, y0 = arm_terms(kind, duration, noise)
+            y0 = dark + noise * electronic_window
+        else:
+            transmission = overlaps[duration]
+            y0 = dark + noise * gate.effective_width
         eta = 10.0 ** (-loss_db / 10.0) * detector_efficiency
         gain = y0 + eta * transmission
         qber = (0.5 * y0 + e_d * eta * transmission) / gain if gain > 0 else 0.5
-        return _single_photon_rate(gain, qber, sifting_q, error_correction_f)
+        return gain, qber, _single_photon_rate(gain, qber, sifting_q, error_correction_f)
 
     rates = Table(
         columns=(
@@ -548,51 +547,24 @@ def fluctuation_study(
             "rate_per_pulse",
         )
     )
-    combos = [
-        (noise, duration, kind, loss)
-        for noise in noise_levels
-        for duration in durations
-        for kind in (ELECTRONIC, ULTRAFAST)
-        for loss in loss_grid
-    ]
-
-    def rate_row(combo):
-        noise, duration, kind, loss = combo
-        transmission, y0 = arm_terms(kind, duration, noise)
-        eta = 10.0 ** (-loss / 10.0) * detector_efficiency
-        gain = y0 + eta * transmission
-        qber = (0.5 * y0 + e_d * eta * transmission) / gain if gain > 0 else 0.5
-        rate = _single_photon_rate(gain, qber, sifting_q, error_correction_f)
-        return (noise, duration * 1e12, kind, loss, gain, qber, rate)
-
-    for row in parallel_map(rate_row, combos, jobs):
-        rates.append(*row)
-
     thresholds = Table(
         columns=("noise_rate_hz", "pulse_fwhm_ps", "filter", "loss_threshold_db", "status")
     )
-
-    def threshold_row(combo):
-        noise, duration, kind = combo
-        try:
-            result = _bisect_positive(
-                lambda loss: rate_at(kind, duration, noise, loss),
-                loss_bracket[0],
-                loss_bracket[1],
-                0.005,
-                geometric=False,
-            )
-            return (noise, duration * 1e12, kind, result.threshold_value, "ok")
-        except ThresholdNotFoundError as exc:
-            return (noise, duration * 1e12, kind, None, "no-threshold-%s" % exc.side)
-
-    combos = [
-        (noise, duration, kind)
-        for noise in noise_levels
-        for duration in durations
-        for kind in (ELECTRONIC, ULTRAFAST)
-    ]
-    for row in parallel_map(threshold_row, combos, jobs):
-        thresholds.append(*row)
+    for noise in noise_levels:
+        for duration in durations:
+            for kind in (ELECTRONIC, ULTRAFAST):
+                for loss in loss_grid:
+                    rates.append(noise, duration * 1e12, kind, loss, *point(kind, duration, noise, loss))
+                try:
+                    result = _bisect_positive(
+                        lambda loss: point(kind, duration, noise, loss)[2],
+                        loss_bracket[0],
+                        loss_bracket[1],
+                        rel_width,
+                        geometric=False,
+                    )
+                    thresholds.append(noise, duration * 1e12, kind, result.threshold_value, "ok")
+                except ThresholdNotFoundError as exc:
+                    thresholds.append(noise, duration * 1e12, kind, None, "no-threshold-%s" % exc.side)
 
     return FluctuationStudy(rates=rates, thresholds=thresholds)

@@ -15,27 +15,24 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
+    KEYRATE_COLUMNS,
     ImprovementFactors,
     SweepSpec,
     Table,
     fluctuation_study,
     hg_mode_comparison,
     improvement_factors,
-    keyrate_sweep,
+    keyrate_cells,
     noise_reduction_factor,
-    noise_threshold,
+    sweep_reports,
 )
 from .config import RunConfig, dump_effective, load_config, resolve
 from .errors import ConfigError, ResolutionError, ThresholdNotFoundError
 from .kerr import switching_trace
-from .qkd import (
-    ELECTRONIC,
-    ULTRAFAST,
-    background_yield,
-    simulate_observed_rates,
-)
 
 _PS = 1e-12
 
@@ -47,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file; defaults are the built-in operating point")
     parser.add_argument("--out", metavar="DIR", help="write tables to files in DIR instead of stdout")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N", help="parallel workers for sweeps (default: cpu count)")
     parser.add_argument("--no-banner", action="store_true", help="suppress the version banner line")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
@@ -137,20 +133,9 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
     sweep_cfg = run.effective["sweep"]
     noise_levels = [float(v) for v in sweep_cfg["curve_noise_levels_hz"]]
     loss_levels = [float(v) for v in sweep_cfg["curve_loss_levels_db"]]
+    gate = (run.detector, run.decoy, run.switch, run.spectral_overlap)
 
-    vs_loss = Table(
-        columns=(
-            "noise_rate_hz",
-            "channel_loss_db",
-            "filter",
-            "q_mu",
-            "e_mu",
-            "q1_lower",
-            "e1_upper",
-            "rate_per_pulse",
-            "rate_per_second",
-        )
-    )
+    vs_loss = Table(columns=("noise_rate_hz", "channel_loss_db", "filter", *KEYRATE_COLUMNS))
     for noise in noise_levels:
         spec = SweepSpec(
             variable="channel_loss_db",
@@ -160,22 +145,13 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
             spacing="linear",
             scenario=run.scenario.with_(noise_rate=noise),
         )
-        part = keyrate_sweep(spec, run.detector, run.decoy, run.switch, run.spectral_overlap, args.jobs)
-        for row in part.rows:
-            vs_loss.append(noise, *row)
+        for loss, kind, report in sweep_reports(spec, *gate):
+            vs_loss.append(noise, loss, kind, *keyrate_cells(report))
 
-    vs_noise = Table(
-        columns=(
-            "channel_loss_db",
-            "noise_rate_hz",
-            "filter",
-            "q_mu",
-            "e_mu",
-            "q1_lower",
-            "e1_upper",
-            "rate_per_pulse",
-            "rate_per_second",
-        )
+    # the gains table shares the noise sweep's evaluations
+    vs_noise = Table(columns=("channel_loss_db", "noise_rate_hz", "filter", *KEYRATE_COLUMNS))
+    gains = Table(
+        columns=("channel_loss_db", "noise_rate_hz", "filter", "q_mu", "q_nu", "e_mu", "e_nu", "y0")
     )
     for loss in loss_levels:
         spec = SweepSpec(
@@ -186,31 +162,10 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
             spacing="log",
             scenario=run.scenario.with_(channel_loss_db=loss),
         )
-        part = keyrate_sweep(spec, run.detector, run.decoy, run.switch, run.spectral_overlap, args.jobs)
-        for row in part.rows:
-            vs_noise.append(loss, *row)
-
-    gains = Table(
-        columns=(
-            "channel_loss_db",
-            "noise_rate_hz",
-            "filter",
-            "q_mu",
-            "q_nu",
-            "e_mu",
-            "e_nu",
-            "y0",
-        )
-    )
-    for loss in loss_levels:
-        for noise in run.noise_grid():
-            for kind in (ELECTRONIC, ULTRAFAST):
-                scenario = run.scenario.with_(
-                    channel_loss_db=loss, noise_rate=float(noise), filter_kind=kind
-                )
-                y0 = background_yield(scenario, run.detector, run.switch, run.spectral_overlap)
-                rates = simulate_observed_rates(scenario, run.detector, run.decoy, y0)
-                gains.append(loss, float(noise), kind, rates.q_mu, rates.q_nu, rates.e_mu, rates.e_nu, rates.y0)
+        for noise, kind, report in sweep_reports(spec, *gate):
+            vs_noise.append(loss, noise, kind, *keyrate_cells(report))
+            rates = report.observed
+            gains.append(loss, noise, kind, rates.q_mu, rates.q_nu, rates.e_mu, rates.e_nu, rates.y0)
 
     _emit(
         args,
@@ -224,29 +179,6 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
 
 
 def _cmd_thresholds(args, run: RunConfig) -> int:
-    noise_table = Table(
-        columns=("channel_loss_db", "filter", "threshold_hz", "iterations", "status")
-    )
-    ok_rows = 0
-    for loss in run.loss_grid():
-        for kind in (ELECTRONIC, ULTRAFAST):
-            scenario = run.scenario.with_(channel_loss_db=float(loss))
-            try:
-                result = noise_threshold(
-                    scenario,
-                    run.detector,
-                    run.decoy,
-                    run.switch,
-                    run.spectral_overlap,
-                    kind,
-                    run.noise_bracket(),
-                    run.effective["thresholds"]["relative_width"],
-                )
-                noise_table.append(float(loss), kind, result.threshold_value, result.iterations, "ok")
-                ok_rows += 1
-            except ThresholdNotFoundError as exc:
-                noise_table.append(float(loss), kind, None, None, "no-threshold-%s" % exc.side)
-
     imp = improvement_factors(
         run.loss_grid(),
         run.noise_grid(),
@@ -257,21 +189,21 @@ def _cmd_thresholds(args, run: RunConfig) -> int:
         run.spectral_overlap,
         run.loss_bracket(),
         run.noise_bracket(),
-        args.jobs,
+        run.effective["thresholds"]["relative_width"],
     )
-    ok_rows += sum(1 for status in imp.distance.column("status") if status == "ok")
+    statuses = imp.noise_thresholds.column("status") + imp.distance.column("status")
 
     summary = _summary_table(run, imp)
     _emit(
         args,
         {
-            "noise_thresholds.tsv": noise_table.format_tsv(),
+            "noise_thresholds.tsv": imp.noise_thresholds.format_tsv(),
             "noise_improvement.tsv": imp.noise_ratio.format_tsv(),
             "loss_thresholds.tsv": imp.distance.format_tsv(),
             "summary.tsv": summary.format_tsv(),
         },
     )
-    if ok_rows == 0:
+    if "ok" not in statuses:
         print("threshold not found: no bracket produced a positive key rate", file=sys.stderr)
         return 3
     return 0
@@ -316,8 +248,6 @@ def _cmd_modes(args, run: RunConfig) -> int:
 
 def _cmd_fluctuations(args, run: RunConfig) -> int:
     cfg = run.effective["fluctuation"]
-    import numpy as np
-
     loss_grid = np.linspace(cfg["loss_min_db"], cfg["loss_max_db"], int(cfg["loss_samples"]))
     study = fluctuation_study(
         [d * _PS for d in cfg["pulse_fwhm_ps"]],
@@ -330,7 +260,7 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
         electronic_window=cfg["electronic_window_ns"] * 1e-9,
         sifting_q=run.decoy.sifting_q,
         error_correction_f=run.decoy.error_correction_f,
-        jobs=args.jobs,
+        rel_width=run.effective["thresholds"]["relative_width"],
     )
     _emit(
         args,

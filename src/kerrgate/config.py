@@ -21,7 +21,6 @@ from .analysis import spectral_overlap_factor
 from .errors import ConfigError, ResolutionError
 from .kerr import (
     FiberSpec,
-    PumpNoiseModel,
     SwitchProfile,
     calibrated_mode_area,
     switch_profile,
@@ -71,11 +70,6 @@ DEFAULTS: dict = {
         "misalignment_error": 0.0403,
         "pump_noise_per_pulse": 2.8e-6,
         "dark_count_mode": "electronic",
-    },
-    "pump_noise": {
-        "reference_energy_nj": 2.47,
-        "reference_counts_per_pulse": 1.6e-4,
-        "exponent": 2.0,
     },
     "trace": {"delay_min_ps": -3.5, "delay_max_ps": 4.5, "samples": 801},
     "sweep": {
@@ -212,7 +206,6 @@ class RunConfig:
     detector: DetectorParams
     decoy: DecoyParams
     scenario: ChannelScenario
-    pump_noise: PumpNoiseModel
     theta: float
     z_samples: int
     switch: SwitchProfile
@@ -350,13 +343,6 @@ def _resolve(config: dict) -> RunConfig:
         dark_count_mode=scenario_cfg["dark_count_mode"],
     )
 
-    pump_noise_cfg = effective["pump_noise"]
-    pump_noise = PumpNoiseModel(
-        reference_energy=pump_noise_cfg["reference_energy_nj"] * _NJ,
-        reference_counts_per_pulse=pump_noise_cfg["reference_counts_per_pulse"],
-        exponent=pump_noise_cfg["exponent"],
-    )
-
     switch_cfg = effective["switch"]
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
     z_samples = int(switch_cfg["z_samples"])
@@ -391,7 +377,6 @@ def _resolve(config: dict) -> RunConfig:
         detector=detector,
         decoy=decoy,
         scenario=scenario,
-        pump_noise=pump_noise,
         theta=theta,
         z_samples=z_samples,
         switch=switch,

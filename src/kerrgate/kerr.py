@@ -10,10 +10,10 @@ time-dependent transmission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ResolutionError
 from .pulses import (
@@ -65,30 +65,6 @@ class FiberSpec:
         return self.walkoff_per_length * self.length
 
 
-@dataclass(frozen=True)
-class PumpNoiseModel:
-    """Power-law model for pump-induced noise counts per pulse."""
-
-    reference_energy: float  # J
-    reference_counts_per_pulse: float
-    exponent: float = 2.0
-
-    def __post_init__(self):
-        if self.reference_energy <= 0:
-            raise ValueError("reference_energy must be positive")
-        if self.reference_counts_per_pulse < 0:
-            raise ValueError("reference_counts_per_pulse must be non-negative")
-
-
-def pump_noise_counts(model: PumpNoiseModel, energy: float) -> float:
-    """Noise counts per pulse extrapolated from the model's reference point."""
-    if energy < 0:
-        raise ValueError("energy must be non-negative")
-    if energy == 0.0:
-        return 0.0
-    return model.reference_counts_per_pulse * (energy / model.reference_energy) ** model.exponent
-
-
 def calibrated_mode_area(
     pump: GaussianPulse,
     length: float,
@@ -116,7 +92,7 @@ def calibrated_mode_area(
         effective_length = length
     walk = walkoff_per_length * length
     sigma = pump.fwhm_duration * FWHM_TO_SIGMA
-    shape = erf(walk / (2.0 * np.sqrt(2.0) * sigma))
+    shape = math.erf(walk / (2.0 * np.sqrt(2.0) * sigma))
     return (
         8.0
         * np.pi

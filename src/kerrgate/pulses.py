@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
+from numpy.polynomial.hermite import hermval
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -210,7 +210,7 @@ def hermite_gauss_amplitude(mode: TemporalMode, time_grid: np.ndarray) -> np.nda
     grid = _check_grid(time_grid)
     tau = mode.characteristic_duration
     x = grid / tau
-    psi = eval_hermite(mode.order, x) * np.exp(-(x**2) / 2.0)
+    psi = hermval(x, [0.0] * mode.order + [1.0]) * np.exp(-(x**2) / 2.0)
     norm = np.trapezoid(psi**2, grid)
     if norm <= 0:
         raise ValueError("mode amplitude vanishes on this grid")

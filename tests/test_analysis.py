@@ -19,7 +19,6 @@ from kerrgate import (
     mode_transmission,
     noise_reduction_factor,
     noise_threshold,
-    parallel_map,
     spectral_overlap_factor,
 )
 from kerrgate.analysis import _bisect_positive
@@ -108,6 +107,9 @@ def test_bisection_bracket_failures():
     with pytest.raises(ThresholdNotFoundError) as info:
         _bisect_positive(lambda x: 1.0, 1.0, 100.0, 0.005, geometric=False)
     assert info.value.side == "high"
+    # a zero width never terminates, so it is refused up front
+    with pytest.raises(ValueError, match="rel_width"):
+        _bisect_positive(lambda x: 10.0 - x, 1.0, 100.0, 0.0, geometric=False)
 
 
 def test_noise_threshold_frozen(default_run):
@@ -174,6 +176,18 @@ def test_improvement_factors_frozen(default_run):
     assert statuses.count("ok") == len(statuses) - 7
     for ratio in imp.noise_ratio.column("ratio"):
         assert ratio is None or ratio > 1.0
+    # the ratios come from the one bisection per loss and arm listed here
+    assert imp.noise_thresholds.columns == (
+        "channel_loss_db", "filter", "threshold_hz", "iterations", "status"
+    )
+    rows = {(row[0], row[1]): row for row in imp.noise_thresholds.rows}
+    assert len(rows) == 2 * len(run.loss_grid())
+    assert rows[(10.0, ELECTRONIC)][2] == pytest.approx(ETF_NOISE_THR_10DB, rel=1e-12)
+    assert rows[(10.0, ULTRAFAST)][2] == pytest.approx(UTF_NOISE_THR_10DB, rel=1e-12)
+    for loss, etf, utf, _, _ in imp.noise_ratio.rows:
+        assert (rows[(loss, ELECTRONIC)][2], rows[(loss, ULTRAFAST)][2]) == (etf, utf)
+    for _, _, value, iterations, status in rows.values():
+        assert (status == "ok") == (value is not None) == (iterations is not None)
 
 
 def test_keyrate_sweep_matches_pointwise_evaluation(default_run):
@@ -188,7 +202,7 @@ def test_keyrate_sweep_matches_pointwise_evaluation(default_run):
         spacing="log",
         scenario=run.scenario,
     )
-    table = keyrate_sweep(spec, _detector(), run.decoy, run.switch, run.spectral_overlap, jobs=2)
+    table = keyrate_sweep(spec, _detector(), run.decoy, run.switch, run.spectral_overlap)
     assert len(table.rows) == 10  # five points, two filter arms
     for row in table.rows:
         noise, kind = row[0], row[1]
@@ -289,13 +303,6 @@ def test_fluctuation_study_validation(default_run):
         fluctuation_study([1e-12], [920.0], [0.0, 10.0], default_run.switch, visibility=0.0)
     with pytest.raises(ValueError):
         fluctuation_study([-1e-12], [920.0], [0.0, 10.0], default_run.switch)
-
-
-def test_parallel_map_keeps_order():
-    items = list(range(40))
-    assert parallel_map(lambda x: x * x, items, jobs=4) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, jobs=1) == [x * x for x in items]
-    assert parallel_map(lambda x: x, []) == []
 
 
 def test_table_behaviour():

@@ -1,6 +1,10 @@
 """Config schema, resolution, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +250,54 @@ def test_cli_stdout_multi_output_separators(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "# output: keyrate_vs_loss.tsv" in out
     assert "# output: gains_qber.tsv" in out
+
+
+def test_pump_noise_section_is_unknown(tmp_path):
+    # scenario.pump_noise_per_pulse is the only pump-noise input
+    path = _write(tmp_path, {"pump_noise": {"exponent": 2.0}})
+    with pytest.raises(ConfigError, match="unknown config key: pump_noise"):
+        load_config(path)
+
+
+def test_cli_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--jobs", "2", "keyrate"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kerrgate") and "--jobs" not in err
+
+
+def test_import_pulls_no_scipy_or_thread_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, kerrgate; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _tsv(path):
+    lines = path.read_text().strip().split("\n")
+    header = lines[0].split("\t")
+    return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+
+
+def test_relative_width_reaches_every_bisection(tmp_path):
+    small = {
+        "sweep": {"noise_samples": 4, "loss_samples": 4},
+        "fluctuation": {"pulse_fwhm_ps": [1.0, 10.0], "noise_levels_hz": [920.0], "loss_samples": 8},
+    }
+    outputs = {}
+    for name, width in (("default", 0.005), ("wide", 0.2)):
+        document = dict(small, thresholds={"relative_width": width})
+        path = _write(tmp_path, document, name + ".json")
+        out = tmp_path / name
+        for command in ("thresholds", "fluctuations"):
+            assert main(["--no-banner", "--config", path, "--out", str(out), command]) == 0
+        outputs[name] = out
+        # the improvement table reuses the noise thresholds it lists
+        thresholds = {(row["channel_loss_db"], row["filter"]): row["threshold_hz"] for row in _tsv(out / "noise_thresholds.tsv")}
+        for row in _tsv(out / "noise_improvement.tsv"):
+            assert row["etf_threshold_hz"] == thresholds[(row["channel_loss_db"], "electronic")]
+            assert row["utf_threshold_hz"] == thresholds[(row["channel_loss_db"], "ultrafast")]
+    for name in ("noise_thresholds.tsv", "noise_improvement.tsv", "loss_thresholds.tsv", "fluctuation_thresholds.tsv"):
+        assert (outputs["default"] / name).read_text() != (outputs["wide"] / name).read_text(), name

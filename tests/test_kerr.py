@@ -6,14 +6,12 @@ import pytest
 from kerrgate import (
     FiberSpec,
     GaussianPulse,
-    PumpNoiseModel,
     ResolutionError,
     SpectralFilter,
     SwitchProfile,
     calibrated_mode_area,
     default_time_grid,
     nonlinear_phase_profile,
-    pump_noise_counts,
     sampled_fwhm,
     switch_profile,
     switching_efficiency,
@@ -216,17 +214,6 @@ def test_energy_scan_guards():
         switching_vs_energy([-1e-9], _pump(), _fiber(), _signal(), grid)
     with pytest.raises(ValueError):
         switching_vs_energy([1e-9], _pump(0.0), _fiber(), _signal(), grid)
-
-
-def test_pump_noise_power_law():
-    model = PumpNoiseModel(reference_energy=2.47e-9, reference_counts_per_pulse=1.6e-4)
-    assert pump_noise_counts(model, 2.47e-9) == pytest.approx(1.6e-4, rel=1e-12)
-    assert pump_noise_counts(model, 0.0) == 0.0
-    assert pump_noise_counts(model, 1.235e-9) == pytest.approx(4.0e-5, rel=1e-12)
-    cubic = PumpNoiseModel(2.47e-9, 1.6e-4, exponent=3.0)
-    assert pump_noise_counts(cubic, 4.94e-9) == pytest.approx(8 * 1.6e-4, rel=1e-12)
-    with pytest.raises(ValueError):
-        pump_noise_counts(model, -1e-9)
 
 
 def test_fwhm_stable_under_grid_refinement():
