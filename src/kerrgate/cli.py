@@ -141,7 +141,7 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
             variable="channel_loss_db",
             start=sweep_cfg["loss_min_db"],
             stop=sweep_cfg["loss_max_db"],
-            samples=int(sweep_cfg["loss_samples"]),
+            samples=sweep_cfg["loss_samples"],
             spacing="linear",
             scenario=run.scenario.with_(noise_rate=noise),
         )
@@ -158,7 +158,7 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
             variable="noise_rate",
             start=sweep_cfg["noise_min_hz"],
             stop=sweep_cfg["noise_max_hz"],
-            samples=int(sweep_cfg["noise_samples"]),
+            samples=sweep_cfg["noise_samples"],
             spacing="log",
             scenario=run.scenario.with_(channel_loss_db=loss),
         )
@@ -237,7 +237,7 @@ def _summary_table(run: RunConfig, imp: ImprovementFactors) -> Table:
 
 def _cmd_modes(args, run: RunConfig) -> int:
     table = hg_mode_comparison(
-        int(run.effective["modes"]["max_order"]),
+        run.effective["modes"]["max_order"],
         run.switch,
         run.spectral_filter,
         run.signal,
@@ -248,7 +248,7 @@ def _cmd_modes(args, run: RunConfig) -> int:
 
 def _cmd_fluctuations(args, run: RunConfig) -> int:
     cfg = run.effective["fluctuation"]
-    loss_grid = np.linspace(cfg["loss_min_db"], cfg["loss_max_db"], int(cfg["loss_samples"]))
+    loss_grid = np.linspace(cfg["loss_min_db"], cfg["loss_max_db"], cfg["loss_samples"])
     study = fluctuation_study(
         [d * _PS for d in cfg["pulse_fwhm_ps"]],
         cfg["noise_levels_hz"],

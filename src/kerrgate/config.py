@@ -43,7 +43,7 @@ DEFAULTS: dict = {
         "nonlinear_index_m2_per_w": 2.6e-20,
         "mode_area_um2": None,
     },
-    "switch": {"polarization_angle_deg": 45.0, "z_samples": 257},
+    "switch": {"polarization_angle_deg": 45.0},
     "spectral_filter": {
         "center_wavelength_nm": 720.8,
         "bandwidth_fwhm_nm": 1.7,
@@ -108,6 +108,17 @@ _NULLABLE = {
     "noise.linewidth_nm",
     "noise.center_wavelength_nm",
     "noise.spectral_overlap",
+}
+
+# count keys and their least valid values: a trace needs three delays and
+# a sweep two points
+_COUNTS = {
+    "grid.samples": 16,
+    "trace.samples": 3,
+    "sweep.noise_samples": 2,
+    "sweep.loss_samples": 2,
+    "modes.max_order": 0,
+    "fluctuation.loss_samples": 1,
 }
 
 _NM = 1e-9
@@ -207,7 +218,6 @@ class RunConfig:
     decoy: DecoyParams
     scenario: ChannelScenario
     theta: float
-    z_samples: int
     switch: SwitchProfile
     spectral_overlap: float
 
@@ -216,7 +226,7 @@ class RunConfig:
         return np.linspace(
             section["delay_min_ps"] * _PS,
             section["delay_max_ps"] * _PS,
-            int(section["samples"]),
+            section["samples"],
         )
 
     def noise_grid(self) -> np.ndarray:
@@ -224,14 +234,12 @@ class RunConfig:
         return np.logspace(
             np.log10(section["noise_min_hz"]),
             np.log10(section["noise_max_hz"]),
-            int(section["noise_samples"]),
+            section["noise_samples"],
         )
 
     def loss_grid(self) -> np.ndarray:
         section = self.effective["sweep"]
-        return np.linspace(
-            section["loss_min_db"], section["loss_max_db"], int(section["loss_samples"])
-        )
+        return np.linspace(section["loss_min_db"], section["loss_max_db"], section["loss_samples"])
 
     def loss_bracket(self) -> tuple[float, float]:
         lo, hi = self.effective["thresholds"]["loss_bracket_db"]
@@ -240,6 +248,15 @@ class RunConfig:
     def noise_bracket(self) -> tuple[float, float]:
         lo, hi = self.effective["thresholds"]["noise_bracket_hz"]
         return (float(lo), float(hi))
+
+
+def _require_count(effective: dict, path: str, minimum: int):
+    """Store the count at dotted ``path`` as an int; 16384.0 passes, 40.9 does not."""
+    section, key = path.split(".")
+    value = effective[section][key]
+    if not float(value).is_integer() or value < minimum:
+        raise ConfigError("%s must be an integer >= %d" % (path, minimum))
+    effective[section][key] = int(value)
 
 
 def resolve(config: dict) -> RunConfig:
@@ -256,11 +273,10 @@ def resolve(config: dict) -> RunConfig:
 def _resolve(config: dict) -> RunConfig:
     effective = copy.deepcopy(config)
 
+    for path, minimum in _COUNTS.items():
+        _require_count(effective, path, minimum)
     grid_cfg = effective["grid"]
-    samples = int(grid_cfg["samples"])
-    if samples < 16 or samples != grid_cfg["samples"]:
-        raise ConfigError("grid.samples must be an integer >= 16")
-    time_grid = default_time_grid(grid_cfg["time_span_ps"] * _PS, samples)
+    time_grid = default_time_grid(grid_cfg["time_span_ps"] * _PS, grid_cfg["samples"])
 
     pump_cfg = effective["pump"]
     pump = GaussianPulse(
@@ -345,12 +361,7 @@ def _resolve(config: dict) -> RunConfig:
 
     switch_cfg = effective["switch"]
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
-    z_samples = int(switch_cfg["z_samples"])
-    if z_samples < 3:
-        raise ConfigError("switch.z_samples must be >= 3")
-    switch = switch_profile(
-        pump, fiber, time_grid, signal.center_wavelength, theta=theta, z_samples=z_samples
-    )
+    switch = switch_profile(pump, fiber, time_grid, signal.center_wavelength, theta=theta)
 
     if noise_cfg["spectral_overlap"] is not None:
         overlap = float(noise_cfg["spectral_overlap"])
@@ -378,7 +389,6 @@ def _resolve(config: dict) -> RunConfig:
         decoy=decoy,
         scenario=scenario,
         theta=theta,
-        z_samples=z_samples,
         switch=switch,
         spectral_overlap=overlap,
     )

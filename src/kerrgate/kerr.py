@@ -17,16 +17,11 @@ import numpy as np
 
 from .errors import ResolutionError
 from .pulses import (
-    FWHM_TO_SIGMA,
     SPEED_OF_LIGHT,
     GaussianPulse,
     SpectralFilter,
     sampled_fwhm,
 )
-
-# z-quadrature nodes for the walkoff integral; 257 resolves the pump sweep
-# to well below the time-grid step for all tested geometries.
-DEFAULT_Z_SAMPLES = 257
 
 # Delay chunk size for trace evaluation, bounds peak memory at ~20 MB.
 _CHUNK = 64
@@ -76,32 +71,32 @@ def calibrated_mode_area(
 ) -> float:
     """Mode area (m^2) that puts the peak nonlinear phase at the target.
 
-    For a Gaussian pump the walkoff integral has a closed form at the gate
-    center, so the calibration is exact:
-
-        peak phase = (8 pi n2 / 3 lambda_s) * (E / (A d_w)) * erf(w / (2 sqrt2 sigma)) * (L_eff / L)
-
-    with w the total walkoff and sigma the pump's intensity standard
-    deviation.  Solving for A at the target phase gives the returned area.
+    The phase is inversely proportional to the mode area and peaks at the
+    gate center T = d_w L / 2, so the area is the closed-form phase there
+    for a unit area divided by the target; the calibration is exact.
     """
     if target_peak_phase <= 0:
         raise ValueError("target_peak_phase must be positive")
     if signal_wavelength <= 0:
         raise ValueError("signal_wavelength must be positive")
-    if effective_length is None:
-        effective_length = length
-    walk = walkoff_per_length * length
-    sigma = pump.fwhm_duration * FWHM_TO_SIGMA
-    shape = math.erf(walk / (2.0 * np.sqrt(2.0) * sigma))
-    return (
-        8.0
-        * np.pi
-        * nonlinear_index
-        * pump.pulse_energy
-        * shape
-        * (effective_length / length)
-        / (3.0 * signal_wavelength * walkoff_per_length * target_peak_phase)
-    )
+    unit = FiberSpec(nonlinear_index, length, walkoff_per_length, 1.0, effective_length)
+    center = np.array([unit.total_walkoff / 2.0])
+    return float(_walkoff_phase(pump, unit, center, signal_wavelength)[0]) / target_peak_phase
+
+
+# math.erf on arrays; numpy has no erf and scipy is not a dependency
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _walkoff_phase(
+    pump: GaussianPulse, fiber: FiberSpec, times: np.ndarray, signal_wavelength: float
+) -> np.ndarray:
+    """Closed form of the walkoff integral, see ``nonlinear_phase_profile``."""
+    scale = np.sqrt(2.0) * pump.sigma
+    edges = (_erf(times / scale) - _erf((times - fiber.total_walkoff) / scale)).astype(float)
+    integral = pump.pulse_energy / (2.0 * fiber.mode_area * fiber.walkoff_per_length) * edges
+    coeff = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * signal_wavelength)
+    return coeff * integral * (fiber.effective_length / fiber.length)
 
 
 def nonlinear_phase_profile(
@@ -109,17 +104,22 @@ def nonlinear_phase_profile(
     fiber: FiberSpec,
     time_grid: np.ndarray,
     signal_wavelength: float,
-    z_samples: int = DEFAULT_Z_SAMPLES,
 ) -> np.ndarray:
     """Cross-phase-modulation phase (rad) in the co-moving signal frame.
 
-    Evaluates phase(T) = (8 pi n2 / 3 lambda_s) * integral over z in [0, L]
-    of I_pump(T - d_w z) by trapezoidal quadrature.  The pump peak enters the
-    fiber at T = 0, so the gate is centered at T = d_w L / 2.  Attenuation is
-    folded in as a uniform factor L_eff / L.
+    phase(T) = (8 pi n2 / 3 lambda_s) * integral over z in [0, L] of
+    I_pump(T - d_w z).  For a Gaussian pump of energy E and intensity
+    standard deviation sigma in mode area A the integral is exact:
 
-    Raises ResolutionError if the time step is coarser than
-    min(pump FWHM, total walkoff) / 16.
+        E / (2 A d_w) * [erf(T / sqrt2 sigma) - erf((T - d_w L) / sqrt2 sigma)]
+
+    The pump peak enters the fiber at T = 0, so the gate is centered at
+    T = d_w L / 2.  Attenuation is folded in as a uniform factor L_eff / L.
+
+    The grid guards protect the sampled eta that widths and traces are
+    measured on: raises ResolutionError if the time step is coarser than
+    min(pump FWHM, total walkoff) / 16, and ValueError if the grid does not
+    cover the gate support.
     """
     if signal_wavelength <= 0:
         raise ValueError("signal_wavelength must be positive")
@@ -140,16 +140,7 @@ def nonlinear_phase_profile(
         raise ValueError("time grid does not cover the gate support")
     if pump.pulse_energy == 0.0:
         return np.zeros_like(grid)
-
-    sigma = pump.sigma
-    peak_power = pump.pulse_energy / (fiber.mode_area * sigma * np.sqrt(2.0 * np.pi))
-    z = np.linspace(0.0, fiber.length, z_samples)
-    # (time, z) delay matrix; ~30 MB at default sizes, no chunking needed
-    tau = grid[:, None] - fiber.walkoff_per_length * z[None, :]
-    intensity = peak_power * np.exp(-(tau**2) / (2.0 * sigma**2))
-    integral = np.trapezoid(intensity, z, axis=1)
-    coeff = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * signal_wavelength)
-    return coeff * integral * (fiber.effective_length / fiber.length)
+    return _walkoff_phase(pump, fiber, grid, signal_wavelength)
 
 
 def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:
@@ -164,7 +155,7 @@ class SwitchProfile:
     ``fwhm`` and ``effective_width`` are derived from the samples on
     construction; ``effective_width`` is the plain integral of eta over time,
     which is the quantity that scales cw noise transmission.  Arrays are
-    frozen to keep profiles safe to share across workers.
+    frozen, so a profile is immutable.
     """
 
     time_grid: np.ndarray
@@ -220,10 +211,9 @@ def switch_profile(
     time_grid: np.ndarray,
     signal_wavelength: float,
     theta: float = np.pi / 4.0,
-    z_samples: int = DEFAULT_Z_SAMPLES,
 ) -> SwitchProfile:
     """Build the switching-efficiency profile for the given pump and fiber."""
-    phase = nonlinear_phase_profile(pump, fiber, time_grid, signal_wavelength, z_samples)
+    phase = nonlinear_phase_profile(pump, fiber, time_grid, signal_wavelength)
     eta = switching_efficiency(theta, phase)
     return SwitchProfile(time_grid=np.asarray(time_grid, dtype=float), efficiency=eta, phase=phase)
 
@@ -238,9 +228,8 @@ class SwitchingTrace:
     peak_value: float
 
 
-def _plain_trace(profile: SwitchProfile, signal: GaussianPulse, delays: np.ndarray) -> np.ndarray:
-    grid = profile.time_grid
-    eta = profile.efficiency
+def _plain_trace(grid: np.ndarray, eta: np.ndarray, signal: GaussianPulse, delays: np.ndarray) -> np.ndarray:
+    """Correlation of eta with the unit-area signal intensity at each delay."""
     sigma = signal.sigma
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     out = np.empty(delays.size)
@@ -321,7 +310,7 @@ def switching_trace(
                 % (delays[0], delays[-1], lo, hi)
             )
         trace = (
-            _plain_trace(profile, signal, delays)
+            _plain_trace(profile.time_grid, profile.efficiency, signal, delays)
             if spectral_filter is None
             else _filtered_trace(profile, signal, delays, spectral_filter)
         )
@@ -378,16 +367,13 @@ def switching_vs_energy(
 
     center_eff = switching_efficiency(theta, phase_center * energies / ref_energy)
 
-    sigma = signal.sigma
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     # optimal delay = centroid of the gate, identical for every energy
     weight = np.trapezoid(base_phase, grid)
-    tau_opt = np.trapezoid(base_phase * grid, grid) / weight if weight > 0 else 0.0
-    signal_shape = norm * np.exp(-((grid - tau_opt) ** 2) / (2.0 * sigma**2))
+    tau_opt = np.array([np.trapezoid(base_phase * grid, grid) / weight if weight > 0 else 0.0])
     pulse_eff = np.empty(energies.size)
     for i, energy in enumerate(energies):
         eta = switching_efficiency(theta, base_phase * (energy / ref_energy))
-        pulse_eff[i] = np.trapezoid(eta * signal_shape, grid)
+        pulse_eff[i] = _plain_trace(grid, eta, signal, tau_opt)[0]
     return EnergyScan(
         energies=energies,
         center_efficiency=np.asarray(center_eff, dtype=float),

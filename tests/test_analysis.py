@@ -25,9 +25,9 @@ from kerrgate.analysis import _bisect_positive
 from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
 
 # Frozen against the default operating point (40 ps grid, 16384 samples).
-NRF_BROADBAND = 1989.3904424591519
-NRF_NARROW = 2412.530794516771
-OVERLAP_083NM = 0.84951836504304801
+NRF_BROADBAND = 1989.3907903788886
+NRF_NARROW = 2412.540333542398
+OVERLAP_083NM = 0.8495155158310009
 
 # Bisection results are dyadic and deterministic.
 UTF_LOSS_PLATEAU_DB = 21.1328125
@@ -38,12 +38,12 @@ MAX_IMPROVEMENT = 4.1708737864077667
 MAX_IMPROVEMENT_HZ = 133352.14321633239
 
 MODE_COMBINED = {
-    0: 0.6146155394,
-    1: 0.2320740663,
-    2: 0.09228053639,
-    3: 0.02632980781,
-    4: 0.005849465576,
-    5: 0.002632612143,
+    0: 0.6146166006,
+    1: 0.2320744287,
+    2: 0.09227991232,
+    3: 0.02632877075,
+    4: 0.005849086424,
+    5: 0.002632789577,
 }
 
 

@@ -13,7 +13,7 @@ from kerrgate import ConfigError, dump_effective, load_config, resolve
 from kerrgate.cli import main
 
 AREA_UM2 = 23.553721366133519
-OVERLAP = 0.84951836504304801
+OVERLAP = 0.8495155158310009
 
 
 def _write(tmp_path, document, name="config.json"):
@@ -97,9 +97,31 @@ def test_resolution_guards(tmp_path):
     path = _write(tmp_path, {"grid": {"samples": 8}})
     with pytest.raises(ConfigError):
         resolve(load_config(path))
-    path = _write(tmp_path, {"switch": {"z_samples": 2}})
-    with pytest.raises(ConfigError):
+    # the gate phase is a closed form, so there is no quadrature to tune
+    path = _write(tmp_path, {"switch": {"z_samples": 257}})
+    with pytest.raises(ConfigError, match="unknown config key: switch.z_samples"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, fraction, integral",
+    [
+        ("grid", "samples", 16384.5, 16384.0),
+        ("trace", "samples", 40.9, 41.0),
+        ("sweep", "noise_samples", 3.5, 3.0),
+        ("sweep", "loss_samples", 7.5, 7.0),
+        ("modes", "max_order", 2.7, 2.0),
+        ("fluctuation", "loss_samples", 8.2, 8.0),
+    ],
+)
+def test_count_keys_require_integral_values(tmp_path, section, key, fraction, integral):
+    # a fractional count used to be truncated silently by int()
+    path = _write(tmp_path, {section: {key: fraction}})
+    with pytest.raises(ConfigError, match="%s.%s must be an integer" % (section, key)):
         resolve(load_config(path))
+    path = _write(tmp_path, {section: {key: integral}})
+    value = resolve(load_config(path)).effective[section][key]
+    assert value == integral and isinstance(value, int)
 
 
 def test_effective_config_round_trips(tmp_path, default_run):
@@ -136,15 +158,15 @@ def test_cli_switch_profile_reruns_identically(tmp_path):
     text_a = (out_a / "switch_profile.tsv").read_text()
     assert text_a == (out_b / "switch_profile.tsv").read_text()
     # footer carries the frozen profile statistics
-    assert "# fwhm_ps = 1.004119083" in text_a
+    assert "# fwhm_ps = 1.004118938" in text_a
 
 
 def test_cli_trace_footer(tmp_path):
     out = tmp_path / "trace"
     assert main(["--out", str(out), "trace"]) == 0
     text = (out / "trace.tsv").read_text()
-    assert "# fwhm_ps = 0.9457679908" in text
-    assert "peak = 0.9349085336" in text
+    assert "# fwhm_ps = 0.9457642473" in text
+    assert "peak = 0.9349101479" in text
 
 
 def test_cli_modes_output(tmp_path):
@@ -195,8 +217,8 @@ def test_cli_thresholds_outputs(tmp_path):
         "nrf_narrow_line",
     ]
     values = summary[1].split("\t")
-    assert float(values[3]) == pytest.approx(1989.3904424591519, rel=1e-9)
-    assert float(values[4]) == pytest.approx(2412.530794516771, rel=1e-9)
+    assert float(values[3]) == pytest.approx(1989.3907903788886, rel=1e-9)
+    assert float(values[4]) == pytest.approx(2412.540333542398, rel=1e-9)
     for name in ("noise_thresholds.tsv", "noise_improvement.tsv", "loss_thresholds.tsv"):
         assert (out / name).exists()
 

@@ -27,14 +27,14 @@ SIGNAL_WL = 720.8e-9
 AREA_M2 = 23.553721366133519e-12
 
 # Frozen profile statistics on the default grid (40 ps span, 16384 samples).
-PROFILE_FWHM = 1.0041190826933326e-12
-PROFILE_WIDTH = 1.0053330695244185e-12
+PROFILE_FWHM = 1.0041189382476258e-12
+PROFILE_WIDTH = 1.005332893704153e-12
 
 # Frozen trace statistics for the transform-limited 1.7 nm signal.
-PLAIN_FWHM = 1.0196707926717505e-12
-PLAIN_PEAK = 0.97390989106894355
-FILTERED_FWHM = 0.94576799078155349e-12
-FILTERED_PEAK = 0.93490853363856952
+PLAIN_FWHM = 1.0196696541168202e-12
+PLAIN_PEAK = 0.9739113774793191
+FILTERED_FWHM = 0.9457642473286742e-12
+FILTERED_PEAK = 0.9349101478944599
 
 
 def _pump(energy=2.47e-9):
@@ -77,6 +77,43 @@ def test_profile_centered_at_half_walkoff():
     assert profile.centroid == pytest.approx(0.5e-12, abs=1e-18)
     lo, hi = profile.support()
     assert lo < 0.5e-12 < hi
+
+
+def _trapezoid_phase(pump, fiber, grid, z_samples):
+    """The walkoff integral by z-quadrature, as a reference for the closed form."""
+    sigma = pump.sigma
+    peak_power = pump.pulse_energy / (fiber.mode_area * sigma * np.sqrt(2.0 * np.pi))
+    z = np.linspace(0.0, fiber.length, z_samples)
+    # (time, z) matrix, updated in place to hold one copy only
+    tau = grid[:, None] - fiber.walkoff_per_length * z[None, :]
+    tau **= 2
+    tau /= -2.0 * sigma**2
+    intensity = np.exp(tau, out=tau)
+    integral = peak_power * np.trapezoid(intensity, z, axis=1)
+    coeff = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * SIGNAL_WL)
+    return coeff * integral * (fiber.effective_length / fiber.length)
+
+
+def test_phase_matches_converging_quadrature():
+    grid = np.linspace(-5e-12, 6e-12, 2048)
+    exact = nonlinear_phase_profile(_pump(), _fiber(), grid, SIGNAL_WL)
+    errors = [
+        np.max(np.abs(_trapezoid_phase(_pump(), _fiber(), grid, nodes) - exact)) / exact.max()
+        for nodes in (1025, 4097)
+    ]
+    assert errors[0] <= 1e-6
+    assert errors[1] <= 1e-7
+    assert errors[1] < errors[0]
+
+
+def test_phase_at_gate_center_is_exactly_calibrated():
+    area = calibrated_mode_area(_pump(), 0.10, 10e-12, 2.6e-20, SIGNAL_WL)
+    center = 0.5e-12
+    steps = np.arange(-2048, 2049)
+    grid = center + steps * 2e-15
+    phase = nonlinear_phase_profile(_pump(), _fiber(area), grid, SIGNAL_WL)
+    assert grid[2048] == center
+    assert phase[2048] == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_phase_is_linear_in_pump_energy():
