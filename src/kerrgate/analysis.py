@@ -19,9 +19,9 @@ from .pulses import (
     GaussianPulse,
     SpectralFilter,
     TemporalMode,
-    frequency_bandwidth,
     mode_transmission,
     normalized_intensity,
+    spectral_energy,
 )
 from .qkd import (
     ELECTRONIC,
@@ -85,33 +85,26 @@ def spectral_overlap_factor(
     """Fraction of noise passed by the filter once the time gate chops it.
 
     Gating in time convolves the noise spectrum with the gate's spectral
-    kernel |FFT(sqrt(eta))|^2, pushing part of the line outside the
+    kernel K = |FFT(sqrt(eta))|^2, pushing part of the line outside the
     bandpass.  The returned factor is the transmitted noise power with that
     broadening relative to the ungated line, so it multiplies the gate's
-    duty-cycle suppression.
+    duty-cycle suppression.  For a Gaussian line (FWHM w_l, offset ``off``
+    from the center of a passband of FWHM w_f) the line-passband
+    cross-correlation is closed form, so the factor is sum K w / sum K with
+    w(f) = exp(-4 ln2 [(f + off)^2 - off^2] / (w_f^2 + w_l^2)).  A zero
+    linewidth is the monochromatic limit of the same expression.  The value
+    does not depend on grid parity, but the grid must be uniform.
 
     ``noise_linewidth`` of None selects the broadband bookkeeping (factor
     1.0: for noise much wider than the filter the gate kernel does not
-    change what the filter accepts).  A zero linewidth is the monochromatic
-    limit.  The line sits at the filter center unless a center wavelength
-    is given.
+    change what the filter accepts).  The line sits at the filter center
+    unless a center wavelength is given.
     """
     if noise_linewidth is None:
         return 1.0
     if noise_linewidth < 0:
         raise ValueError("noise_linewidth must be non-negative or None")
 
-    grid = profile.time_grid
-    dt = grid[1] - grid[0]
-    n = grid.size
-    freqs = np.fft.fftshift(np.fft.fftfreq(n, dt))
-    kernel = np.abs(np.fft.fftshift(np.fft.fft(np.sqrt(profile.efficiency)))) ** 2
-    area = np.trapezoid(kernel, freqs)
-    if area <= 0:
-        raise ValueError("switch profile has no spectral content")
-    kernel = kernel / area
-
-    passband = spectral_filter.intensity_transmission(freqs)
     if noise_center_wavelength is None:
         line_offset = 0.0
     else:
@@ -119,22 +112,20 @@ def spectral_overlap_factor(
             SPEED_OF_LIGHT / noise_center_wavelength
             - SPEED_OF_LIGHT / spectral_filter.center_wavelength
         )
+    # line and passband widths share the filter's wavelength-to-frequency scale
+    widths_sq = spectral_filter.frequency_fwhm**2 * (
+        1.0 + (noise_linewidth / spectral_filter.fwhm_bandwidth) ** 2
+    )
 
-    if noise_linewidth == 0.0:
-        # delta line: broadened spectrum is the kernel itself, centered on the line
-        broadened = np.interp(freqs, freqs + line_offset, kernel, left=0.0, right=0.0)
-        transmitted = np.trapezoid(broadened * passband, freqs)
-        direct = spectral_filter.intensity_transmission(np.array([line_offset]))[0]
-        return float(transmitted / direct)
+    def weight(freqs):
+        # (f + off)^2 - off^2, written without the cancellation
+        return np.exp(-4.0 * np.log(2.0) * freqs * (freqs + 2.0 * line_offset) / widths_sq)
 
-    line_fwhm_hz = frequency_bandwidth(spectral_filter.center_wavelength, noise_linewidth)
-    line = np.exp(-4.0 * np.log(2.0) * ((freqs - line_offset) / line_fwhm_hz) ** 2)
-    line = line / np.trapezoid(line, freqs)
-    df = freqs[1] - freqs[0]
-    broadened = np.convolve(line, kernel, mode="same") * df
-    transmitted = np.trapezoid(broadened * passband, freqs)
-    direct = np.trapezoid(line * passband, freqs)
-    return float(transmitted / direct)
+    gate = np.sqrt(profile.efficiency)
+    area = spectral_energy(profile.time_grid, gate, np.ones_like)
+    if area <= 0:
+        raise ValueError("switch profile has no spectral content")
+    return float(spectral_energy(profile.time_grid, gate, weight) / area)
 
 
 def noise_reduction_factor(

@@ -21,6 +21,7 @@ from .pulses import (
     GaussianPulse,
     SpectralFilter,
     sampled_fwhm,
+    spectral_energy,
 )
 
 # Delay chunk size for trace evaluation, bounds peak memory at ~20 MB.
@@ -228,17 +229,27 @@ class SwitchingTrace:
     peak_value: float
 
 
-def _plain_trace(grid: np.ndarray, eta: np.ndarray, signal: GaussianPulse, delays: np.ndarray) -> np.ndarray:
-    """Correlation of eta with the unit-area signal intensity at each delay."""
+def _trace(
+    grid: np.ndarray, eta: np.ndarray, signal: GaussianPulse, delays: np.ndarray, weight=None
+) -> np.ndarray:
+    """Gated energy of the unit-energy signal at each delay.
+
+    The delayed field exp(-(T - delay)^2 / 4 sigma^2) squares to the signal
+    intensity.  Without a spectral power ``weight`` the gated energy is the
+    trapezoid of eta times that intensity; with one it is the energy of
+    sqrt(eta) times the field after the weight (``spectral_energy``).
+    """
     sigma = signal.sigma
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     out = np.empty(delays.size)
     for start in range(0, delays.size, _CHUNK):
         block = delays[start : start + _CHUNK]
-        shifted = grid[None, :] - block[:, None]
-        intensity = norm * np.exp(-(shifted**2) / (2.0 * sigma**2))
-        out[start : start + block.size] = np.trapezoid(eta[None, :] * intensity, grid, axis=1)
-    return out
+        fields = np.exp(-((grid[None, :] - block[:, None]) ** 2) / (4.0 * sigma**2))
+        out[start : start + block.size] = (
+            np.trapezoid(eta * fields**2, grid, axis=1)
+            if weight is None
+            else spectral_energy(grid, fields * np.sqrt(eta), weight)
+        )
+    return out / (sigma * np.sqrt(2.0 * np.pi))
 
 
 def _filtered_trace(
@@ -249,36 +260,19 @@ def _filtered_trace(
 ) -> np.ndarray:
     """Detected trace: gate in time, then the receiver bandpass in frequency.
 
-    Each delayed signal field is amplitude-masked by sqrt(eta), Fourier
-    transformed, masked by the filter amplitude response, and integrated for
-    energy.  Normalization is the filter-only energy of the same pulse, so a
+    The gated field's energy is weighted by the filter's intensity
+    transmission at the signal's carrier offset.  Normalization is the
+    filter-only energy of the same pulse (an open gate at zero delay), so a
     unit-efficiency gate gives exactly 1.
     """
     grid = profile.time_grid
-    dt = grid[1] - grid[0]
-    amp_gate = np.sqrt(profile.efficiency)
-    # field sigma: |field|^2 must reproduce the intensity envelope
-    sigma = signal.sigma
-    freqs = np.fft.fftfreq(grid.size, dt)
     carrier_offset = SPEED_OF_LIGHT / signal.center_wavelength - SPEED_OF_LIGHT / spectral_filter.center_wavelength
-    amp_filter = spectral_filter.amplitude_transmission(freqs + carrier_offset)
 
-    base_field = np.exp(-(grid**2) / (4.0 * sigma**2)).astype(complex)
-    base_field /= np.sqrt(np.trapezoid(np.abs(base_field) ** 2, grid))
-    baseline = np.trapezoid(np.abs(np.fft.ifft(np.fft.fft(base_field) * amp_filter)) ** 2, grid)
+    def weight(freqs):
+        return spectral_filter.intensity_transmission(freqs + carrier_offset)
 
-    out = np.empty(delays.size)
-    for start in range(0, delays.size, _CHUNK):
-        block = delays[start : start + _CHUNK]
-        shifted = grid[None, :] - block[:, None]
-        fields = np.exp(-(shifted**2) / (4.0 * sigma**2)).astype(complex)
-        norms = np.sqrt(np.trapezoid(np.abs(fields) ** 2, grid, axis=1))
-        fields /= norms[:, None]
-        fields *= amp_gate[None, :]
-        spectra = np.fft.fft(fields, axis=1) * amp_filter[None, :]
-        gated = np.fft.ifft(spectra, axis=1)
-        out[start : start + block.size] = np.trapezoid(np.abs(gated) ** 2, grid, axis=1)
-    return out / baseline
+    baseline = _trace(grid, np.ones_like(grid), signal, np.zeros(1), weight)[0]
+    return _trace(grid, profile.efficiency, signal, delays, weight) / baseline
 
 
 def switching_trace(
@@ -310,7 +304,7 @@ def switching_trace(
                 % (delays[0], delays[-1], lo, hi)
             )
         trace = (
-            _plain_trace(profile.time_grid, profile.efficiency, signal, delays)
+            _trace(profile.time_grid, profile.efficiency, signal, delays)
             if spectral_filter is None
             else _filtered_trace(profile, signal, delays, spectral_filter)
         )
@@ -373,7 +367,7 @@ def switching_vs_energy(
     pulse_eff = np.empty(energies.size)
     for i, energy in enumerate(energies):
         eta = switching_efficiency(theta, base_phase * (energy / ref_energy))
-        pulse_eff[i] = _plain_trace(grid, eta, signal, tau_opt)[0]
+        pulse_eff[i] = _trace(grid, eta, signal, tau_opt)[0]
     return EnergyScan(
         energies=energies,
         center_efficiency=np.asarray(center_eff, dtype=float),

