@@ -23,12 +23,7 @@ from .analysis import (
     spectral_overlap_factor,
 )
 from .config import DEFAULTS, RunConfig, dump_effective, load_config, resolve
-from .errors import (
-    BoundUndefinedError,
-    ConfigError,
-    ResolutionError,
-    ThresholdNotFoundError,
-)
+from .errors import ConfigError, ResolutionError, ThresholdNotFoundError
 from .kerr import (
     EnergyScan,
     FiberSpec,

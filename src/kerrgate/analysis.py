@@ -29,7 +29,6 @@ from .qkd import (
     ChannelScenario,
     DecoyParams,
     DetectorParams,
-    KeyRateReport,
     binary_entropy,
     evaluate_scenario,
 )
@@ -185,16 +184,9 @@ _VARIABLE_COLUMNS = {"noise_rate": "noise_rate_hz", "channel_loss_db": "channel_
 KEYRATE_COLUMNS = ("q_mu", "e_mu", "q1_lower", "e1_upper", "rate_per_pulse", "rate_per_second")
 
 
-def keyrate_cells(report: KeyRateReport) -> tuple:
-    """The ``KEYRATE_COLUMNS`` values of one report."""
-    return (
-        report.observed.q_mu,
-        report.observed.e_mu,
-        report.q1_lower,
-        report.e1_upper,
-        report.rate_per_pulse,
-        report.rate_per_second,
-    )
+def keyrate_cells(cells: dict) -> tuple:
+    """The ``KEYRATE_COLUMNS`` values of one sweep row's cells."""
+    return tuple(cells[name] for name in KEYRATE_COLUMNS)
 
 
 def sweep_reports(
@@ -203,15 +195,25 @@ def sweep_reports(
     decoy: DecoyParams,
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
-) -> list[tuple[float, str, KeyRateReport]]:
-    """``(value, filter, report)`` at every grid value, electronic arm first."""
-    points = []
-    for value in map(float, spec.grid()):
-        for kind in (ELECTRONIC, ULTRAFAST):
-            scenario = spec.scenario.with_(**{spec.variable: value}, filter_kind=kind)
-            report = evaluate_scenario(scenario, detector, decoy, switch, spectral_overlap)
-            points.append((value, kind, report))
-    return points
+) -> list[tuple[float, str, dict]]:
+    """``(value, filter, cells)`` at every grid value, electronic arm first.
+
+    Each arm is one chain evaluation over the grid; ``cells`` maps the
+    fields of its report and observed rates to their values at the row.
+    """
+    grid = spec.grid()
+    arms = []
+    for kind in (ELECTRONIC, ULTRAFAST):
+        scenario = spec.scenario.with_(**{spec.variable: grid}, filter_kind=kind)
+        report = evaluate_scenario(scenario, detector, decoy, switch, spectral_overlap)
+        fields = {**vars(report), **vars(report.observed)}
+        del fields["observed"]
+        arms.append((kind, {name: np.broadcast_to(v, grid.shape) for name, v in fields.items()}))
+    return [
+        (value, kind, {name: column[i] for name, column in columns.items()})
+        for i, value in enumerate(map(float, grid))
+        for kind, columns in arms
+    ]
 
 
 def keyrate_sweep(
@@ -223,8 +225,8 @@ def keyrate_sweep(
 ) -> Table:
     """Key-rate chain along the swept variable for both filter kinds."""
     table = Table(columns=(_VARIABLE_COLUMNS[spec.variable], "filter", *KEYRATE_COLUMNS))
-    for value, kind, report in sweep_reports(spec, detector, decoy, switch, spectral_overlap):
-        table.append(value, kind, *keyrate_cells(report))
+    for value, kind, cells in sweep_reports(spec, detector, decoy, switch, spectral_overlap):
+        table.append(value, kind, *keyrate_cells(cells))
     return table
 
 
@@ -235,28 +237,71 @@ class ThresholdResult:
     iterations: int
 
 
-def _bisect_positive(rate_fn, lo: float, hi: float, rel_width: float, geometric: bool) -> ThresholdResult:
-    """Largest argument with positive rate, assuming rate decreases."""
+def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tuple:
+    """Per element, the largest argument with positive rate, assuming rate decreases.
+
+    ``rate_fn`` maps arguments shaped like the bracket arrays ``lo`` and
+    ``hi`` to rates.  The elements bisect in lockstep under per-element
+    convergence masks, so each takes the midpoints and iteration count it
+    would take alone.  Returns the arrays ``(threshold, lo, hi, iterations,
+    side)``; ``side`` is "low" or "high" where that bracket end already
+    fails (threshold NaN), else "".
+    """
     if not rel_width > 0.0:
         raise ValueError("rel_width must be positive")
-    if rate_fn(lo) <= 0.0:
-        raise ThresholdNotFoundError(
-            "rate is non-positive at the lower bracket end %.6g" % lo, side="low"
-        )
-    if rate_fn(hi) > 0.0:
-        raise ThresholdNotFoundError(
-            "rate is still positive at the upper bracket end %.6g" % hi, side="high"
-        )
-    iterations = 0
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    side = np.where(rate_fn(lo) <= 0.0, "low", np.where(rate_fn(hi) > 0.0, "high", ""))
+    threshold = np.full(lo.shape, np.nan)
+    iterations = np.zeros(lo.shape, dtype=int)
+    active = side == ""
     while True:
-        mid = float(np.sqrt(lo * hi)) if geometric else 0.5 * (lo + hi)
-        if (hi - lo) <= rel_width * mid:
-            return ThresholdResult(mid, (lo, hi), iterations)
-        iterations += 1
-        if rate_fn(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        mid = np.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        done = active & (hi - lo <= rel_width * mid)
+        threshold[done] = mid[done]
+        active &= ~done
+        if not active.any():
+            return threshold, lo, hi, iterations, side
+        iterations += active
+        positive = rate_fn(mid) > 0.0
+        lo = np.where(active & positive, mid, lo)
+        hi = np.where(active & ~positive, mid, hi)
+
+
+def _threshold_cells(result: tuple) -> list[tuple[float | None, int | None, str]]:
+    """``(threshold, iterations, status)`` of each element of a bisection, in C order."""
+    threshold, _, _, iterations, side = result
+    return [
+        (None, None, "no-threshold-%s" % s) if s else (float(t), int(n), "ok")
+        for t, n, s in zip(threshold.flat, iterations.flat, side.flat)
+    ]
+
+
+def _chain_bisection(scenario: ChannelScenario, variable: str, gate: tuple, bracket, rel_width: float) -> tuple:
+    """Lockstep bisection of the key rate in ``variable`` at every element.
+
+    The elements are those of the scenario's other array field; ``gate`` is
+    the rest of ``evaluate_scenario``'s arguments.  Noise rates bisect
+    geometrically, losses linearly.
+    """
+    other = scenario.channel_loss_db if variable == "noise_rate" else scenario.noise_rate
+
+    def rate(values):
+        return evaluate_scenario(scenario.with_(**{variable: values}), *gate).rate_per_pulse
+
+    lo, hi = (np.full(np.shape(other), end) for end in bracket)
+    return _bisect_positive(rate, lo, hi, rel_width, geometric=variable == "noise_rate")
+
+
+def _threshold(scenario, variable, gate, filter_kind, bracket, rel_width) -> ThresholdResult:
+    """The threshold in ``variable`` of a scalar scenario, or the error for its failing side."""
+    kind = filter_kind if filter_kind is not None else scenario.filter_kind
+    result = _chain_bisection(scenario.with_(filter_kind=kind), variable, gate, bracket, rel_width)
+    threshold, lo, hi, iterations, side = result
+    if side == "low":
+        raise ThresholdNotFoundError("rate is non-positive at the lower bracket end %.6g" % bracket[0], "low")
+    if side == "high":
+        raise ThresholdNotFoundError("rate is still positive at the upper bracket end %.6g" % bracket[1], "high")
+    return ThresholdResult(float(threshold), (float(lo), float(hi)), int(iterations))
 
 
 def noise_threshold(
@@ -270,13 +315,8 @@ def noise_threshold(
     rel_width: float = 0.005,
 ) -> ThresholdResult:
     """Largest noise rate (Hz) with positive key rate, by geometric bisection."""
-    kind = filter_kind if filter_kind is not None else scenario.filter_kind
-
-    def rate(noise: float) -> float:
-        trial = scenario.with_(noise_rate=noise, filter_kind=kind)
-        return evaluate_scenario(trial, detector, decoy, switch, spectral_overlap).rate_per_pulse
-
-    return _bisect_positive(rate, bracket[0], bracket[1], rel_width, geometric=True)
+    gate = (detector, decoy, switch, spectral_overlap)
+    return _threshold(scenario, "noise_rate", gate, filter_kind, bracket, rel_width)
 
 
 def loss_threshold(
@@ -290,13 +330,8 @@ def loss_threshold(
     rel_width: float = 0.005,
 ) -> ThresholdResult:
     """Largest channel loss (dB) with positive key rate, by linear bisection."""
-    kind = filter_kind if filter_kind is not None else scenario.filter_kind
-
-    def rate(loss_db: float) -> float:
-        trial = scenario.with_(channel_loss_db=loss_db, filter_kind=kind)
-        return evaluate_scenario(trial, detector, decoy, switch, spectral_overlap).rate_per_pulse
-
-    return _bisect_positive(rate, bracket[0], bracket[1], rel_width, geometric=False)
+    gate = (detector, decoy, switch, spectral_overlap)
+    return _threshold(scenario, "channel_loss_db", gate, filter_kind, bracket, rel_width)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +360,6 @@ class ImprovementFactors:
     max_improvement_noise: float | None
 
 
-def _threshold_or_side(search, *args) -> ThresholdResult | str:
-    """``search(*args)``, or the failing bracket side if there is no threshold."""
-    try:
-        return search(*args)
-    except ThresholdNotFoundError as exc:
-        return exc.side
-
-
-def _value(result: ThresholdResult | str) -> float | None:
-    return result.threshold_value if isinstance(result, ThresholdResult) else None
-
-
 def improvement_factors(
     loss_grid,
     noise_grid,
@@ -352,6 +375,17 @@ def improvement_factors(
     """UTF-over-ETF threshold ratios across the two grids."""
     arms = (ELECTRONIC, ULTRAFAST)
     gate = (detector, decoy, switch, spectral_overlap)
+    loss_grid = np.asarray(loss_grid, dtype=float)
+    noise_grid = np.asarray(noise_grid, dtype=float)
+
+    def thresholds(trial: ChannelScenario, variable: str, bracket) -> dict:
+        """Per arm, the ``_threshold_cells`` of ``variable`` at the elements of ``trial``."""
+        return {
+            kind: _threshold_cells(
+                _chain_bisection(trial.with_(filter_kind=kind), variable, gate, bracket, rel_width)
+            )
+            for kind in arms
+        }
 
     noise_thresholds = Table(
         columns=("channel_loss_db", "filter", "threshold_hz", "iterations", "status")
@@ -359,18 +393,11 @@ def improvement_factors(
     noise_ratio = Table(
         columns=("channel_loss_db", "etf_threshold_hz", "utf_threshold_hz", "ratio", "status")
     )
-    for loss in map(float, loss_grid):
-        trial = scenario.with_(channel_loss_db=loss)
-        results = [
-            _threshold_or_side(noise_threshold, trial, *gate, kind, noise_bracket, rel_width)
-            for kind in arms
-        ]
-        for kind, result in zip(arms, results):
-            if isinstance(result, ThresholdResult):
-                noise_thresholds.append(loss, kind, result.threshold_value, result.iterations, "ok")
-            else:
-                noise_thresholds.append(loss, kind, None, None, "no-threshold-%s" % result)
-        etf, utf = map(_value, results)
+    by_loss = thresholds(scenario.with_(channel_loss_db=loss_grid), "noise_rate", noise_bracket)
+    for i, loss in enumerate(map(float, loss_grid)):
+        for kind in arms:
+            noise_thresholds.append(loss, kind, *by_loss[kind][i])
+        etf, utf = (by_loss[kind][i][0] for kind in arms)
         ratio = utf / etf if (etf and utf) else None
         noise_ratio.append(loss, etf, utf, ratio, _status(etf, utf))
 
@@ -378,12 +405,9 @@ def improvement_factors(
         columns=("noise_rate_hz", "etf_threshold_db", "utf_threshold_db", "improvement", "status")
     )
     improvements: list[tuple[float, float]] = []
-    for noise in map(float, noise_grid):
-        trial = scenario.with_(noise_rate=noise)
-        etf, utf = (
-            _value(_threshold_or_side(loss_threshold, trial, *gate, kind, loss_bracket, rel_width))
-            for kind in arms
-        )
+    by_noise = thresholds(scenario.with_(noise_rate=noise_grid), "channel_loss_db", loss_bracket)
+    for i, noise in enumerate(map(float, noise_grid)):
+        etf, utf = (by_noise[kind][i][0] for kind in arms)
         improvement = utf / etf if (etf and utf) else None
         distance.append(noise, etf, utf, improvement, _status(etf, utf))
         if improvement is not None:
@@ -497,34 +521,32 @@ def fluctuation_study(
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
     e_d = (1.0 - visibility) / 2.0
-    durations = [float(d) for d in broadened_durations]
-    noise_levels = [float(n) for n in noise_levels]
-    loss_grid = [float(v) for v in loss_grid]
+    durations = np.array(broadened_durations, dtype=float)
+    noise_levels = np.array(noise_levels, dtype=float)
+    loss_grid = np.array(loss_grid, dtype=float)
+    if np.any(durations <= 0):
+        raise ValueError("durations must be positive")
 
     grid = gate.time_grid
     center = gate.centroid
 
     def gate_overlap(duration: float) -> float:
-        if duration <= 0:
-            raise ValueError("durations must be positive")
         shape = normalized_intensity(duration, grid - center)
         return float(np.trapezoid(gate.efficiency * shape, grid))
 
-    overlaps = {d: gate_overlap(d) for d in durations}
+    # elements on the axes (noise, duration, arm, loss)
+    arms = (ELECTRONIC, ULTRAFAST)
+    electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
+    transmission = np.stack([electronic, [gate_overlap(d) for d in durations]], axis=-1)[:, :, None]
+    window = np.array([electronic_window, gate.effective_width])[:, None]
+    y0 = dark_rate * electronic_window + noise_levels[:, None, None, None] * window
 
-    dark = dark_rate * electronic_window
-
-    def point(kind: str, duration: float, noise: float, loss_db: float) -> tuple[float, float, float]:
-        """(gain, qber, rate per pulse) of one arm at one operating point."""
-        if kind == ELECTRONIC:
-            transmission = 1.0 if duration <= electronic_window else electronic_window / duration
-            y0 = dark + noise * electronic_window
-        else:
-            transmission = overlaps[duration]
-            y0 = dark + noise * gate.effective_width
+    def point(loss_db):
+        """(gain, qber, rate per pulse) of every element at ``loss_db``."""
         eta = 10.0 ** (-loss_db / 10.0) * detector_efficiency
         gain = y0 + eta * transmission
-        qber = (0.5 * y0 + e_d * eta * transmission) / gain if gain > 0 else 0.5
+        with np.errstate(invalid="ignore"):
+            qber = np.where(gain > 0, (0.5 * y0 + e_d * eta * transmission) / gain, 0.5)
         return gain, qber, _single_photon_rate(gain, qber, sifting_q, error_correction_f)
 
     rates = Table(
@@ -541,21 +563,15 @@ def fluctuation_study(
     thresholds = Table(
         columns=("noise_rate_hz", "pulse_fwhm_ps", "filter", "loss_threshold_db", "status")
     )
-    for noise in noise_levels:
-        for duration in durations:
-            for kind in (ELECTRONIC, ULTRAFAST):
-                for loss in loss_grid:
-                    rates.append(noise, duration * 1e12, kind, loss, *point(kind, duration, noise, loss))
-                try:
-                    result = _bisect_positive(
-                        lambda loss: point(kind, duration, noise, loss)[2],
-                        loss_bracket[0],
-                        loss_bracket[1],
-                        rel_width,
-                        geometric=False,
-                    )
-                    thresholds.append(noise, duration * 1e12, kind, result.threshold_value, "ok")
-                except ThresholdNotFoundError as exc:
-                    thresholds.append(noise, duration * 1e12, kind, None, "no-threshold-%s" % exc.side)
+    elements = [(n, d * 1e12, kind) for n in noise_levels for d in durations for kind in arms]
+    shape = (len(noise_levels), len(durations), len(arms), 1)
+    gain, qber, rate = (a.reshape(len(elements), loss_grid.size) for a in point(loss_grid))
+    for element, *columns in zip(elements, gain, qber, rate):
+        for loss, *cells in zip(loss_grid, *columns):
+            rates.append(*element, loss, *cells)
+    lo, hi = (np.full(shape, end) for end in loss_bracket)
+    result = _bisect_positive(lambda loss: point(loss)[2], lo, hi, rel_width, geometric=False)
+    for element, (value, _, status) in zip(elements, _threshold_cells(result)):
+        thresholds.append(*element, value, status)
 
     return FluctuationStudy(rates=rates, thresholds=thresholds)

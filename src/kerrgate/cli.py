@@ -145,8 +145,8 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
             spacing="linear",
             scenario=run.scenario.with_(noise_rate=noise),
         )
-        for loss, kind, report in sweep_reports(spec, *gate):
-            vs_loss.append(noise, loss, kind, *keyrate_cells(report))
+        for loss, kind, cells in sweep_reports(spec, *gate):
+            vs_loss.append(noise, loss, kind, *keyrate_cells(cells))
 
     # the gains table shares the noise sweep's evaluations
     vs_noise = Table(columns=("channel_loss_db", "noise_rate_hz", "filter", *KEYRATE_COLUMNS))
@@ -162,10 +162,9 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
             spacing="log",
             scenario=run.scenario.with_(channel_loss_db=loss),
         )
-        for noise, kind, report in sweep_reports(spec, *gate):
-            vs_noise.append(loss, noise, kind, *keyrate_cells(report))
-            rates = report.observed
-            gains.append(loss, noise, kind, rates.q_mu, rates.q_nu, rates.e_mu, rates.e_nu, rates.y0)
+        for noise, kind, cells in sweep_reports(spec, *gate):
+            vs_noise.append(loss, noise, kind, *keyrate_cells(cells))
+            gains.append(loss, noise, kind, *(cells[name] for name in gains.columns[3:]))
 
     _emit(
         args,

@@ -363,10 +363,9 @@ def _resolve(config: dict) -> RunConfig:
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
     switch = switch_profile(pump, fiber, time_grid, signal.center_wavelength, theta=theta)
 
-    if noise_cfg["spectral_overlap"] is not None:
+    given = noise_cfg["spectral_overlap"] is not None
+    if given:
         overlap = float(noise_cfg["spectral_overlap"])
-        if not 0.0 < overlap <= 1.0:
-            raise ConfigError("noise.spectral_overlap must lie in (0, 1]")
     else:
         noise_center = (
             None
@@ -374,6 +373,15 @@ def _resolve(config: dict) -> RunConfig:
             else noise_cfg["center_wavelength_nm"] * _NM
         )
         overlap = spectral_overlap_factor(switch, spectral_filter, linewidth, noise_center)
+    if not 0.0 < overlap <= 1.0:
+        if given:
+            raise ConfigError("noise.spectral_overlap must lie in (0, 1]")
+        # off the filter centre the gate can broaden more noise into the passband
+        # than the unbroadened line passes, and background_yield needs (0, 1]
+        raise ConfigError(
+            "noise.center_wavelength_nm = %s is too far off the filter centre: its derived spectral "
+            "overlap %.6g lies outside (0, 1]" % (noise_cfg["center_wavelength_nm"], overlap)
+        )
     noise_cfg["spectral_overlap"] = overlap
     if noise_cfg["center_wavelength_nm"] is None:
         noise_cfg["center_wavelength_nm"] = spectral_filter.center_wavelength / _NM

@@ -20,7 +20,3 @@ class ThresholdNotFoundError(RuntimeError):
     def __init__(self, message: str, side: str):
         super().__init__(message)
         self.side = side
-
-
-class BoundUndefinedError(ValueError):
-    """Raised when a decoy bound is requested outside its domain (Q1 = 0)."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundUndefinedError
 from .kerr import SwitchProfile
 
 
@@ -93,6 +92,9 @@ class ChannelScenario:
     window by the gate's effective width times the spectral overlap of the
     noise with the gated passband.
 
+    ``channel_loss_db`` and ``noise_rate`` may be numpy arrays that
+    broadcast together; the chain then runs elementwise over their shape.
+
     ``dark_count_mode`` fixes the dark-count bookkeeping:
       - "electronic": dark counts are gated by the coincidence window in
         both arms (the optical gate sits before the detector and cannot
@@ -102,9 +104,9 @@ class ChannelScenario:
       - "ungated": one dark count opportunity per pulse slot.
     """
 
-    channel_loss_db: float
+    channel_loss_db: float  # dB, or an array
     receiver_loss_db: float = 8.25
-    noise_rate: float = 0.0  # Hz
+    noise_rate: float = 0.0  # Hz, or an array
     noise_linewidth: float | None = 0.83e-9  # m; None treats noise as broadband
     filter_kind: str = ELECTRONIC
     utf_insertion_loss_db: float = 2.05
@@ -113,9 +115,9 @@ class ChannelScenario:
     dark_count_mode: str = "electronic"
 
     def __post_init__(self):
-        if self.channel_loss_db < 0 or self.receiver_loss_db < 0:
+        if np.any(self.channel_loss_db < 0) or self.receiver_loss_db < 0:
             raise ValueError("losses must be non-negative")
-        if self.noise_rate < 0:
+        if np.any(self.noise_rate < 0):
             raise ValueError("noise_rate must be non-negative")
         if self.noise_linewidth is not None and self.noise_linewidth < 0:
             raise ValueError("noise_linewidth must be non-negative or None")
@@ -155,30 +157,22 @@ class ObservedRates:
     y0: float
 
     def __post_init__(self):
-        for name in ("q_mu", "q_nu", "y0"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("%s = %g outside [0, 1]" % (name, value))
-        for name in ("e_mu", "e_nu"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("%s = %g outside [0, 1]" % (name, value))
+        for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
+            value = np.asarray(getattr(self, name))
+            inside = (0.0 <= value) & (value <= 1.0)
+            if not inside.all():
+                raise ValueError("%s = %g outside [0, 1]" % (name, value[~inside][0]))
 
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Secret-key evaluation for one scenario."""
+    """Secret-key evaluation for one scenario, elementwise over its arrays."""
 
     observed: ObservedRates
     q1_lower: float
     e1_upper: float
     rate_per_pulse: float
     rate_per_second: float
-
-    @property
-    def positive_rate_per_pulse(self) -> float:
-        """Rate floored at zero, the quantity thresholds bisect on."""
-        return max(self.rate_per_pulse, 0.0)
 
 
 def background_yield(
@@ -199,7 +193,7 @@ def background_yield(
         raise ValueError("spectral_overlap must lie in (0, 1]")
     if scenario.filter_kind == ELECTRONIC:
         dark = detector.dark_rate * detector.coincidence_window
-        return min(dark + scenario.noise_rate * detector.coincidence_window, 1.0)
+        return np.minimum(dark + scenario.noise_rate * detector.coincidence_window, 1.0)
     if switch is None:
         raise ValueError("ultrafast scenarios need a switch profile")
     if scenario.dark_count_mode == "electronic":
@@ -211,7 +205,7 @@ def background_yield(
     noise = scenario.noise_rate * switch.effective_width * spectral_overlap
     # Y0 is a probability; the linear composition saturates only far beyond
     # any operating point (every threshold of interest sits below 1e-2)
-    return min(dark + noise + scenario.pump_noise_per_pulse, 1.0)
+    return np.minimum(dark + noise + scenario.pump_noise_per_pulse, 1.0)
 
 
 def simulate_observed_rates(
@@ -227,15 +221,16 @@ def simulate_observed_rates(
     misalignment probability e_d.
     """
     eta = scenario.transmittance(detector)
-    if eta <= 0.0 or eta > 1.0:
+    if not np.all((0.0 < eta) & (eta <= 1.0)):
         raise ValueError("total transmittance must lie in (0, 1]")
     e_d = scenario.misalignment_error
 
     def gain_and_error(mean_photons: float) -> tuple[float, float]:
         opened = 1.0 - np.exp(-eta * mean_photons)
-        gain = min(y0 + opened, 1.0)  # probability cap; inactive below y0 ~ 1
-        errors = min(0.5 * y0 + e_d * opened, gain)
-        return gain, errors / gain if gain > 0 else 0.5
+        gain = np.minimum(y0 + opened, 1.0)  # probability cap; inactive below y0 ~ 1
+        errors = np.minimum(0.5 * y0 + e_d * opened, gain)
+        with np.errstate(invalid="ignore"):  # 0/0 where nothing clicks
+            return gain, np.where(gain > 0, errors / gain, 0.5)[()]  # [()]: 0-d to scalar
 
     q_mu, e_mu = gain_and_error(decoy.mu)
     q_nu, e_nu = gain_and_error(decoy.nu)
@@ -253,21 +248,20 @@ def q1_lower_bound(rates: ObservedRates, decoy: DecoyParams) -> float:
         - rates.q_mu * np.exp(mu) * nu**2 / mu**2
         - (mu**2 - nu**2) / mu**2 * rates.y0
     )
-    return max(float(bound), 0.0)
+    return np.maximum(bound, 0.0)
 
 
 def e1_upper_bound(rates: ObservedRates, decoy: DecoyParams, q1: float) -> float:
     """Upper bound on the single-photon error rate, clamped to [0, 0.5].
 
-    Raises BoundUndefinedError when q1 = 0; the caller treats the key rate
-    as zero in that case.
+    Where q1 = 0 no single-photon click is certified and the bound is the
+    worst case 1/2, so the key rate keeps only its leak term there.
     """
-    if q1 <= 0.0:
-        raise BoundUndefinedError("e1 bound undefined at Q1 = 0")
     mu, nu = decoy.mu, decoy.nu
+    certified = q1 > 0.0
     numerator = rates.e_nu * rates.q_nu * np.exp(nu) - 0.5 * rates.y0
-    bound = numerator / (q1 * nu / (mu * np.exp(-mu)))
-    return min(max(float(bound), 0.0), 0.5)
+    bound = numerator / (np.where(certified, q1, 1.0) * nu / (mu * np.exp(-mu)))
+    return np.where(certified, np.minimum(np.maximum(bound, 0.0), 0.5), 0.5)[()]
 
 
 def secret_key_rate(
@@ -279,7 +273,7 @@ def secret_key_rate(
 ) -> KeyRateReport:
     """Asymptotic secret key rate R = q (-Q_mu f H2(E_mu) + Q1 [1 - H2(e1)]).
 
-    Negative rates are reported as computed; thresholds clip at zero.
+    Negative rates are reported as computed; thresholds bisect on the sign.
     """
     leak = rates.q_mu * decoy.error_correction_f * binary_entropy(rates.e_mu)
     gain = q1 * (1.0 - binary_entropy(e1))
@@ -288,8 +282,8 @@ def secret_key_rate(
         observed=rates,
         q1_lower=q1,
         e1_upper=e1,
-        rate_per_pulse=float(rate),
-        rate_per_second=float(rate * repetition_rate),
+        rate_per_pulse=rate,
+        rate_per_second=rate * repetition_rate,
     )
 
 
@@ -300,20 +294,9 @@ def evaluate_scenario(
     switch: SwitchProfile | None = None,
     spectral_overlap: float = 1.0,
 ) -> KeyRateReport:
-    """Full chain: background yield, observed rates, bounds, key rate."""
+    """Full chain: background yield, observed rates, bounds, key rate, elementwise."""
     y0 = background_yield(scenario, detector, switch, spectral_overlap)
     rates = simulate_observed_rates(scenario, detector, decoy, y0)
     q1 = q1_lower_bound(rates, decoy)
-    if q1 <= 0.0:
-        # no certified single-photon contribution; only the leak term remains
-        leak = rates.q_mu * decoy.error_correction_f * binary_entropy(rates.e_mu)
-        rate = -decoy.sifting_q * leak
-        return KeyRateReport(
-            observed=rates,
-            q1_lower=0.0,
-            e1_upper=0.5,
-            rate_per_pulse=float(rate),
-            rate_per_second=float(rate * detector.repetition_rate),
-        )
     e1 = e1_upper_bound(rates, decoy, q1)
     return secret_key_rate(rates, decoy, q1, e1, detector.repetition_rate)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kerrgate import (
     SPEED_OF_LIGHT,
     ChannelScenario,
@@ -11,8 +14,10 @@ from kerrgate import (
     SweepSpec,
     Table,
     ThresholdNotFoundError,
+    ThresholdResult,
     TemporalMode,
     default_time_grid,
+    evaluate_scenario,
     fluctuation_study,
     frequency_bandwidth,
     hg_mode_comparison,
@@ -22,11 +27,15 @@ from kerrgate import (
     mode_transmission,
     noise_reduction_factor,
     noise_threshold,
+    normalized_intensity,
     spectral_overlap_factor,
     switch_profile,
 )
-from kerrgate.analysis import _bisect_positive
+from kerrgate import analysis
+from kerrgate.analysis import _bisect_positive, _threshold_cells
 from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
+
+ARMS = (ELECTRONIC, ULTRAFAST)
 
 # Frozen against the default operating point (40 ps grid, 16384 samples).
 NRF_BROADBAND = 1989.3907903788886
@@ -156,26 +165,228 @@ def test_noise_reduction_scales_with_window(default_run):
 
 
 def test_bisection_linear_and_geometric():
-    result = _bisect_positive(lambda x: 10.0 - x, 1.0, 100.0, 0.005, geometric=False)
-    assert result.threshold_value == pytest.approx(10.0, rel=0.005)
-    assert result.iterations > 0
-    lo, hi = result.bracketing_interval
-    assert lo <= result.threshold_value <= hi
+    threshold, lo, hi, iterations, side = _bisect_positive(
+        lambda x: 10.0 - x, [1.0, 1.0], [100.0, 20.0], 0.005, geometric=False
+    )
+    assert threshold == pytest.approx([10.0, 10.0], rel=0.005)
+    assert np.all(iterations > 0)
+    assert np.all((lo <= threshold) & (threshold <= hi))
+    assert side.tolist() == ["", ""]
 
-    result = _bisect_positive(lambda x: 1e5 - x, 1.0, 1e12, 0.005, geometric=True)
-    assert result.threshold_value == pytest.approx(1e5, rel=0.005)
+    threshold, _, _, _, side = _bisect_positive(
+        lambda x: np.array([1e5, 1e3]) - x, [1.0, 1.0], [1e12, 1e12], 0.005, geometric=True
+    )
+    assert threshold == pytest.approx([1e5, 1e3], rel=0.005)
+    assert side.tolist() == ["", ""]
+
+
+def test_bisection_elements_converge_independently():
+    # lockstep elements stop at their own width: each matches a run alone
+    lows, highs = [1.0, 1.0, 9.0], [100.0, 11.0, 10.5]
+    together = _bisect_positive(lambda x: 10.0 - x, lows, highs, 0.005, geometric=False)
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        alone = _bisect_positive(lambda x: 10.0 - x, lo, hi, 0.005, geometric=False)
+        assert [a[i] for a in together] == [a[()] for a in alone]
+    assert len(set(together[3].tolist())) == 3
 
 
 def test_bisection_bracket_failures():
-    with pytest.raises(ThresholdNotFoundError) as info:
-        _bisect_positive(lambda x: -1.0, 1.0, 100.0, 0.005, geometric=False)
-    assert info.value.side == "low"
-    with pytest.raises(ThresholdNotFoundError) as info:
-        _bisect_positive(lambda x: 1.0, 1.0, 100.0, 0.005, geometric=False)
-    assert info.value.side == "high"
+    def rate(x):
+        # non-positive everywhere, positive everywhere, and 10 - x
+        return np.array([-1.0, 1.0, 10.0]) - np.array([0.0, 0.0, 1.0]) * x
+
+    threshold, lo, hi, iterations, side = _bisect_positive(rate, [1.0] * 3, [100.0] * 3, 0.005, geometric=False)
+    assert side.tolist() == ["low", "high", ""]
+    assert np.isnan(threshold[:2]).all() and threshold[2] == pytest.approx(10.0, rel=0.005)
+    assert iterations[:2].tolist() == [0, 0] and iterations[2] > 0
+    assert (lo[:2].tolist(), hi[:2].tolist()) == ([1.0, 1.0], [100.0, 100.0])
+    assert _threshold_cells((threshold, lo, hi, iterations, side))[:2] == [
+        (None, None, "no-threshold-low"),
+        (None, None, "no-threshold-high"),
+    ]
     # a zero width never terminates, so it is refused up front
     with pytest.raises(ValueError, match="rel_width"):
         _bisect_positive(lambda x: 10.0 - x, 1.0, 100.0, 0.0, geometric=False)
+
+
+def test_single_thresholds_raise_with_failing_side(default_run):
+    run = default_run
+    gate = (_detector(), run.decoy, run.switch, run.spectral_overlap)
+    quiet = run.scenario.with_(noise_rate=0.0)
+    with pytest.raises(ThresholdNotFoundError) as info:
+        loss_threshold(quiet, *gate, ULTRAFAST, bracket=(5.0, 6.0))
+    assert info.value.side == "high"
+    with pytest.raises(ThresholdNotFoundError) as info:
+        noise_threshold(quiet.with_(channel_loss_db=40.0), *gate, ELECTRONIC, bracket=(1e11, 1e12))
+    assert info.value.side == "low"
+    result = loss_threshold(quiet, *gate, ULTRAFAST)
+    assert type(result.threshold_value) is float and type(result.iterations) is int
+    assert all(type(end) is float for end in result.bracketing_interval)
+
+
+def _scalar_bisect(rate_fn, lo: float, hi: float, rel_width: float, geometric: bool) -> ThresholdResult:
+    """The one-point bisection loop the lockstep one replaced, kept as its reference."""
+    if not rel_width > 0.0:
+        raise ValueError("rel_width must be positive")
+    if rate_fn(lo) <= 0.0:
+        raise ThresholdNotFoundError(
+            "rate is non-positive at the lower bracket end %.6g" % lo, side="low"
+        )
+    if rate_fn(hi) > 0.0:
+        raise ThresholdNotFoundError(
+            "rate is still positive at the upper bracket end %.6g" % hi, side="high"
+        )
+    iterations = 0
+    while True:
+        mid = float(np.sqrt(lo * hi)) if geometric else 0.5 * (lo + hi)
+        if (hi - lo) <= rel_width * mid:
+            return ThresholdResult(mid, (lo, hi), iterations)
+        iterations += 1
+        if rate_fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _reference_cells(rate_fn, bracket, geometric, rel_width=0.005):
+    """``_threshold_cells`` of one point, by the scalar reference loop."""
+    try:
+        result = _scalar_bisect(rate_fn, bracket[0], bracket[1], rel_width, geometric)
+    except ThresholdNotFoundError as exc:
+        return (None, None, "no-threshold-%s" % exc.side)
+    return (result.threshold_value, result.iterations, "ok")
+
+
+def _spy_bisections(monkeypatch) -> list:
+    """Every result ``analysis._bisect_positive`` returns from now on."""
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(_bisect_positive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "_bisect_positive", spy)
+    return results
+
+
+@pytest.mark.parametrize("dark_mode", ["electronic", "optical", "ungated"])
+def test_lockstep_thresholds_match_scalar_reference(default_run, monkeypatch, dark_mode):
+    run = default_run
+    scenario = run.scenario.with_(dark_count_mode=dark_mode)
+    gate = (_detector(), run.decoy, run.switch, run.spectral_overlap)
+    results = _spy_bisections(monkeypatch)
+    imp = improvement_factors(
+        run.loss_grid(), run.noise_grid(), scenario, *gate, run.loss_bracket(), run.noise_bracket()
+    )
+    # one lockstep call per table and arm, noise thresholds first
+    cells = [_threshold_cells(result) for result in results]
+    assert len(cells) == 4
+
+    def reference(fixed, value, variable, kind, bracket):
+        def rate(x):
+            trial = scenario.with_(**{fixed: value, variable: x}, filter_kind=kind)
+            return evaluate_scenario(trial, *gate).rate_per_pulse
+
+        return _reference_cells(rate, bracket, geometric=variable == "noise_rate")
+
+    for kind, got in zip(ARMS, cells[:2]):
+        expected = [
+            reference("channel_loss_db", loss, "noise_rate", kind, run.noise_bracket())
+            for loss in map(float, run.loss_grid())
+        ]
+        assert got == expected
+    for kind, got in zip(ARMS, cells[2:]):
+        expected = [
+            reference("noise_rate", noise, "channel_loss_db", kind, run.loss_bracket())
+            for noise in map(float, run.noise_grid())
+        ]
+        assert got == expected
+    # and the tables print exactly those thresholds
+    assert [row[2:] for row in imp.noise_thresholds.rows] == [
+        cell for pair in zip(*cells[:2]) for cell in pair
+    ]
+    assert [row[1:3] for row in imp.distance.rows] == [
+        (etf[0], utf[0]) for etf, utf in zip(*cells[2:])
+    ]
+
+
+def _scalar_fluctuation_rate(gate, kind, duration, noise, loss_db, dark_rate):
+    """One point of the broadening study at its default parameters, computed alone."""
+    e_d = (1.0 - 0.99) / 2.0
+    window = 1e-9
+    if kind == ELECTRONIC:
+        transmission = 1.0 if duration <= window else window / duration
+        y0 = dark_rate * window + noise * window
+    else:
+        shape = normalized_intensity(duration, gate.time_grid - gate.centroid)
+        transmission = float(np.trapezoid(gate.efficiency * shape, gate.time_grid))
+        y0 = dark_rate * window + noise * gate.effective_width
+    eta = 10.0 ** (-loss_db / 10.0) * 0.8
+    gain = y0 + eta * transmission
+    qber = (0.5 * y0 + e_d * eta * transmission) / gain
+    h = binary_entropy(qber)
+    return 0.5 * gain * (1.0 - 1.22 * h - h)
+
+
+@pytest.mark.parametrize(
+    "noise_levels, dark_rate",
+    # the second case has no background at all, so its rate stays positive
+    [([920.0, 2.5e4, 8.0e6, 1e10], 100.0), ([0.0, 920.0], 0.0)],
+)
+def test_fluctuation_thresholds_match_scalar_reference(default_run, monkeypatch, noise_levels, dark_rate):
+    gate = default_run.switch
+    durations = [1e-12, 10e-12, 100e-12, 500e-12]
+    results = _spy_bisections(monkeypatch)
+    study = fluctuation_study(durations, noise_levels, np.linspace(0.0, 70.0, 71), gate, dark_rate=dark_rate)
+    assert len(results) == 1
+    expected = [
+        _reference_cells(
+            lambda loss: _scalar_fluctuation_rate(gate, kind, duration, noise, loss, dark_rate),
+            (0.0, 80.0),
+            geometric=False,
+        )
+        for noise in noise_levels
+        for duration in durations
+        for kind in ARMS
+    ]
+    assert _threshold_cells(results[0]) == expected
+    assert [row[3:] for row in study.thresholds.rows] == [(value, status) for value, _, status in expected]
+    statuses = {status for _, _, status in expected}
+    assert statuses == ({"ok", "no-threshold-low"} if dark_rate else {"ok", "no-threshold-high"})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    receiver_loss=st.floats(0.0, 15.0),
+    misalignment=st.floats(0.0, 0.1),
+    dark_rate=st.floats(0.0, 1e4),
+    pump_noise=st.floats(0.0, 1e-4),
+    dark_mode=st.sampled_from(["electronic", "optical", "ungated"]),
+    kind=st.sampled_from(ARMS),
+)
+def test_rate_sign_changes_at_most_once(
+    default_run, receiver_loss, misalignment, dark_rate, pump_noise, dark_mode, kind
+):
+    # _bisect_positive assumes this; the rate itself is not monotone in loss
+    # once Q1 = 0, so only its sign is checked
+    run = default_run
+    scenario = run.scenario.with_(
+        receiver_loss_db=receiver_loss,
+        misalignment_error=misalignment,
+        pump_noise_per_pulse=pump_noise,
+        dark_count_mode=dark_mode,
+        filter_kind=kind,
+    )
+    gate = (DetectorParams(dark_rate=dark_rate), run.decoy, run.switch, run.spectral_overlap)
+    noise = np.logspace(0.0, 12.0, 241)
+    loss = np.linspace(0.0, 60.0, 241)
+    for trial in (
+        scenario.with_(channel_loss_db=10.0, noise_rate=noise),
+        scenario.with_(channel_loss_db=loss, noise_rate=1e3),
+    ):
+        positive = evaluate_scenario(trial, *gate).rate_per_pulse > 0.0
+        # positive first, non-positive after, and no way back
+        assert np.all(np.diff(positive.astype(int)) <= 0)
 
 
 def test_noise_threshold_frozen(default_run):
@@ -257,8 +468,6 @@ def test_improvement_factors_frozen(default_run):
 
 
 def test_keyrate_sweep_matches_pointwise_evaluation(default_run):
-    from kerrgate import evaluate_scenario
-
     run = default_run
     spec = SweepSpec(
         variable="noise_rate",

@@ -79,6 +79,18 @@ def test_explicit_overlap_honored_and_validated(tmp_path):
         resolve(load_config(path))
 
 
+@pytest.mark.parametrize("center_nm", [722.0, 730.0])
+def test_derived_overlap_outside_unit_interval_rejected(tmp_path, center_nm, capsys):
+    # off the filter centre the derived overlap exceeds 1 (1.15 and 4e18
+    # here); it must fail in resolve, not when dump-defaults output is reloaded
+    path = _write(tmp_path, {"noise": {"center_wavelength_nm": center_nm}})
+    with pytest.raises(ConfigError, match="noise.center_wavelength_nm"):
+        resolve(load_config(path))
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "dump-defaults"]) == 2
+    assert "noise.center_wavelength_nm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_documents(tmp_path):
     missing = str(tmp_path / "absent.json")
     with pytest.raises(ConfigError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kerrgate import (
-    BoundUndefinedError,
     ChannelScenario,
     DecoyParams,
     DetectorParams,
@@ -109,10 +108,18 @@ def test_decoy_bounds_reference_point():
     assert e1 == pytest.approx(E1_BOUND_REF, rel=1e-9)
 
 
-def test_e1_bound_undefined_at_zero_gain():
+def test_e1_bound_is_worst_case_at_zero_gain():
+    # no certified single-photon click: the bound is 1/2, elementwise, and
+    # the key rate keeps only its leak term
+    decoy = DecoyParams()
     rates = _additive_model_rates(0.6, 0.3, 0.05, 2e-5, 0.01)
-    with pytest.raises(BoundUndefinedError):
-        e1_upper_bound(rates, DecoyParams(), 0.0)
+    assert e1_upper_bound(rates, decoy, 0.0) == 0.5
+    q1 = np.array([0.0, q1_lower_bound(rates, decoy)])
+    e1 = e1_upper_bound(rates, decoy, q1)
+    assert e1.tolist() == [0.5, pytest.approx(E1_BOUND_REF, rel=1e-9)]
+    leak = rates.q_mu * decoy.error_correction_f * binary_entropy(rates.e_mu)
+    rate = secret_key_rate(rates, decoy, q1, e1, 80e6).rate_per_pulse
+    assert rate[0] == -decoy.sifting_q * leak
 
 
 def test_bounds_sandwich_generating_model():
@@ -149,7 +156,6 @@ def test_secret_key_rate_reference_point():
     report = secret_key_rate(rates, decoy, q1=0.05, e1=0.03, repetition_rate=80e6)
     assert report.rate_per_pulse == pytest.approx(RATE_REF, rel=1e-12, abs=0)
     assert report.rate_per_second == pytest.approx(RATE_REF * 80e6, rel=1e-12)
-    assert report.positive_rate_per_pulse == report.rate_per_pulse
 
 
 def test_rate_decreases_with_error_rate():
@@ -271,7 +277,6 @@ def test_evaluate_scenario_handles_dead_channel(default_run):
     report = evaluate_scenario(scenario, _detector(), DecoyParams(), default_run.switch)
     assert report.e1_upper == 0.5
     assert report.rate_per_pulse < 0.0
-    assert report.positive_rate_per_pulse == 0.0
 
 
 def test_q1_bound_floors_at_zero():
