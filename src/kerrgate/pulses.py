@@ -106,18 +106,30 @@ def _check_grid(time_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def spectral_energy(time_grid: np.ndarray, fields: np.ndarray, weight) -> np.ndarray:
-    """Energy of each row of the real ``fields`` after a spectral power weight.
+def _check_uniform(time_grid: np.ndarray) -> np.ndarray:
+    """The grid as a float array; ValueError unless it is uniform.
 
-    By Parseval this is dt/N * sum_k |FFT(field)_k|^2 * weight(f_k), with the
-    FFT frequencies f_k in Hz; a unit weight gives the time-domain energy.
-    This is the one place that assumes a uniform grid, so it raises
-    ValueError on any other.
+    Every spectral quantity (``spectral_energy`` and the filtered trace)
+    assumes a uniform grid and checks it here.
     """
     grid = _check_grid(time_grid)
     dt = grid[1] - grid[0]
     if np.max(np.abs(np.diff(grid) - dt)) > 1e-6 * dt:
         raise ValueError("spectral quantities need a uniform time grid")
+    return grid
+
+
+def spectral_energy(time_grid: np.ndarray, fields: np.ndarray, weight) -> np.ndarray:
+    """Energy of each row of the real ``fields`` after a spectral power weight.
+
+    By Parseval this is dt/N * sum_k |FFT(field)_k|^2 * weight(f_k), with the
+    FFT frequencies f_k in Hz; a unit weight gives the time-domain energy.
+    One full-grid FFT per row: it serves ``mode_transmission`` and
+    ``spectral_overlap_factor``, which evaluate one field each.  Raises
+    ValueError on a non-uniform grid.
+    """
+    grid = _check_uniform(time_grid)
+    dt = grid[1] - grid[0]
     spectra = np.fft.fft(fields, axis=-1)
     power = spectra.real**2 + spectra.imag**2
     return dt / grid.size * np.sum(power * weight(np.fft.fftfreq(grid.size, dt)), axis=-1)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrgate import (
+    SPEED_OF_LIGHT,
     FiberSpec,
     GaussianPulse,
     ResolutionError,
@@ -21,6 +24,7 @@ from kerrgate import (
     switching_trace,
     switching_vs_energy,
 )
+from kerrgate.pulses import spectral_energy
 
 SIGNAL_WL = 720.8e-9
 
@@ -234,6 +238,87 @@ def test_spectral_quantities_reject_nonuniform_grid():
         spectral_overlap_factor(profile, filt, 0.83e-9)
 
 
+def _full_grid_plain_trace(profile, signal, delays):
+    """The plain trace as a trapezoid over the whole grid, as a reference."""
+    grid, sigma = profile.time_grid, signal.sigma
+    fields = np.exp(-((grid[None, :] - delays[:, None]) ** 2) / (4.0 * sigma**2))
+    return np.trapezoid(profile.efficiency * fields**2, grid, axis=1) / (sigma * np.sqrt(2.0 * np.pi))
+
+
+def _fft_filtered_trace(profile, signal, delays, spectral_filter):
+    """The filtered trace by one full-grid FFT per delay, as a reference.
+
+    The gated field's spectrum is weighted by the filter at the signal's
+    carrier offset (``spectral_energy``), and normalized by the same energy
+    of the open gate at zero delay.
+    """
+    grid = profile.time_grid
+    offset = SPEED_OF_LIGHT / signal.center_wavelength - SPEED_OF_LIGHT / spectral_filter.center_wavelength
+
+    def weight(freqs):
+        return spectral_filter.intensity_transmission(freqs + offset)
+
+    def energy(eta, delay):
+        field = np.sqrt(eta) * np.exp(-((grid - delay) ** 2) / (4.0 * signal.sigma**2))
+        return spectral_energy(grid, field, weight)
+
+    baseline = energy(np.ones_like(grid), 0.0)
+    return np.array([energy(profile.efficiency, d) for d in delays]) / baseline
+
+
+@pytest.mark.parametrize("samples", [8192, 16384, 16385, 32768])
+def test_plain_trace_matches_full_grid_trapezoid(samples):
+    profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
+    delays = np.linspace(-3.5e-12, 4.5e-12, 161)
+    trace = switching_trace(profile, _signal(), delays).efficiency
+    reference = _full_grid_plain_trace(profile, _signal(), delays)
+    assert np.max(np.abs(trace - reference)) <= 1e-15 * reference.max()
+
+
+# carrier offsets of 0, +288 GHz and -462 GHz: only the last two exercise
+# the cosine of the filter's time kernel
+@pytest.mark.parametrize("center_nm", [720.8, 721.3, 720.0])
+@pytest.mark.parametrize("samples", [8192, 16384, 16385, 32768])
+def test_filtered_trace_matches_fft_reference(samples, center_nm):
+    profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
+    filt = SpectralFilter(center_nm * 1e-9, 1.7e-9, peak_transmission=0.93)
+    # 100-fs steps: the reference pays one full-grid FFT per delay
+    delays = np.linspace(-3.5e-12, 4.5e-12, 81)
+    trace = switching_trace(profile, _signal(), delays, filt).efficiency
+    reference = _fft_filtered_trace(profile, _signal(), delays, filt)
+    assert np.max(np.abs(trace - reference)) <= 1e-11 * reference.max()
+
+
+# sampled_fwhm interpolates eta linearly between grid samples, so the
+# profile FWHM moves by up to dt^2 / (8 sigma_pump) per edge: 1.05e-4 of the
+# narrowest gate's FWHM at the coarsest step (50 ps / 8191).  The effective
+# width and both trace widths are integrals, converged to round-off.
+PROFILE_FWHM_REL = 2e-4
+CONVERGED_REL = 1e-12
+
+
+def _grid_statistics(pump, fiber, span, samples):
+    profile = switch_profile(pump, fiber, default_time_grid(span, samples), SIGNAL_WL)
+    delays = np.linspace(-2.5e-12, fiber.total_walkoff + 2.5e-12, 101)
+    filt = SpectralFilter(720.8e-9, 1.7e-9, peak_transmission=0.93)
+    plain = switching_trace(profile, _signal(), delays)
+    filtered = switching_trace(profile, _signal(), delays, filt)
+    return profile.fwhm, np.array([profile.effective_width, plain.fwhm, filtered.fwhm])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(energy_factor=st.floats(0.7, 1.3), length=st.floats(0.05, 0.20))
+def test_widths_do_not_depend_on_the_grid(energy_factor, length):
+    pump = _pump(2.47e-9 * energy_factor)
+    fiber = FiberSpec(2.6e-20, length, 10e-12, AREA_M2)
+    fwhm, converged = _grid_statistics(pump, fiber, 40e-12, 8192)
+    # parity, span and refinement, each held to the same tolerances
+    for span, samples in ((40e-12, 8193), (50e-12, 8192), (40e-12, 16384)):
+        other_fwhm, other = _grid_statistics(pump, fiber, span, samples)
+        assert other_fwhm == pytest.approx(fwhm, rel=PROFILE_FWHM_REL, abs=0)
+        assert other == pytest.approx(converged, rel=CONVERGED_REL, abs=0)
+
+
 def test_trace_symmetric_about_gate_center():
     profile = _default_profile()
     delays = 0.5e-12 + np.linspace(-4.0e-12, 4.0e-12, 161)
@@ -245,6 +330,17 @@ def test_trace_requires_covering_delays():
     profile = _default_profile()
     with pytest.raises(ValueError):
         switching_trace(profile, _signal(), np.linspace(1.0e-12, 4.5e-12, 64))
+
+
+def test_trace_requires_increasing_delays():
+    profile = _default_profile()
+    delays = np.linspace(-3.5e-12, 4.5e-12, 64)
+    # covering but decreasing, and covering but with two delays swapped
+    swapped = delays.copy()
+    swapped[[10, 20]] = swapped[[20, 10]]
+    for bad in (delays[::-1], swapped):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            switching_trace(profile, _signal(), bad)
 
 
 def test_dark_profile_gives_zero_trace():
