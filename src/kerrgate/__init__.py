@@ -25,7 +25,6 @@ from .analysis import (
 from .config import DEFAULTS, RunConfig, dump_effective, load_config, resolve
 from .errors import ConfigError, ResolutionError, ThresholdNotFoundError
 from .kerr import (
-    EnergyScan,
     FiberSpec,
     SwitchProfile,
     SwitchingTrace,
@@ -34,7 +33,6 @@ from .kerr import (
     switch_profile,
     switching_efficiency,
     switching_trace,
-    switching_vs_energy,
 )
 from .pulses import (
     GAUSSIAN_TBP,
@@ -46,8 +44,6 @@ from .pulses import (
     frequency_bandwidth,
     hermite_gauss_amplitude,
     mode_transmission,
-    normalized_intensity,
-    pulse_intensity_profile,
     sampled_fwhm,
     transform_limited_duration,
 )
@@ -65,5 +61,3 @@ from .qkd import (
     secret_key_rate,
     simulate_observed_rates,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

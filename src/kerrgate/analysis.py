@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ThresholdNotFoundError
-from .kerr import SwitchProfile
+from .kerr import SwitchProfile, _trace
 from .pulses import (
+    FWHM_TO_SIGMA,
     SPEED_OF_LIGHT,
     GaussianPulse,
     SpectralFilter,
     TemporalMode,
     mode_transmission,
-    normalized_intensity,
     spectral_energy,
 )
 from .qkd import (
@@ -29,8 +29,11 @@ from .qkd import (
     ChannelScenario,
     DecoyParams,
     DetectorParams,
-    binary_entropy,
+    ObservedRates,
+    _gain_and_error,
+    background_yield,
     evaluate_scenario,
+    secret_key_rate,
 )
 
 
@@ -151,7 +154,11 @@ def noise_reduction_factor(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-variable sweep attached to a fixed scenario."""
+    """One-variable sweep attached to a fixed scenario.
+
+    The scenario's other variable may be a column of curve levels
+    (``levels[:, None]``); ``sweep_reports`` then sweeps every level.
+    """
 
     variable: str  # "noise_rate" or "channel_loss_db"
     start: float
@@ -195,23 +202,30 @@ def sweep_reports(
     decoy: DecoyParams,
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
-) -> list[tuple[float, str, dict]]:
-    """``(value, filter, cells)`` at every grid value, electronic arm first.
+) -> list[tuple[float, float, str, dict]]:
+    """``(level, value, filter, cells)`` at every grid value, electronic arm first.
 
-    Each arm is one chain evaluation over the grid; ``cells`` maps the
-    fields of its report and observed rates to their values at the row.
+    ``level`` is the scenario's other variable at the row.  It may be a
+    column of curve levels (``levels[:, None]``); the rows then run over
+    levels, then grid values.  Each arm is one chain evaluation over the
+    whole (levels x grid) broadcast; ``cells`` maps the fields of its
+    report and observed rates to their values at the row.
     """
     grid = spec.grid()
+    other = "channel_loss_db" if spec.variable == "noise_rate" else "noise_rate"
+    levels = getattr(spec.scenario, other)
+    shape = np.broadcast_shapes(np.shape(levels), grid.shape)
     arms = []
     for kind in (ELECTRONIC, ULTRAFAST):
         scenario = spec.scenario.with_(**{spec.variable: grid}, filter_kind=kind)
         report = evaluate_scenario(scenario, detector, decoy, switch, spectral_overlap)
         fields = {**vars(report), **vars(report.observed)}
         del fields["observed"]
-        arms.append((kind, {name: np.broadcast_to(v, grid.shape) for name, v in fields.items()}))
+        arms.append((kind, {name: np.broadcast_to(v, shape) for name, v in fields.items()}))
+    levels, values = (np.broadcast_to(a, shape) for a in (levels, grid))
     return [
-        (value, kind, {name: column[i] for name, column in columns.items()})
-        for i, value in enumerate(map(float, grid))
+        (float(levels[i]), float(values[i]), kind, {name: column[i] for name, column in columns.items()})
+        for i in np.ndindex(shape)
         for kind, columns in arms
     ]
 
@@ -225,7 +239,7 @@ def keyrate_sweep(
 ) -> Table:
     """Key-rate chain along the swept variable for both filter kinds."""
     table = Table(columns=(_VARIABLE_COLUMNS[spec.variable], "filter", *KEYRATE_COLUMNS))
-    for value, kind, cells in sweep_reports(spec, detector, decoy, switch, spectral_overlap):
+    for _, value, kind, cells in sweep_reports(spec, detector, decoy, switch, spectral_overlap):
         table.append(value, kind, *keyrate_cells(cells))
     return table
 
@@ -487,14 +501,6 @@ class FluctuationStudy:
     thresholds: Table
 
 
-def _single_photon_rate(
-    gain: float, qber: float, sifting_q: float, error_correction_f: float
-) -> float:
-    """Key rate for an ideal single-photon source: no decoy bounds needed."""
-    h = binary_entropy(qber)
-    return sifting_q * gain * (1.0 - error_correction_f * h - h)
-
-
 def fluctuation_study(
     broadened_durations,
     noise_levels,
@@ -513,41 +519,54 @@ def fluctuation_study(
 
     Each scenario broadens the signal to a stated FWHM while Bob gates with
     the fixed optical gate; the electronic baseline keeps its full window,
-    which passes every tested duration untouched.  The noise term uses the
-    gate's effective width for the optical arm and the electronic window
-    otherwise; dark counts are electronic in both arms.  Pump noise is not
+    which passes every tested duration untouched.  The rates come from the
+    decoy-state chain's pieces: its background yield (noise gated by the
+    gate's effective width in the optical arm and by the electronic window
+    otherwise, dark counts electronic in both), its capped click model with
+    the signal clicking with probability eta T, and the GLLP key rate of an
+    ideal single-photon source, Q1 = Q and e1 = E.  Pump noise is not
     modeled here: the study isolates the temporal-overlap penalty.
     """
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
-    e_d = (1.0 - visibility) / 2.0
+    detector = DetectorParams(
+        efficiency=detector_efficiency, dark_rate=dark_rate, coincidence_window=electronic_window
+    )
+    decoy = DecoyParams(sifting_q=sifting_q, error_correction_f=error_correction_f)
     durations = np.array(broadened_durations, dtype=float)
     noise_levels = np.array(noise_levels, dtype=float)
     loss_grid = np.array(loss_grid, dtype=float)
     if np.any(durations <= 0):
         raise ValueError("durations must be positive")
 
-    grid = gate.time_grid
-    center = gate.centroid
-
-    def gate_overlap(duration: float) -> float:
-        shape = normalized_intensity(duration, grid - center)
-        return float(np.trapezoid(gate.efficiency * shape, grid))
-
     # elements on the axes (noise, duration, arm, loss)
     arms = (ELECTRONIC, ULTRAFAST)
     electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
-    transmission = np.stack([electronic, [gate_overlap(d) for d in durations]], axis=-1)[:, :, None]
-    window = np.array([electronic_window, gate.effective_width])[:, None]
-    y0 = dark_rate * electronic_window + noise_levels[:, None, None, None] * window
+    center = np.array([gate.centroid])
+    optical = [_trace(gate.time_grid, gate.efficiency, d * FWHM_TO_SIGMA, center)[0] for d in durations]
+    transmission = np.stack([electronic, optical], axis=-1)[:, :, None]
+    scenario = ChannelScenario(
+        channel_loss_db=0.0,
+        noise_rate=noise_levels[:, None],
+        misalignment_error=(1.0 - visibility) / 2.0,
+        pump_noise_per_pulse=0.0,
+        dark_count_mode="electronic",
+    )
+    y0 = np.stack(
+        [
+            background_yield(scenario.with_(filter_kind=kind), detector, switch=gate, spectral_overlap=1.0)
+            for kind in arms
+        ],
+        axis=-1,
+    )[..., None]
 
     def point(loss_db):
         """(gain, qber, rate per pulse) of every element at ``loss_db``."""
-        eta = 10.0 ** (-loss_db / 10.0) * detector_efficiency
-        gain = y0 + eta * transmission
-        with np.errstate(invalid="ignore"):
-            qber = np.where(gain > 0, (0.5 * y0 + e_d * eta * transmission) / gain, 0.5)
-        return gain, qber, _single_photon_rate(gain, qber, sifting_q, error_correction_f)
+        eta = 10.0 ** (-loss_db / 10.0) * detector.efficiency
+        gain, qber = _gain_and_error(y0, eta * transmission, scenario.misalignment_error)
+        observed = ObservedRates(q_mu=gain, q_nu=gain, e_mu=qber, e_nu=qber, y0=y0)
+        report = secret_key_rate(observed, decoy, gain, qber, detector.repetition_rate)
+        return gain, qber, report.rate_per_pulse
 
     rates = Table(
         columns=(

@@ -131,40 +131,38 @@ def _cmd_trace(args, run: RunConfig) -> int:
 
 def _cmd_keyrate(args, run: RunConfig) -> int:
     sweep_cfg = run.effective["sweep"]
-    noise_levels = [float(v) for v in sweep_cfg["curve_noise_levels_hz"]]
-    loss_levels = [float(v) for v in sweep_cfg["curve_loss_levels_db"]]
+    noise_levels = np.array(sweep_cfg["curve_noise_levels_hz"], dtype=float)
+    loss_levels = np.array(sweep_cfg["curve_loss_levels_db"], dtype=float)
     gate = (run.detector, run.decoy, run.switch, run.spectral_overlap)
+    by_loss = SweepSpec(
+        variable="channel_loss_db",
+        start=sweep_cfg["loss_min_db"],
+        stop=sweep_cfg["loss_max_db"],
+        samples=sweep_cfg["loss_samples"],
+        spacing="linear",
+        scenario=run.scenario.with_(noise_rate=noise_levels[:, None]),
+    )
+    by_noise = SweepSpec(
+        variable="noise_rate",
+        start=sweep_cfg["noise_min_hz"],
+        stop=sweep_cfg["noise_max_hz"],
+        samples=sweep_cfg["noise_samples"],
+        spacing="log",
+        scenario=run.scenario.with_(channel_loss_db=loss_levels[:, None]),
+    )
 
     vs_loss = Table(columns=("noise_rate_hz", "channel_loss_db", "filter", *KEYRATE_COLUMNS))
-    for noise in noise_levels:
-        spec = SweepSpec(
-            variable="channel_loss_db",
-            start=sweep_cfg["loss_min_db"],
-            stop=sweep_cfg["loss_max_db"],
-            samples=sweep_cfg["loss_samples"],
-            spacing="linear",
-            scenario=run.scenario.with_(noise_rate=noise),
-        )
-        for loss, kind, cells in sweep_reports(spec, *gate):
-            vs_loss.append(noise, loss, kind, *keyrate_cells(cells))
+    for noise, loss, kind, cells in sweep_reports(by_loss, *gate):
+        vs_loss.append(noise, loss, kind, *keyrate_cells(cells))
 
     # the gains table shares the noise sweep's evaluations
     vs_noise = Table(columns=("channel_loss_db", "noise_rate_hz", "filter", *KEYRATE_COLUMNS))
     gains = Table(
         columns=("channel_loss_db", "noise_rate_hz", "filter", "q_mu", "q_nu", "e_mu", "e_nu", "y0")
     )
-    for loss in loss_levels:
-        spec = SweepSpec(
-            variable="noise_rate",
-            start=sweep_cfg["noise_min_hz"],
-            stop=sweep_cfg["noise_max_hz"],
-            samples=sweep_cfg["noise_samples"],
-            spacing="log",
-            scenario=run.scenario.with_(channel_loss_db=loss),
-        )
-        for noise, kind, cells in sweep_reports(spec, *gate):
-            vs_noise.append(loss, noise, kind, *keyrate_cells(cells))
-            gains.append(loss, noise, kind, *(cells[name] for name in gains.columns[3:]))
+    for loss, noise, kind, cells in sweep_reports(by_noise, *gate):
+        vs_noise.append(loss, noise, kind, *keyrate_cells(cells))
+        gains.append(loss, noise, kind, *(cells[name] for name in gains.columns[3:]))
 
     _emit(
         args,

@@ -267,8 +267,8 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     return out
 
 
-def _trace(grid: np.ndarray, eta: np.ndarray, signal: GaussianPulse, delays: np.ndarray) -> np.ndarray:
-    """Gated fraction of the unit-energy signal at each delay.
+def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) -> np.ndarray:
+    """Gated fraction of a unit-energy Gaussian signal at each delay.
 
     The trapezoid over eta's support (``_support``) of eta times the signal
     intensity exp(-(T - delay)^2 / 2 sigma^2) / (sigma sqrt(2 pi)), with eta
@@ -279,7 +279,6 @@ def _trace(grid: np.ndarray, eta: np.ndarray, signal: GaussianPulse, delays: np.
     grid = grid[window]
     half_steps = np.diff(grid) / 2.0
     weights = eta[window] * (np.r_[half_steps, 0.0] + np.r_[0.0, half_steps])
-    sigma = signal.sigma
     return _gaussian_sums(grid, weights, delays, 2.0 * sigma**2) / (sigma * np.sqrt(2.0 * np.pi))
 
 
@@ -310,10 +309,7 @@ def _filtered_trace(
     form, so a unit-efficiency gate gives exactly 1.  Raises ValueError on a
     non-uniform grid.
     """
-    grid = _check_uniform(profile.time_grid)
-    # the mean step: grid[1] - grid[0] of a 16384-sample linspace is off by
-    # 3e-13 of dt, and dt^2 scales E(d) while the baseline below has no dt
-    dt = (grid[-1] - grid[0]) / (grid.size - 1)
+    grid, dt = _check_uniform(profile.time_grid)
     window = _support(profile.efficiency)
     amp = np.sqrt(profile.efficiency[window])
     size = amp.size
@@ -373,7 +369,7 @@ def switching_trace(
                 % (delays[0], delays[-1], lo, hi)
             )
         trace = (
-            _trace(profile.time_grid, profile.efficiency, signal, delays)
+            _trace(profile.time_grid, profile.efficiency, signal.sigma, delays)
             if spectral_filter is None
             else _filtered_trace(profile, signal, delays, spectral_filter)
         )
@@ -385,60 +381,4 @@ def switching_trace(
         efficiency=trace,
         fwhm=fwhm,
         peak_value=float(trace.max()),
-    )
-
-
-@dataclass(frozen=True)
-class EnergyScan:
-    """Switching efficiency versus pump energy."""
-
-    energies: np.ndarray
-    center_efficiency: np.ndarray  # gate efficiency at the profile center
-    pulse_efficiency: np.ndarray  # signal-averaged efficiency at optimal delay
-
-
-def switching_vs_energy(
-    energies,
-    pump_template: GaussianPulse,
-    fiber: FiberSpec,
-    signal: GaussianPulse,
-    time_grid: np.ndarray,
-    signal_wavelength: float | None = None,
-    theta: float = np.pi / 4.0,
-) -> EnergyScan:
-    """Scan the switch response over pump energies.
-
-    The phase profile is linear in pump energy, so it is computed once at a
-    reference energy and rescaled.  ``center_efficiency`` samples eta at the
-    gate center and follows sin^2(a E) exactly; ``pulse_efficiency``
-    correlates the full signal intensity with the gate at the optimal delay
-    and saturates slightly below 1 because the signal wings see the gate
-    edges.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if np.any(energies < 0):
-        raise ValueError("energies must be non-negative")
-    if signal_wavelength is None:
-        signal_wavelength = signal.center_wavelength
-    ref_energy = pump_template.pulse_energy
-    if ref_energy <= 0:
-        raise ValueError("pump template must carry positive energy")
-    base_phase = nonlinear_phase_profile(pump_template, fiber, time_grid, signal_wavelength)
-    grid = np.asarray(time_grid, dtype=float)
-    center_idx = int(np.argmax(base_phase))
-    phase_center = base_phase[center_idx]
-
-    center_eff = switching_efficiency(theta, phase_center * energies / ref_energy)
-
-    # optimal delay = centroid of the gate, identical for every energy
-    weight = np.trapezoid(base_phase, grid)
-    tau_opt = np.array([np.trapezoid(base_phase * grid, grid) / weight if weight > 0 else 0.0])
-    pulse_eff = np.empty(energies.size)
-    for i, energy in enumerate(energies):
-        eta = switching_efficiency(theta, base_phase * (energy / ref_energy))
-        pulse_eff[i] = _trace(grid, eta, signal, tau_opt)[0]
-    return EnergyScan(
-        energies=energies,
-        center_efficiency=np.asarray(center_eff, dtype=float),
-        pulse_efficiency=pulse_eff,
     )

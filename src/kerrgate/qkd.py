@@ -65,8 +65,10 @@ class DetectorParams:
             raise ValueError("efficiency must lie in (0, 1]")
         if self.dark_rate < 0:
             raise ValueError("dark_rate must be non-negative")
-        if self.coincidence_window <= 0 or self.repetition_rate <= 0:
-            raise ValueError("coincidence_window and repetition_rate must be positive")
+        if self.coincidence_window <= 0:
+            raise ValueError("coincidence_window must be positive")
+        if self.repetition_rate <= 0:
+            raise ValueError("repetition_rate must be positive")
 
     @property
     def suppression_constant(self) -> float:
@@ -208,6 +210,20 @@ def background_yield(
     return np.minimum(dark + noise + scenario.pump_noise_per_pulse, 1.0)
 
 
+def _gain_and_error(y0, opened, e_d: float) -> tuple:
+    """Gain Q = Y0 + opened and QBER (Y0 / 2 + e_d opened) / Q, elementwise.
+
+    ``opened`` is the probability that the signal itself clicks.  Background
+    clicks err half the time and signal clicks with probability e_d <= 1/2,
+    so the errors are at most half the gain; the caps keep Q a probability
+    and E at most 1/2 once Q saturates, and are inactive below Y0 ~ 1.
+    """
+    gain = np.minimum(y0 + opened, 1.0)
+    errors = np.minimum(0.5 * y0 + e_d * opened, 0.5 * gain)
+    with np.errstate(invalid="ignore"):  # 0/0 where nothing clicks
+        return gain, np.where(gain > 0, errors / gain, 0.5)[()]  # [()]: 0-d to scalar
+
+
 def simulate_observed_rates(
     scenario: ChannelScenario,
     detector: DetectorParams,
@@ -224,16 +240,8 @@ def simulate_observed_rates(
     if not np.all((0.0 < eta) & (eta <= 1.0)):
         raise ValueError("total transmittance must lie in (0, 1]")
     e_d = scenario.misalignment_error
-
-    def gain_and_error(mean_photons: float) -> tuple[float, float]:
-        opened = 1.0 - np.exp(-eta * mean_photons)
-        gain = np.minimum(y0 + opened, 1.0)  # probability cap; inactive below y0 ~ 1
-        errors = np.minimum(0.5 * y0 + e_d * opened, gain)
-        with np.errstate(invalid="ignore"):  # 0/0 where nothing clicks
-            return gain, np.where(gain > 0, errors / gain, 0.5)[()]  # [()]: 0-d to scalar
-
-    q_mu, e_mu = gain_and_error(decoy.mu)
-    q_nu, e_nu = gain_and_error(decoy.nu)
+    q_mu, e_mu = _gain_and_error(y0, 1.0 - np.exp(-eta * decoy.mu), e_d)
+    q_nu, e_nu = _gain_and_error(y0, 1.0 - np.exp(-eta * decoy.nu), e_d)
     return ObservedRates(q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0)
 
 

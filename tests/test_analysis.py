@@ -27,12 +27,12 @@ from kerrgate import (
     mode_transmission,
     noise_reduction_factor,
     noise_threshold,
-    normalized_intensity,
     spectral_overlap_factor,
     switch_profile,
 )
 from kerrgate import analysis
 from kerrgate.analysis import _bisect_positive, _threshold_cells
+from kerrgate.pulses import FWHM_TO_SIGMA
 from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
 
 ARMS = (ELECTRONIC, ULTRAFAST)
@@ -101,12 +101,14 @@ def _profile_on(run, samples):
 
 
 @pytest.mark.parametrize("noise_center", [None, 721.3e-9])
-@pytest.mark.parametrize("samples", [16384, 16385, 32768])
+@pytest.mark.parametrize("samples", [8192, 16384, 16385, 32768, 65536])
 def test_spectral_overlap_grid_parity_invariant(default_run, samples, noise_center):
+    # the spectral step is the grid's mean step; the first step of a linspace
+    # is off by up to 1.25e-12 of it, and moved the overlap by 1e-12
     filt = default_run.spectral_filter
     reference = spectral_overlap_factor(default_run.switch, filt, 0.83e-9, noise_center)
     overlap = spectral_overlap_factor(_profile_on(default_run, samples), filt, 0.83e-9, noise_center)
-    assert overlap == pytest.approx(reference, rel=1e-9, abs=0)
+    assert overlap == pytest.approx(reference, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("noise_center", [None, 721.3e-9])
@@ -318,7 +320,9 @@ def _scalar_fluctuation_rate(gate, kind, duration, noise, loss_db, dark_rate):
         transmission = 1.0 if duration <= window else window / duration
         y0 = dark_rate * window + noise * window
     else:
-        shape = normalized_intensity(duration, gate.time_grid - gate.centroid)
+        sigma = duration * FWHM_TO_SIGMA
+        times = gate.time_grid - gate.centroid
+        shape = np.exp(-(times**2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
         transmission = float(np.trapezoid(gate.efficiency * shape, gate.time_grid))
         y0 = dark_rate * window + noise * gate.effective_width
     eta = 10.0 ** (-loss_db / 10.0) * 0.8
@@ -578,6 +582,16 @@ def test_fluctuation_study_validation(default_run):
         fluctuation_study([1e-12], [920.0], [0.0, 10.0], default_run.switch, visibility=0.0)
     with pytest.raises(ValueError):
         fluctuation_study([-1e-12], [920.0], [0.0, 10.0], default_run.switch)
+
+
+def test_fluctuation_gains_and_qbers_stay_probabilities(default_run):
+    # 1e10 Hz in a 1-ns window is ten background clicks per slot: the
+    # electronic arm saturates, and the chain's caps keep Q <= 1 and E <= 1/2
+    study = fluctuation_study([1e-12, 500e-12], [1e10], np.linspace(0.0, 70.0, 71), default_run.switch)
+    gains, qbers = study.rates.column("gain"), study.rates.column("qber")
+    assert max(gains) <= 1.0 and max(qbers) <= 0.5
+    saturated = [row for row in study.rates.rows if row[2] == ELECTRONIC]
+    assert {(row[4], row[5]) for row in saturated} == {(1.0, 0.5)}
 
 
 def test_table_behaviour():

@@ -168,18 +168,21 @@ def test_cli_banner_toggle(capsys):
         ("switch-profile", "switch_profile.tsv", "# fwhm_ps = 1.004118938"),
         ("trace", "trace.tsv", "# fwhm_ps = 0.9457642473"),
         ("modes", "modes.tsv", "order\tt_combined\tt_spectral_only"),
+        ("keyrate", "keyrate_vs_loss.tsv", "noise_rate_hz\tchannel_loss_db\tfilter\tq_mu\t"),
+        ("thresholds", "noise_thresholds.tsv", "channel_loss_db\tfilter\tthreshold_hz\titerations\tstatus"),
+        ("fluctuations", "fluctuation_rates.tsv", "noise_rate_hz\tpulse_fwhm_ps\tfilter\tchannel_loss_db\t"),
     ],
-    ids=["switch-profile", "trace", "modes"],
+    ids=["switch-profile", "trace", "modes", "keyrate", "thresholds", "fluctuations"],
 )
 def test_cli_switch_profile_reruns_identically(tmp_path, command, output, frozen):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert main(["--out", str(out_a), command]) == 0
     assert main(["--out", str(out_b), command]) == 0
-    text_a = (out_a / output).read_text()
-    assert text_a == (out_b / output).read_text()
+    texts = [{path.name: path.read_text() for path in out.iterdir()} for out in (out_a, out_b)]
+    assert texts[0] == texts[1]
     # footer (or header) carries the frozen statistics
-    assert frozen in text_a
+    assert frozen in texts[0][output]
 
 
 def test_cli_trace_footer(tmp_path):
@@ -277,6 +280,23 @@ def test_cli_fluctuations_outputs(tmp_path):
     thresholds = (out / "fluctuation_thresholds.tsv").read_text().strip().split("\n")
     assert len(thresholds) == 1 + 1 * 2 * 2
     assert any("ultrafast" in line for line in thresholds[1:])
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("detector_efficiency", 1.5, "efficiency"),
+        ("detector_efficiency", 0.0, "efficiency"),
+        ("electronic_window_ns", -1.0, "coincidence_window"),
+        ("dark_rate_hz", -5.0, "dark_rate"),
+    ],
+)
+def test_cli_fluctuation_detector_keys_validated(tmp_path, capsys, key, value, named):
+    # validated as DetectorParams validates detector.*, before any rate is formed
+    path = _write(tmp_path, {"fluctuation": {key: value}})
+    assert main(["--config", path, "fluctuations"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "binary_entropy" not in err
 
 
 def test_cli_stdout_multi_output_separators(capsys, tmp_path):

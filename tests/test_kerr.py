@@ -1,4 +1,4 @@
-"""Kerr gate: phase accumulation, switching profile, traces, energy scan."""
+"""Kerr gate: phase accumulation, switching profile, traces."""
 
 import numpy as np
 import pytest
@@ -22,9 +22,9 @@ from kerrgate import (
     switch_profile,
     switching_efficiency,
     switching_trace,
-    switching_vs_energy,
 )
-from kerrgate.pulses import spectral_energy
+from kerrgate.kerr import _trace
+from kerrgate.pulses import FWHM_TO_SIGMA, spectral_energy
 
 SIGNAL_WL = 720.8e-9
 
@@ -350,25 +350,26 @@ def test_dark_profile_gives_zero_trace():
     assert trace.fwhm == 0.0
 
 
-def test_energy_scan_center_follows_sine_squared():
+def test_gate_center_follows_sine_squared_in_energy():
     grid = default_time_grid()
     energies = np.array([0.0, 0.5, 1.0, 2.0]) * 2.47e-9
-    scan = switching_vs_energy(energies, _pump(), _fiber(), _signal(), grid)
-    peak_phase = np.pi  # calibrated
-    expected = np.sin(peak_phase * energies / 2.47e-9 / 2.0) ** 2
-    assert np.allclose(scan.center_efficiency, expected, atol=1e-5)
-    # the full-pulse average at the calibrated energy equals the trace peak
-    # and sits below the center value (the wings see the gate edges)
-    assert scan.pulse_efficiency[2] == pytest.approx(PLAIN_PEAK, rel=1e-9)
-    assert scan.pulse_efficiency[2] < scan.center_efficiency[2]
+    profiles = [switch_profile(_pump(e), _fiber(), grid, SIGNAL_WL) for e in energies]
+    centers = [p.efficiency[np.argmax(p.phase)] for p in profiles]
+    expected = np.sin(np.pi * energies / 2.47e-9 / 2.0) ** 2  # calibrated to a pi phase
+    assert np.allclose(centers, expected, atol=1e-5)
+    # the signal-averaged efficiency at the gate centroid equals the trace
+    # peak and sits below the center value (the wings see the gate edges)
+    profile = _default_profile()
+    at_centroid = _trace(grid, profile.efficiency, _signal().sigma, np.array([profile.centroid]))[0]
+    assert at_centroid == pytest.approx(PLAIN_PEAK, rel=1e-9)
+    assert at_centroid < profile.peak_efficiency
 
 
-def test_energy_scan_guards():
-    grid = default_time_grid()
-    with pytest.raises(ValueError):
-        switching_vs_energy([-1e-9], _pump(), _fiber(), _signal(), grid)
-    with pytest.raises(ValueError):
-        switching_vs_energy([1e-9], _pump(0.0), _fiber(), _signal(), grid)
+def test_open_gate_trace_is_unit_area():
+    # a unit-efficiency gate passes the whole unit-energy signal
+    grid = default_time_grid(40e-12, 8192)
+    trace = _trace(grid, np.ones_like(grid), 1e-12 * FWHM_TO_SIGMA, np.array([0.0]))
+    assert trace[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_fwhm_stable_under_grid_refinement():

@@ -5,15 +5,12 @@ import pytest
 
 from kerrgate import (
     GaussianPulse,
-    ResolutionError,
     SpectralFilter,
     TemporalMode,
     default_time_grid,
     frequency_bandwidth,
     hermite_gauss_amplitude,
     mode_transmission,
-    normalized_intensity,
-    pulse_intensity_profile,
     sampled_fwhm,
     transform_limited_duration,
 )
@@ -60,7 +57,6 @@ def test_frequency_bandwidth_rejects_nonpositive():
 def test_pulse_defaults_to_transform_limit():
     pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9)
     assert pulse.fwhm_duration == pytest.approx(TL_PUMP, rel=1e-12, abs=0)
-    assert pulse.is_transform_limited
 
 
 def test_pulse_rejects_sub_limit_duration():
@@ -71,47 +67,12 @@ def test_pulse_rejects_sub_limit_duration():
 def test_pulse_accepts_broadened_duration():
     pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9, fwhm_duration=10e-12)
     assert pulse.fwhm_duration == 10e-12
-    assert not pulse.is_transform_limited
 
 
 def test_sigma_fwhm_relation():
     pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9)
     assert pulse.sigma == pytest.approx(pulse.fwhm_duration * FWHM_TO_SIGMA, rel=1e-15)
     assert FWHM_TO_SIGMA == pytest.approx(1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0))), rel=1e-15)
-
-
-def test_intensity_profile_energy_and_width():
-    pulse = GaussianPulse(800e-9, 2.1e-9, 2.47e-9)
-    grid = default_time_grid(40e-12, 16384)
-    profile = pulse_intensity_profile(pulse, grid)
-    assert np.trapezoid(profile, grid) == pytest.approx(pulse.pulse_energy, rel=1e-6, abs=0)
-    assert grid[np.argmax(profile)] == pytest.approx(0.0, abs=grid[1] - grid[0])
-    assert sampled_fwhm(grid, profile) == pytest.approx(pulse.fwhm_duration, rel=1e-4, abs=0)
-
-
-def test_intensity_profile_zero_energy():
-    pulse = GaussianPulse(800e-9, 2.1e-9, 0.0)
-    grid = default_time_grid(40e-12, 16384)
-    assert np.all(pulse_intensity_profile(pulse, grid) == 0.0)
-
-
-def test_intensity_profile_grid_guards():
-    pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9)
-    with pytest.raises(ValueError):
-        # span shorter than 3 FWHM on each side
-        pulse_intensity_profile(pulse, default_time_grid(2e-12, 4096))
-    with pytest.raises(ResolutionError):
-        pulse_intensity_profile(pulse, default_time_grid(40e-12, 64))
-    with pytest.raises(ValueError):
-        pulse_intensity_profile(pulse, np.array([0.0, -1e-12, 1e-12]))
-
-
-def test_normalized_intensity_unit_area():
-    grid = default_time_grid(40e-12, 8192)
-    shape = normalized_intensity(1e-12, grid)
-    assert np.trapezoid(shape, grid) == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        normalized_intensity(0.0, grid)
 
 
 def test_default_time_grid_shape():
@@ -163,7 +124,9 @@ def test_hermite_gauss_order0_is_gaussian():
     signal = GaussianPulse(720.8e-9, 1.7e-9, 0.0)
     grid = default_time_grid(40e-12, 8192)
     psi = hermite_gauss_amplitude(TemporalMode.matched_to(signal, 0), grid)
-    assert np.max(np.abs(psi**2 - normalized_intensity(signal.fwhm_duration, grid))) < 1e-6 * np.max(psi**2)
+    sigma = signal.sigma
+    gaussian = np.exp(-(grid**2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
+    assert np.max(np.abs(psi**2 - gaussian)) < 1e-6 * np.max(psi**2)
 
 
 def test_hermite_gauss_node_count():
