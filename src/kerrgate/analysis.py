@@ -8,7 +8,7 @@ comparison, and the pulse-broadening (temporal fluctuation) study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +42,34 @@ class Table:
     """Column-named rows with deterministic text serialization."""
 
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    rows: list[tuple]
 
-    def append(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError("row width does not match column count")
-        self.rows.append(tuple(values))
+    @classmethod
+    def of(cls, **columns) -> Table:
+        """The table of the given columns, in keyword order; ValueError on unequal lengths."""
+        return cls(tuple(columns), list(zip(*columns.values(), strict=True)))
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 
-    def format_tsv(self, float_format: str = "%.10g") -> str:
+    def select(self, *names: str) -> Table:
+        """The sub-table of the named columns, in that order."""
+        return Table.of(**{name: self.column(name) for name in names})
+
+    def format_tsv(self) -> str:
         def cell(value) -> str:
             if value is None:
                 return ""
-            if isinstance(value, bool):
-                return str(value).lower()
+            if isinstance(value, (bool, np.bool_)):
+                return str(bool(value)).lower()
             if isinstance(value, (int, np.integer)):
                 return str(int(value))
             if isinstance(value, (float, np.floating)):
                 value = float(value)
                 if value == 0.0:
                     value = 0.0  # normalize -0.0
-                return float_format % value
+                return "%.10g" % value
             return str(value)
 
         lines = ["\t".join(self.columns)]
@@ -157,7 +161,7 @@ class SweepSpec:
     """One-variable sweep attached to a fixed scenario.
 
     The scenario's other variable may be a column of curve levels
-    (``levels[:, None]``); ``sweep_reports`` then sweeps every level.
+    (``levels[:, None]``); ``sweep_table`` then sweeps every level.
     """
 
     variable: str  # "noise_rate" or "channel_loss_db"
@@ -187,47 +191,52 @@ class SweepSpec:
 
 _VARIABLE_COLUMNS = {"noise_rate": "noise_rate_hz", "channel_loss_db": "channel_loss_db"}
 
-# key-rate columns of a sweep row, in the order of ``keyrate_cells``
+# key-rate columns of a sweep table, in the order ``keyrate_sweep`` writes them
 KEYRATE_COLUMNS = ("q_mu", "e_mu", "q1_lower", "e1_upper", "rate_per_pulse", "rate_per_second")
 
 
-def keyrate_cells(cells: dict) -> tuple:
-    """The ``KEYRATE_COLUMNS`` values of one sweep row's cells."""
-    return tuple(cells[name] for name in KEYRATE_COLUMNS)
-
-
-def sweep_reports(
+def sweep_table(
     spec: SweepSpec,
     detector: DetectorParams,
     decoy: DecoyParams,
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
-) -> list[tuple[float, float, str, dict]]:
-    """``(level, value, filter, cells)`` at every grid value, electronic arm first.
+) -> Table:
+    """Every observed-rate and report field along the sweep, for both filter kinds.
 
-    ``level`` is the scenario's other variable at the row.  It may be a
-    column of curve levels (``levels[:, None]``); the rows then run over
-    levels, then grid values.  Each arm is one chain evaluation over the
-    whole (levels x grid) broadcast; ``cells`` maps the fields of its
-    report and observed rates to their values at the row.
+    The columns are the scenario's other variable, the swept variable,
+    ``filter``, the ``ObservedRates`` fields and the ``KeyRateReport``
+    bounds and rates.  The other variable may be a column of curve levels
+    (``levels[:, None]``); the rows then run over levels, then grid values,
+    then arms, electronic first.  Each arm is one chain evaluation over the
+    whole (levels x grid) broadcast.
     """
     grid = spec.grid()
     other = "channel_loss_db" if spec.variable == "noise_rate" else "noise_rate"
     levels = getattr(spec.scenario, other)
     shape = np.broadcast_shapes(np.shape(levels), grid.shape)
-    arms = []
-    for kind in (ELECTRONIC, ULTRAFAST):
-        scenario = spec.scenario.with_(**{spec.variable: grid}, filter_kind=kind)
-        report = evaluate_scenario(scenario, detector, decoy, switch, spectral_overlap)
-        fields = {**vars(report), **vars(report.observed)}
-        del fields["observed"]
-        arms.append((kind, {name: np.broadcast_to(v, shape) for name, v in fields.items()}))
-    levels, values = (np.broadcast_to(a, shape) for a in (levels, grid))
-    return [
-        (float(levels[i]), float(values[i]), kind, {name: column[i] for name, column in columns.items()})
-        for i in np.ndindex(shape)
-        for kind, columns in arms
+    arms = (ELECTRONIC, ULTRAFAST)
+    reports = [
+        evaluate_scenario(
+            spec.scenario.with_(**{spec.variable: grid}, filter_kind=kind), detector, decoy, switch, spectral_overlap
+        )
+        for kind in arms
     ]
+    fields = [{**vars(report.observed), **vars(report)} for report in reports]
+    names = [name for name in fields[0] if name != "observed"]
+
+    def column(per_arm) -> np.ndarray:
+        """Values of each arm at every (level, grid value), flattened with the arm innermost."""
+        return np.stack([np.broadcast_to(value, shape) for value in per_arm], axis=-1).ravel()
+
+    return Table.of(
+        **{
+            _VARIABLE_COLUMNS[other]: column([levels] * len(arms)),
+            _VARIABLE_COLUMNS[spec.variable]: column([grid] * len(arms)),
+            "filter": column(arms),
+        },
+        **{name: column([arm[name] for arm in fields]) for name in names},
+    )
 
 
 def keyrate_sweep(
@@ -238,10 +247,8 @@ def keyrate_sweep(
     spectral_overlap: float = 1.0,
 ) -> Table:
     """Key-rate chain along the swept variable for both filter kinds."""
-    table = Table(columns=(_VARIABLE_COLUMNS[spec.variable], "filter", *KEYRATE_COLUMNS))
-    for _, value, kind, cells in sweep_reports(spec, detector, decoy, switch, spectral_overlap):
-        table.append(value, kind, *keyrate_cells(cells))
-    return table
+    table = sweep_table(spec, detector, decoy, switch, spectral_overlap)
+    return table.select(_VARIABLE_COLUMNS[spec.variable], "filter", *KEYRATE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -281,13 +288,18 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tupl
         hi = np.where(active & ~positive, mid, hi)
 
 
-def _threshold_cells(result: tuple) -> list[tuple[float | None, int | None, str]]:
-    """``(threshold, iterations, status)`` of each element of a bisection, in C order."""
+def _threshold_columns(result: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold, iteration and status columns of a bisection's elements, in C order.
+
+    Threshold and iterations are None where the element has no threshold.
+    """
     threshold, _, _, iterations, side = result
-    return [
-        (None, None, "no-threshold-%s" % s) if s else (float(t), int(n), "ok")
-        for t, n, s in zip(threshold.flat, iterations.flat, side.flat)
-    ]
+    found = (side == "").ravel()
+    return (
+        np.where(found, threshold.ravel(), None),
+        np.where(found, iterations.ravel(), None),
+        np.where(found, "ok", np.char.add("no-threshold-", side.ravel())),
+    )
 
 
 def _chain_bisection(scenario: ChannelScenario, variable: str, gate: tuple, bracket, rel_width: float) -> tuple:
@@ -392,40 +404,41 @@ def improvement_factors(
     loss_grid = np.asarray(loss_grid, dtype=float)
     noise_grid = np.asarray(noise_grid, dtype=float)
 
-    def thresholds(trial: ChannelScenario, variable: str, bracket) -> dict:
-        """Per arm, the ``_threshold_cells`` of ``variable`` at the elements of ``trial``."""
-        return {
-            kind: _threshold_cells(
-                _chain_bisection(trial.with_(filter_kind=kind), variable, gate, bracket, rel_width)
-            )
+    def thresholds(trial: ChannelScenario, variable: str, bracket) -> list[tuple]:
+        """Per arm, the ``_threshold_columns`` of ``variable`` at the elements of ``trial``."""
+        return [
+            _threshold_columns(_chain_bisection(trial.with_(filter_kind=kind), variable, gate, bracket, rel_width))
             for kind in arms
-        }
+        ]
 
-    noise_thresholds = Table(
-        columns=("channel_loss_db", "filter", "threshold_hz", "iterations", "status")
-    )
-    noise_ratio = Table(
-        columns=("channel_loss_db", "etf_threshold_hz", "utf_threshold_hz", "ratio", "status")
-    )
+    def ratios(by_arm: list[tuple]) -> tuple:
+        """ETF and UTF threshold columns, their UTF/ETF ratio and the pair's status."""
+        etf, utf = (columns[0] for columns in by_arm)
+        ratio = [u / e if (e and u) else None for e, u in zip(etf, utf)]
+        return etf, utf, ratio, [_status(e, u) for e, u in zip(etf, utf)]
+
     by_loss = thresholds(scenario.with_(channel_loss_db=loss_grid), "noise_rate", noise_bracket)
-    for i, loss in enumerate(map(float, loss_grid)):
-        for kind in arms:
-            noise_thresholds.append(loss, kind, *by_loss[kind][i])
-        etf, utf = (by_loss[kind][i][0] for kind in arms)
-        ratio = utf / etf if (etf and utf) else None
-        noise_ratio.append(loss, etf, utf, ratio, _status(etf, utf))
-
-    distance = Table(
-        columns=("noise_rate_hz", "etf_threshold_db", "utf_threshold_db", "improvement", "status")
+    # rows run over loss values, then arms
+    value, iterations, status = (np.stack(per_arm, axis=-1).ravel() for per_arm in zip(*by_loss))
+    noise_thresholds = Table.of(
+        channel_loss_db=np.repeat(loss_grid, len(arms)),
+        filter=arms * loss_grid.size,
+        threshold_hz=value,
+        iterations=iterations,
+        status=status,
     )
-    improvements: list[tuple[float, float]] = []
+    etf, utf, ratio, status = ratios(by_loss)
+    noise_ratio = Table.of(
+        channel_loss_db=loss_grid, etf_threshold_hz=etf, utf_threshold_hz=utf, ratio=ratio, status=status
+    )
     by_noise = thresholds(scenario.with_(noise_rate=noise_grid), "channel_loss_db", loss_bracket)
-    for i, noise in enumerate(map(float, noise_grid)):
-        etf, utf = (by_noise[kind][i][0] for kind in arms)
-        improvement = utf / etf if (etf and utf) else None
-        distance.append(noise, etf, utf, improvement, _status(etf, utf))
-        if improvement is not None:
-            improvements.append((noise, improvement))
+    etf, utf, improvement, status = ratios(by_noise)
+    distance = Table.of(
+        noise_rate_hz=noise_grid, etf_threshold_db=etf, utf_threshold_db=utf, improvement=improvement, status=status
+    )
+    improvements = [
+        (noise, d) for noise, d in zip(distance.column("noise_rate_hz"), distance.column("improvement")) if d is not None
+    ]
 
     crossover = None
     for (n0, d0), (n1, d1) in zip(improvements, improvements[1:]):
@@ -477,16 +490,15 @@ def hg_mode_comparison(
     """
     if max_order < 0:
         raise ValueError("max_order must be non-negative")
-    table = Table(columns=("order", "t_combined", "t_spectral_only"))
     center = gate.centroid
-    for order in range(max_order + 1):
-        mode = TemporalMode.matched_to(signal, order)
-        combined = mode_transmission(mode, gate, spectral_filter, center=center)
-        spectral_only = mode_transmission(
-            mode, None, spectral_filter, time_grid=gate.time_grid, center=center
-        )
-        table.append(order, combined, spectral_only)
-    return table
+    modes = [TemporalMode.matched_to(signal, order) for order in range(max_order + 1)]
+    return Table.of(
+        order=range(max_order + 1),
+        t_combined=[mode_transmission(mode, gate, spectral_filter, center=center) for mode in modes],
+        t_spectral_only=[
+            mode_transmission(mode, None, spectral_filter, time_grid=gate.time_grid, center=center) for mode in modes
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,29 +580,29 @@ def fluctuation_study(
         report = secret_key_rate(observed, decoy, gain, qber, detector.repetition_rate)
         return gain, qber, report.rate_per_pulse
 
-    rates = Table(
-        columns=(
-            "noise_rate_hz",
-            "pulse_fwhm_ps",
-            "filter",
-            "channel_loss_db",
-            "gain",
-            "qber",
-            "rate_per_pulse",
-        )
+    # the elements are (noise, duration in ps, arm); their rates run along the loss grid
+    axes = (noise_levels, durations * 1e12, arms)
+    noise, duration, kind, loss = np.meshgrid(*axes, loss_grid, indexing="ij")
+    gain, qber, rate = point(loss_grid)
+    rates = Table.of(
+        noise_rate_hz=noise.ravel(),
+        pulse_fwhm_ps=duration.ravel(),
+        filter=kind.ravel(),
+        channel_loss_db=loss.ravel(),
+        gain=gain.ravel(),
+        qber=qber.ravel(),
+        rate_per_pulse=rate.ravel(),
     )
-    thresholds = Table(
-        columns=("noise_rate_hz", "pulse_fwhm_ps", "filter", "loss_threshold_db", "status")
+    noise, duration, kind = np.meshgrid(*axes, indexing="ij")
+    lo, hi = (np.full(noise.shape + (1,), end) for end in loss_bracket)
+    value, _, status = _threshold_columns(
+        _bisect_positive(lambda loss: point(loss)[2], lo, hi, rel_width, geometric=False)
     )
-    elements = [(n, d * 1e12, kind) for n in noise_levels for d in durations for kind in arms]
-    shape = (len(noise_levels), len(durations), len(arms), 1)
-    gain, qber, rate = (a.reshape(len(elements), loss_grid.size) for a in point(loss_grid))
-    for element, *columns in zip(elements, gain, qber, rate):
-        for loss, *cells in zip(loss_grid, *columns):
-            rates.append(*element, loss, *cells)
-    lo, hi = (np.full(shape, end) for end in loss_bracket)
-    result = _bisect_positive(lambda loss: point(loss)[2], lo, hi, rel_width, geometric=False)
-    for element, (value, _, status) in zip(elements, _threshold_cells(result)):
-        thresholds.append(*element, value, status)
-
+    thresholds = Table.of(
+        noise_rate_hz=noise.ravel(),
+        pulse_fwhm_ps=duration.ravel(),
+        filter=kind.ravel(),
+        loss_threshold_db=value,
+        status=status,
+    )
     return FluctuationStudy(rates=rates, thresholds=thresholds)

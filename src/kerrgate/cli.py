@@ -21,14 +21,12 @@ from . import __version__
 from .analysis import (
     KEYRATE_COLUMNS,
     ImprovementFactors,
-    SweepSpec,
     Table,
     fluctuation_study,
     hg_mode_comparison,
     improvement_factors,
-    keyrate_cells,
     noise_reduction_factor,
-    sweep_reports,
+    sweep_table,
 )
 from .config import RunConfig, dump_effective, load_config, resolve
 from .errors import ConfigError, ResolutionError, ThresholdNotFoundError
@@ -106,10 +104,8 @@ def _emit(args, outputs: dict[str, str]):
 
 
 def _cmd_switch_profile(args, run: RunConfig) -> int:
-    table = Table(columns=("time_ps", "delta_phi_rad", "efficiency"))
     switch = run.switch
-    for t, phi, eta in zip(switch.time_grid, switch.phase, switch.efficiency):
-        table.append(t / _PS, phi, eta)
+    table = Table.of(time_ps=switch.time_grid / _PS, delta_phi_rad=switch.phase, efficiency=switch.efficiency)
     footer = "# fwhm_ps = %.10g\teffective_width_ps = %.10g\n" % (
         switch.fwhm / _PS,
         switch.effective_width / _PS,
@@ -121,9 +117,7 @@ def _cmd_switch_profile(args, run: RunConfig) -> int:
 def _cmd_trace(args, run: RunConfig) -> int:
     delays = run.trace_delays()
     trace = switching_trace(run.switch, run.signal, delays, run.spectral_filter)
-    table = Table(columns=("delay_ps", "switched_efficiency"))
-    for d, eff in zip(trace.delays, trace.efficiency):
-        table.append(d / _PS, eff)
+    table = Table.of(delay_ps=trace.delays / _PS, switched_efficiency=trace.efficiency)
     footer = "# fwhm_ps = %.10g\tpeak = %.10g\n" % (trace.fwhm / _PS, trace.peak_value)
     _emit(args, {"trace.tsv": table.format_tsv() + footer})
     return 0
@@ -134,36 +128,12 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
     noise_levels = np.array(sweep_cfg["curve_noise_levels_hz"], dtype=float)
     loss_levels = np.array(sweep_cfg["curve_loss_levels_db"], dtype=float)
     gate = (run.detector, run.decoy, run.switch, run.spectral_overlap)
-    by_loss = SweepSpec(
-        variable="channel_loss_db",
-        start=sweep_cfg["loss_min_db"],
-        stop=sweep_cfg["loss_max_db"],
-        samples=sweep_cfg["loss_samples"],
-        spacing="linear",
-        scenario=run.scenario.with_(noise_rate=noise_levels[:, None]),
-    )
-    by_noise = SweepSpec(
-        variable="noise_rate",
-        start=sweep_cfg["noise_min_hz"],
-        stop=sweep_cfg["noise_max_hz"],
-        samples=sweep_cfg["noise_samples"],
-        spacing="log",
-        scenario=run.scenario.with_(channel_loss_db=loss_levels[:, None]),
-    )
-
-    vs_loss = Table(columns=("noise_rate_hz", "channel_loss_db", "filter", *KEYRATE_COLUMNS))
-    for noise, loss, kind, cells in sweep_reports(by_loss, *gate):
-        vs_loss.append(noise, loss, kind, *keyrate_cells(cells))
-
+    by_loss = sweep_table(run.loss_sweep(run.scenario.with_(noise_rate=noise_levels[:, None])), *gate)
     # the gains table shares the noise sweep's evaluations
-    vs_noise = Table(columns=("channel_loss_db", "noise_rate_hz", "filter", *KEYRATE_COLUMNS))
-    gains = Table(
-        columns=("channel_loss_db", "noise_rate_hz", "filter", "q_mu", "q_nu", "e_mu", "e_nu", "y0")
-    )
-    for loss, noise, kind, cells in sweep_reports(by_noise, *gate):
-        vs_noise.append(loss, noise, kind, *keyrate_cells(cells))
-        gains.append(loss, noise, kind, *(cells[name] for name in gains.columns[3:]))
-
+    by_noise = sweep_table(run.noise_sweep(run.scenario.with_(channel_loss_db=loss_levels[:, None])), *gate)
+    vs_loss = by_loss.select("noise_rate_hz", "channel_loss_db", "filter", *KEYRATE_COLUMNS)
+    vs_noise = by_noise.select("channel_loss_db", "noise_rate_hz", "filter", *KEYRATE_COLUMNS)
+    gains = by_noise.select("channel_loss_db", "noise_rate_hz", "filter", "q_mu", "q_nu", "e_mu", "e_nu", "y0")
     _emit(
         args,
         {
@@ -207,29 +177,19 @@ def _cmd_thresholds(args, run: RunConfig) -> int:
 
 
 def _summary_table(run: RunConfig, imp: ImprovementFactors) -> Table:
-    table = Table(
-        columns=(
-            "crossover_noise_hz",
-            "max_improvement",
-            "max_improvement_noise_hz",
-            "nrf_broadband",
-            "nrf_narrow_line",
-        )
-    )
     nrf_broadband = noise_reduction_factor(
         run.switch, run.detector.coincidence_window, None, run.spectral_filter
     )
     nrf_narrow = noise_reduction_factor(
         run.switch, run.detector.coincidence_window, 0.0, run.spectral_filter
     )
-    table.append(
-        imp.crossover_noise,
-        imp.max_improvement,
-        imp.max_improvement_noise,
-        nrf_broadband,
-        nrf_narrow,
+    return Table.of(
+        crossover_noise_hz=[imp.crossover_noise],
+        max_improvement=[imp.max_improvement],
+        max_improvement_noise_hz=[imp.max_improvement_noise],
+        nrf_broadband=[nrf_broadband],
+        nrf_narrow_line=[nrf_narrow],
     )
-    return table
 
 
 def _cmd_modes(args, run: RunConfig) -> int:

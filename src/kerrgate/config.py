@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import spectral_overlap_factor
+from .analysis import SweepSpec, spectral_overlap_factor
 from .errors import ConfigError, ResolutionError
 from .kerr import (
     FiberSpec,
@@ -229,17 +229,25 @@ class RunConfig:
             section["samples"],
         )
 
-    def noise_grid(self) -> np.ndarray:
+    def noise_sweep(self, scenario: ChannelScenario) -> SweepSpec:
+        """The ``sweep`` section's log-spaced noise sweep attached to ``scenario``."""
         section = self.effective["sweep"]
-        return np.logspace(
-            np.log10(section["noise_min_hz"]),
-            np.log10(section["noise_max_hz"]),
-            section["noise_samples"],
+        return SweepSpec(
+            "noise_rate", section["noise_min_hz"], section["noise_max_hz"], section["noise_samples"], "log", scenario
         )
 
-    def loss_grid(self) -> np.ndarray:
+    def loss_sweep(self, scenario: ChannelScenario) -> SweepSpec:
+        """The ``sweep`` section's linear loss sweep attached to ``scenario``."""
         section = self.effective["sweep"]
-        return np.linspace(section["loss_min_db"], section["loss_max_db"], section["loss_samples"])
+        return SweepSpec(
+            "channel_loss_db", section["loss_min_db"], section["loss_max_db"], section["loss_samples"], "linear", scenario
+        )
+
+    def noise_grid(self) -> np.ndarray:
+        return self.noise_sweep(self.scenario).grid()
+
+    def loss_grid(self) -> np.ndarray:
+        return self.loss_sweep(self.scenario).grid()
 
     def loss_bracket(self) -> tuple[float, float]:
         lo, hi = self.effective["thresholds"]["loss_bracket_db"]
@@ -345,6 +353,8 @@ def _resolve(config: dict) -> RunConfig:
     )
 
     noise_cfg = effective["noise"]
+    if noise_cfg["center_wavelength_nm"] is not None and not noise_cfg["center_wavelength_nm"] > 0:
+        raise ConfigError("noise.center_wavelength_nm must be positive")
     linewidth = None if noise_cfg["linewidth_nm"] is None else noise_cfg["linewidth_nm"] * _NM
     scenario_cfg = effective["scenario"]
     scenario = ChannelScenario(

@@ -20,6 +20,7 @@ from .pulses import (
     SPEED_OF_LIGHT,
     GaussianPulse,
     SpectralFilter,
+    _check_grid,
     _check_uniform,
     sampled_fwhm,
 )
@@ -134,9 +135,7 @@ def nonlinear_phase_profile(
     """
     if signal_wavelength <= 0:
         raise ValueError("signal_wavelength must be positive")
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be 1-d and strictly increasing")
+    grid = _check_grid(time_grid)
     walk = fiber.total_walkoff
     fwhm = pump.fwhm_duration
     step = float(np.max(np.diff(grid)))

@@ -248,8 +248,6 @@ def simulate_observed_rates(
 def q1_lower_bound(rates: ObservedRates, decoy: DecoyParams) -> float:
     """Lower bound on the single-photon gain, floored at zero."""
     mu, nu = decoy.mu, decoy.nu
-    if nu >= mu:
-        raise ValueError("decoy intensity must be below signal intensity")
     lead = mu**2 * np.exp(-mu) / (mu * nu - nu**2)
     bound = lead * (
         rates.q_nu * np.exp(nu)

@@ -31,7 +31,7 @@ from kerrgate import (
     switch_profile,
 )
 from kerrgate import analysis
-from kerrgate.analysis import _bisect_positive, _threshold_cells
+from kerrgate.analysis import KEYRATE_COLUMNS, _bisect_positive, _threshold_columns, sweep_table
 from kerrgate.pulses import FWHM_TO_SIGMA
 from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
 
@@ -248,6 +248,11 @@ def _scalar_bisect(rate_fn, lo: float, hi: float, rel_width: float, geometric: b
             lo = mid
         else:
             hi = mid
+
+
+def _threshold_cells(result) -> list[tuple]:
+    """``(threshold, iterations, status)`` of each element of a bisection, in C order."""
+    return list(zip(*_threshold_columns(result)))
 
 
 def _reference_cells(rate_fn, bracket, geometric, rel_width=0.005):
@@ -473,26 +478,30 @@ def test_improvement_factors_frozen(default_run):
 
 def test_keyrate_sweep_matches_pointwise_evaluation(default_run):
     run = default_run
-    spec = SweepSpec(
-        variable="noise_rate",
-        start=1e3,
-        stop=1e5,
-        samples=5,
-        spacing="log",
-        scenario=run.scenario,
-    )
-    table = keyrate_sweep(spec, _detector(), run.decoy, run.switch, run.spectral_overlap)
-    assert len(table.rows) == 10  # five points, two filter arms
-    for row in table.rows:
-        noise, kind = row[0], row[1]
-        report = evaluate_scenario(
-            run.scenario.with_(noise_rate=noise, filter_kind=kind),
-            _detector(),
-            run.decoy,
-            run.switch,
-            run.spectral_overlap,
+    gate = (_detector(), run.decoy, run.switch, run.spectral_overlap)
+    # one loss, and a column of curve levels in the loss
+    for losses in (run.scenario.channel_loss_db, np.array([5.0, 20.0])[:, None]):
+        spec = SweepSpec(
+            variable="noise_rate",
+            start=1e3,
+            stop=1e5,
+            samples=5,
+            spacing="log",
+            scenario=run.scenario.with_(channel_loss_db=losses),
         )
-        assert row[6] == pytest.approx(report.rate_per_pulse, rel=1e-12)
+        table = sweep_table(spec, *gate)
+        # rows run over levels, then grid values, then arms
+        assert [row[:3] for row in table.rows] == [
+            (level, value, kind) for level in np.ravel(losses) for value in spec.grid() for kind in ARMS
+        ]
+        for row, rate in zip(table.rows, table.column("rate_per_pulse")):
+            loss, noise, kind = row[:3]
+            report = evaluate_scenario(
+                run.scenario.with_(channel_loss_db=loss, noise_rate=noise, filter_kind=kind), *gate
+            )
+            assert rate == pytest.approx(report.rate_per_pulse, rel=1e-12)
+        assert keyrate_sweep(spec, *gate) == table.select("noise_rate_hz", "filter", *KEYRATE_COLUMNS)
+    assert len(table.rows) == 20  # two levels, five points, two filter arms
 
 
 def test_sweep_spec_validation():
@@ -595,18 +604,14 @@ def test_fluctuation_gains_and_qbers_stay_probabilities(default_run):
 
 
 def test_table_behaviour():
-    table = Table(columns=("a", "b"))
-    table.append(1, 2.5)
-    table.append(None, True)
     with pytest.raises(ValueError):
-        table.append(1, 2, 3)
-    assert table.column("a") == [1, None]
-    text = table.format_tsv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "a\tb"
-    assert lines[1] == "1\t2.5"
-    assert lines[2] == "\ttrue"
+        Table.of(a=[1, 2], b=[2.5])
+    table = Table.of(a=[1, None, 3], b=[2.5, True, np.True_], c=np.array([0.1, 0.2, 0.9]) > 0.5)
+    assert table.columns == ("a", "b", "c")
+    assert table.column("a") == [1, None, 3]
+    lines = table.format_tsv().strip().split("\n")
+    assert lines == ["a\tb\tc", "1\t2.5\tfalse", "\ttrue\tfalse", "3\ttrue\ttrue"]
+    sub = table.select("c", "a")
+    assert sub.columns == ("c", "a") and sub.rows == [(False, 1), (False, None), (True, 3)]
     # -0.0 normalizes so reruns are byte-stable
-    neg = Table(columns=("x",))
-    neg.append(-0.0)
-    assert neg.format_tsv().strip().split("\n")[1] == "0"
+    assert Table.of(x=[-0.0], y=np.array([-0.0])).format_tsv() == "x\ty\n0\t0\n"

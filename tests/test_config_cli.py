@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_derived_overlap_outside_unit_interval_rejected(tmp_path, center_nm, cap
     assert main(["--config", path, "--out", str(tmp_path / "out"), "dump-defaults"]) == 2
     assert "noise.center_wavelength_nm" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("center_nm", [0.0, -720.8])
+def test_non_positive_noise_center_rejected(tmp_path, center_nm, capsys):
+    # rejected before the derived overlap divides by it
+    path = _write(tmp_path, {"noise": {"center_wavelength_nm": center_nm}})
+    with pytest.raises(ConfigError, match="noise.center_wavelength_nm must be positive"):
+        resolve(load_config(path))
+    assert main(["--config", path, "keyrate"]) == 2
+    assert "noise.center_wavelength_nm" in capsys.readouterr().err
 
 
 def test_malformed_documents(tmp_path):
@@ -313,6 +324,16 @@ def test_cli_stdout_multi_output_separators(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "# output: keyrate_vs_loss.tsv" in out
     assert "# output: gains_qber.tsv" in out
+
+
+@pytest.mark.parametrize("command", ["keyrate", "thresholds"])
+def test_sweep_grids_share_one_rule(tmp_path, capsys, command):
+    # both subcommands build their grids from the same SweepSpec checks
+    path = _write(tmp_path, {"sweep": {"noise_min_hz": 0.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", path, command]) == 2
+    assert capsys.readouterr().err == "error: log spacing needs a positive start\n"
 
 
 def test_pump_noise_section_is_unknown(tmp_path):

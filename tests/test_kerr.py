@@ -156,6 +156,8 @@ def test_phase_profile_guards():
         nonlinear_phase_profile(_pump(), fiber, np.linspace(-5e-12, 0.5e-12, 4096), SIGNAL_WL)
     with pytest.raises(ValueError):
         nonlinear_phase_profile(_pump(), fiber, default_time_grid(), -SIGNAL_WL)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        nonlinear_phase_profile(_pump(), fiber, default_time_grid()[::-1], SIGNAL_WL)
 
 
 def test_walkoff_flattens_gate_center():
