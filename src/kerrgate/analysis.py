@@ -24,7 +24,7 @@ from .pulses import (
     spectral_energy,
 )
 from .qkd import (
-    ELECTRONIC,
+    ARMS,
     ULTRAFAST,
     ChannelScenario,
     DecoyParams,
@@ -110,6 +110,8 @@ def spectral_overlap_factor(
         return 1.0
     if noise_linewidth < 0:
         raise ValueError("noise_linewidth must be non-negative or None")
+    if noise_center_wavelength is not None and not noise_center_wavelength > 0:
+        raise ValueError("noise_center_wavelength must be positive")
 
     if noise_center_wavelength is None:
         line_offset = 0.0
@@ -208,34 +210,31 @@ def sweep_table(
     ``filter``, the ``ObservedRates`` fields and the ``KeyRateReport``
     bounds and rates.  The other variable may be a column of curve levels
     (``levels[:, None]``); the rows then run over levels, then grid values,
-    then arms, electronic first.  Each arm is one chain evaluation over the
-    whole (levels x grid) broadcast.
+    then arms, electronic first.  One chain evaluation covers the whole
+    (levels x grid x arm) broadcast.
     """
-    grid = spec.grid()
     other = "channel_loss_db" if spec.variable == "noise_rate" else "noise_rate"
-    levels = getattr(spec.scenario, other)
-    shape = np.broadcast_shapes(np.shape(levels), grid.shape)
-    arms = (ELECTRONIC, ULTRAFAST)
-    reports = [
-        evaluate_scenario(
-            spec.scenario.with_(**{spec.variable: grid}, filter_kind=kind), detector, decoy, switch, spectral_overlap
-        )
-        for kind in arms
-    ]
-    fields = [{**vars(report.observed), **vars(report)} for report in reports]
-    names = [name for name in fields[0] if name != "observed"]
+    axes = {
+        other: np.expand_dims(getattr(spec.scenario, other), -1),
+        spec.variable: spec.grid()[:, None],
+        "filter_kind": np.array(ARMS),
+    }
+    report = evaluate_scenario(spec.scenario.with_(**axes), detector, decoy, switch, spectral_overlap)
+    fields = {**vars(report.observed), **vars(report)}
+    del fields["observed"]
+    shape = np.broadcast_shapes(*(np.shape(value) for value in axes.values()))
 
-    def column(per_arm) -> np.ndarray:
-        """Values of each arm at every (level, grid value), flattened with the arm innermost."""
-        return np.stack([np.broadcast_to(value, shape) for value in per_arm], axis=-1).ravel()
+    def column(value) -> np.ndarray:
+        """``value`` at every (level, grid value, arm), flattened in that order."""
+        return np.broadcast_to(value, shape).ravel()
 
     return Table.of(
         **{
-            _VARIABLE_COLUMNS[other]: column([levels] * len(arms)),
-            _VARIABLE_COLUMNS[spec.variable]: column([grid] * len(arms)),
-            "filter": column(arms),
+            _VARIABLE_COLUMNS[other]: column(axes[other]),
+            _VARIABLE_COLUMNS[spec.variable]: column(axes[spec.variable]),
+            "filter": column(axes["filter_kind"]),
         },
-        **{name: column([arm[name] for arm in fields]) for name in names},
+        **{name: column(value) for name, value in fields.items()},
     )
 
 
@@ -305,16 +304,18 @@ def _threshold_columns(result: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _chain_bisection(scenario: ChannelScenario, variable: str, gate: tuple, bracket, rel_width: float) -> tuple:
     """Lockstep bisection of the key rate in ``variable`` at every element.
 
-    The elements are those of the scenario's other array field; ``gate`` is
-    the rest of ``evaluate_scenario``'s arguments.  Noise rates bisect
-    geometrically, losses linearly.
+    The elements are those of the broadcast of the scenario's other array
+    field and its ``filter_kind``; ``gate`` is the rest of
+    ``evaluate_scenario``'s arguments.  Noise rates bisect geometrically,
+    losses linearly.
     """
     other = scenario.channel_loss_db if variable == "noise_rate" else scenario.noise_rate
 
     def rate(values):
         return evaluate_scenario(scenario.with_(**{variable: values}), *gate).rate_per_pulse
 
-    lo, hi = (np.full(np.shape(other), end) for end in bracket)
+    shape = np.broadcast_shapes(np.shape(other), np.shape(scenario.filter_kind))
+    lo, hi = (np.full(shape, end) for end in bracket)
     return _bisect_positive(rate, lo, hi, rel_width, geometric=variable == "noise_rate")
 
 
@@ -399,30 +400,33 @@ def improvement_factors(
     rel_width: float = 0.005,
 ) -> ImprovementFactors:
     """UTF-over-ETF threshold ratios across the two grids."""
-    arms = (ELECTRONIC, ULTRAFAST)
     gate = (detector, decoy, switch, spectral_overlap)
     loss_grid = np.asarray(loss_grid, dtype=float)
     noise_grid = np.asarray(noise_grid, dtype=float)
 
-    def thresholds(trial: ChannelScenario, variable: str, bracket) -> list[tuple]:
-        """Per arm, the ``_threshold_columns`` of ``variable`` at the elements of ``trial``."""
-        return [
-            _threshold_columns(_chain_bisection(trial.with_(filter_kind=kind), variable, gate, bracket, rel_width))
-            for kind in arms
-        ]
+    def thresholds(fixed: str, values: np.ndarray, variable: str, bracket) -> tuple:
+        """The bisection of ``variable`` at every (value of ``fixed``, arm)."""
+        trial = scenario.with_(**{fixed: values[:, None]}, filter_kind=np.array(ARMS))
+        return _chain_bisection(trial, variable, gate, bracket, rel_width)
 
-    def ratios(by_arm: list[tuple]) -> tuple:
+    def ratios(result: tuple) -> tuple:
         """ETF and UTF threshold columns, their UTF/ETF ratio and the pair's status."""
-        etf, utf = (columns[0] for columns in by_arm)
-        ratio = [u / e if (e and u) else None for e, u in zip(etf, utf)]
-        return etf, utf, ratio, [_status(e, u) for e, u in zip(etf, utf)]
+        threshold, side = result[0], result[4]
+        etf, utf = _threshold_columns(result)[0].reshape(-1, len(ARMS)).T
+        etf_found, utf_found = (side == "").T
+        both = etf_found & utf_found
+        ratio = np.where(both, threshold[:, 1] / threshold[:, 0], None)
+        status = np.select(
+            [both, utf_found, etf_found], ["ok", "etf-unavailable", "utf-unavailable"], "both-unavailable"
+        )
+        return etf, utf, ratio, status
 
-    by_loss = thresholds(scenario.with_(channel_loss_db=loss_grid), "noise_rate", noise_bracket)
+    by_loss = thresholds("channel_loss_db", loss_grid, "noise_rate", noise_bracket)
     # rows run over loss values, then arms
-    value, iterations, status = (np.stack(per_arm, axis=-1).ravel() for per_arm in zip(*by_loss))
+    value, iterations, status = _threshold_columns(by_loss)
     noise_thresholds = Table.of(
-        channel_loss_db=np.repeat(loss_grid, len(arms)),
-        filter=arms * loss_grid.size,
+        channel_loss_db=np.repeat(loss_grid, len(ARMS)),
+        filter=ARMS * loss_grid.size,
         threshold_hz=value,
         iterations=iterations,
         status=status,
@@ -431,7 +435,7 @@ def improvement_factors(
     noise_ratio = Table.of(
         channel_loss_db=loss_grid, etf_threshold_hz=etf, utf_threshold_hz=utf, ratio=ratio, status=status
     )
-    by_noise = thresholds(scenario.with_(noise_rate=noise_grid), "channel_loss_db", loss_bracket)
+    by_noise = thresholds("noise_rate", noise_grid, "channel_loss_db", loss_bracket)
     etf, utf, improvement, status = ratios(by_noise)
     distance = Table.of(
         noise_rate_hz=noise_grid, etf_threshold_db=etf, utf_threshold_db=utf, improvement=improvement, status=status
@@ -462,14 +466,6 @@ def improvement_factors(
         max_improvement=best,
         max_improvement_noise=best_noise,
     )
-
-
-def _status(etf, utf) -> str:
-    if etf is not None and utf is not None:
-        return "ok"
-    if etf is None and utf is None:
-        return "both-unavailable"
-    return "etf-unavailable" if etf is None else "utf-unavailable"
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +501,11 @@ def hg_mode_comparison(
 # pulse-broadening study
 
 
+# channel losses (dB) bisected for the broadening study's loss thresholds;
+# the paper's operating points cross zero rate between about 13 and 53 dB
+BROADENING_LOSS_BRACKET_DB = (0.0, 80.0)
+
+
 @dataclass
 class FluctuationStudy:
     """Key rates and loss thresholds under deterministic pulse broadening."""
@@ -524,7 +525,6 @@ def fluctuation_study(
     electronic_window: float = 1e-9,
     sifting_q: float = 0.5,
     error_correction_f: float = 1.22,
-    loss_bracket: tuple[float, float] = (0.0, 80.0),
     rel_width: float = 0.005,
 ) -> FluctuationStudy:
     """Single-photon QKD under deterministic temporal broadening.
@@ -537,7 +537,8 @@ def fluctuation_study(
     otherwise, dark counts electronic in both), its capped click model with
     the signal clicking with probability eta T, and the GLLP key rate of an
     ideal single-photon source, Q1 = Q and e1 = E.  Pump noise is not
-    modeled here: the study isolates the temporal-overlap penalty.
+    modeled here: the study isolates the temporal-overlap penalty.  Loss
+    thresholds are bisected inside ``BROADENING_LOSS_BRACKET_DB``.
     """
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
@@ -552,25 +553,20 @@ def fluctuation_study(
         raise ValueError("durations must be positive")
 
     # elements on the axes (noise, duration, arm, loss)
-    arms = (ELECTRONIC, ULTRAFAST)
+    kinds = np.array(ARMS)
     electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
     center = np.array([gate.centroid])
-    optical = [_trace(gate.time_grid, gate.efficiency, d * FWHM_TO_SIGMA, center)[0] for d in durations]
-    transmission = np.stack([electronic, optical], axis=-1)[:, :, None]
+    optical = np.array([_trace(gate.time_grid, gate.efficiency, d * FWHM_TO_SIGMA, center)[0] for d in durations])
+    transmission = np.where(kinds == ULTRAFAST, optical[:, None], electronic[:, None])[:, :, None]
     scenario = ChannelScenario(
         channel_loss_db=0.0,
         noise_rate=noise_levels[:, None],
+        filter_kind=kinds,
         misalignment_error=(1.0 - visibility) / 2.0,
         pump_noise_per_pulse=0.0,
         dark_count_mode="electronic",
     )
-    y0 = np.stack(
-        [
-            background_yield(scenario.with_(filter_kind=kind), detector, switch=gate, spectral_overlap=1.0)
-            for kind in arms
-        ],
-        axis=-1,
-    )[..., None]
+    y0 = background_yield(scenario, detector, switch=gate, spectral_overlap=1.0)[:, None, :, None]
 
     def point(loss_db):
         """(gain, qber, rate per pulse) of every element at ``loss_db``."""
@@ -581,7 +577,7 @@ def fluctuation_study(
         return gain, qber, report.rate_per_pulse
 
     # the elements are (noise, duration in ps, arm); their rates run along the loss grid
-    axes = (noise_levels, durations * 1e12, arms)
+    axes = (noise_levels, durations * 1e12, kinds)
     noise, duration, kind, loss = np.meshgrid(*axes, loss_grid, indexing="ij")
     gain, qber, rate = point(loss_grid)
     rates = Table.of(
@@ -594,7 +590,7 @@ def fluctuation_study(
         rate_per_pulse=rate.ravel(),
     )
     noise, duration, kind = np.meshgrid(*axes, indexing="ij")
-    lo, hi = (np.full(noise.shape + (1,), end) for end in loss_bracket)
+    lo, hi = (np.full(noise.shape + (1,), end) for end in BROADENING_LOSS_BRACKET_DB)
     value, _, status = _threshold_columns(
         _bisect_positive(lambda loss: point(loss)[2], lo, hi, rel_width, geometric=False)
     )

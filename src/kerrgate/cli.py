@@ -2,8 +2,8 @@
 
 Every subcommand is a pure function of its config document: the same config
 produces byte-identical outputs (modulo the suppressible banner line).
-Tables go to stdout or, with --out, to one .tsv file per table; logging goes
-to stderr only.
+Tables go to stdout or, with --out, to one .tsv file per table; error
+messages go to stderr.
 
 Exit codes: 0 success, 2 config or domain error, 3 no threshold found
 anywhere in a thresholds run, 4 numerical-resolution error.

@@ -177,10 +177,6 @@ def _check_type(path: str, value, default):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError("%s must be a number or null" % path)
         return
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError("%s must be a boolean" % path)
-        return
     if isinstance(default, (int, float)):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError("%s must be a number" % path)

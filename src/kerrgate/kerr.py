@@ -79,21 +79,18 @@ def calibrated_mode_area(
     nonlinear_index: float,
     signal_wavelength: float,
     effective_length: float | None = None,
-    target_peak_phase: float = np.pi,
 ) -> float:
-    """Mode area (m^2) that puts the peak nonlinear phase at the target.
+    """Mode area (m^2) that puts the peak nonlinear phase at pi.
 
     The phase is inversely proportional to the mode area and peaks at the
     gate center T = d_w L / 2, so the area is the closed-form phase there
-    for a unit area divided by the target; the calibration is exact.
+    for a unit area divided by pi; the calibration is exact.
     """
-    if target_peak_phase <= 0:
-        raise ValueError("target_peak_phase must be positive")
     if signal_wavelength <= 0:
         raise ValueError("signal_wavelength must be positive")
     unit = FiberSpec(nonlinear_index, length, walkoff_per_length, 1.0, effective_length)
     center = np.array([unit.total_walkoff / 2.0])
-    return float(_walkoff_phase(pump, unit, center, signal_wavelength)[0]) / target_peak_phase
+    return float(_walkoff_phase(pump, unit, center, signal_wavelength)[0]) / np.pi
 
 
 # math.erf on arrays; numpy has no erf and scipy is not a dependency

@@ -79,7 +79,7 @@ class DetectorParams:
 
 ELECTRONIC = "electronic"
 ULTRAFAST = "ultrafast"
-_FILTER_KINDS = (ELECTRONIC, ULTRAFAST)
+ARMS = (ELECTRONIC, ULTRAFAST)  # the filter arms, in the order every table lists them
 _DARK_MODES = ("electronic", "optical", "ungated")
 
 
@@ -94,8 +94,9 @@ class ChannelScenario:
     window by the gate's effective width times the spectral overlap of the
     noise with the gated passband.
 
-    ``channel_loss_db`` and ``noise_rate`` may be numpy arrays that
-    broadcast together; the chain then runs elementwise over their shape.
+    ``channel_loss_db``, ``noise_rate`` and ``filter_kind`` may be numpy
+    arrays that broadcast together; the chain then runs elementwise over
+    their shape, so one call can evaluate both arms.
 
     ``dark_count_mode`` fixes the dark-count bookkeeping:
       - "electronic": dark counts are gated by the coincidence window in
@@ -110,7 +111,7 @@ class ChannelScenario:
     receiver_loss_db: float = 8.25
     noise_rate: float = 0.0  # Hz, or an array
     noise_linewidth: float | None = 0.83e-9  # m; None treats noise as broadband
-    filter_kind: str = ELECTRONIC
+    filter_kind: str = ELECTRONIC  # or an array of arm names
     utf_insertion_loss_db: float = 2.05
     misalignment_error: float = 0.0403
     pump_noise_per_pulse: float = 2.8e-6
@@ -123,8 +124,8 @@ class ChannelScenario:
             raise ValueError("noise_rate must be non-negative")
         if self.noise_linewidth is not None and self.noise_linewidth < 0:
             raise ValueError("noise_linewidth must be non-negative or None")
-        if self.filter_kind not in _FILTER_KINDS:
-            raise ValueError("filter_kind must be one of %s" % (_FILTER_KINDS,))
+        if not np.all((self.filter_kind == ELECTRONIC) | (self.filter_kind == ULTRAFAST)):
+            raise ValueError("filter_kind must be one of %s" % (ARMS,))
         if self.utf_insertion_loss_db < 0:
             raise ValueError("utf_insertion_loss_db must be non-negative")
         if not 0.0 <= self.misalignment_error <= 0.5:
@@ -141,7 +142,7 @@ class ChannelScenario:
         return replace(self, **changes)
 
     def total_loss_db(self) -> float:
-        extra = self.utf_insertion_loss_db if self.filter_kind == ULTRAFAST else 0.0
+        extra = self.utf_insertion_loss_db * (self.filter_kind == ULTRAFAST)
         return self.channel_loss_db + self.receiver_loss_db + extra
 
     def transmittance(self, detector: DetectorParams) -> float:
@@ -183,31 +184,34 @@ def background_yield(
     switch: SwitchProfile | None = None,
     spectral_overlap: float = 1.0,
 ) -> float:
-    """Background yield Y0 (clicks per pulse with vacuum input).
+    """Background yield Y0 (clicks per pulse with vacuum input), per element.
 
     Electronic arm: dark counts and noise both gated by the coincidence
     window.  Optical arm: noise is gated by the switch's effective width
     scaled by the spectral overlap of the noise line with the gated
     passband, the pump contributes its own floor, and dark counts follow
-    ``dark_count_mode``.
+    ``dark_count_mode``.  The switch is needed only where an element is
+    in the optical arm.
     """
     if not 0.0 < spectral_overlap <= 1.0:
         raise ValueError("spectral_overlap must lie in (0, 1]")
-    if scenario.filter_kind == ELECTRONIC:
-        dark = detector.dark_rate * detector.coincidence_window
-        return np.minimum(dark + scenario.noise_rate * detector.coincidence_window, 1.0)
+    dark = detector.dark_rate * detector.coincidence_window
+    electronic = np.minimum(dark + scenario.noise_rate * detector.coincidence_window, 1.0)
+    ultrafast = scenario.filter_kind == ULTRAFAST
+    if not np.any(ultrafast):
+        return electronic
     if switch is None:
         raise ValueError("ultrafast scenarios need a switch profile")
-    if scenario.dark_count_mode == "electronic":
-        dark = detector.dark_rate * detector.coincidence_window
-    elif scenario.dark_count_mode == "optical":
+    # "electronic" dark counts keep the coincidence window in this arm too
+    if scenario.dark_count_mode == "optical":
         dark = detector.dark_rate * switch.effective_width
-    else:
+    elif scenario.dark_count_mode == "ungated":
         dark = detector.dark_rate / detector.repetition_rate
     noise = scenario.noise_rate * switch.effective_width * spectral_overlap
     # Y0 is a probability; the linear composition saturates only far beyond
     # any operating point (every threshold of interest sits below 1e-2)
-    return np.minimum(dark + noise + scenario.pump_noise_per_pulse, 1.0)
+    optical = np.minimum(dark + noise + scenario.pump_noise_per_pulse, 1.0)
+    return np.where(ultrafast, optical, electronic)[()]  # [()]: 0-d to scalar
 
 
 def _gain_and_error(y0, opened, e_d: float) -> tuple:

@@ -33,9 +33,7 @@ from kerrgate import (
 from kerrgate import analysis
 from kerrgate.analysis import KEYRATE_COLUMNS, _bisect_positive, _threshold_columns, sweep_table
 from kerrgate.pulses import FWHM_TO_SIGMA
-from kerrgate.qkd import ELECTRONIC, ULTRAFAST, binary_entropy
-
-ARMS = (ELECTRONIC, ULTRAFAST)
+from kerrgate.qkd import ARMS, ELECTRONIC, ULTRAFAST, binary_entropy
 
 # Frozen against the default operating point (40 ps grid, 16384 samples).
 NRF_BROADBAND = 1989.3907903788886
@@ -147,8 +145,10 @@ def test_spectral_overlap_monotone_in_linewidth(default_run):
 
 
 def test_spectral_overlap_rejects_negative(default_run):
-    with pytest.raises(ValueError):
-        spectral_overlap_factor(default_run.switch, default_run.spectral_filter, -1e-9)
+    # a negative linewidth, and noise centred at zero or a negative wavelength
+    for linewidth, center in [(-1e-9, None), (0.83e-9, 0.0), (0.83e-9, -720.8e-9)]:
+        with pytest.raises(ValueError):
+            spectral_overlap_factor(default_run.switch, default_run.spectral_filter, linewidth, center)
 
 
 def test_noise_reduction_factor_frozen(default_run):
@@ -285,9 +285,12 @@ def test_lockstep_thresholds_match_scalar_reference(default_run, monkeypatch, da
     imp = improvement_factors(
         run.loss_grid(), run.noise_grid(), scenario, *gate, run.loss_bracket(), run.noise_bracket()
     )
-    # one lockstep call per table and arm, noise thresholds first
-    cells = [_threshold_cells(result) for result in results]
-    assert len(cells) == 4
+    # one lockstep call per table over (grid value, arm), noise thresholds first
+    assert [result[0].shape for result in results] == [
+        (run.loss_grid().size, len(ARMS)),
+        (run.noise_grid().size, len(ARMS)),
+    ]
+    by_loss, by_noise = (_threshold_cells(result) for result in results)
 
     def reference(fixed, value, variable, kind, bracket):
         def rate(x):
@@ -296,24 +299,20 @@ def test_lockstep_thresholds_match_scalar_reference(default_run, monkeypatch, da
 
         return _reference_cells(rate, bracket, geometric=variable == "noise_rate")
 
-    for kind, got in zip(ARMS, cells[:2]):
-        expected = [
-            reference("channel_loss_db", loss, "noise_rate", kind, run.noise_bracket())
-            for loss in map(float, run.loss_grid())
-        ]
-        assert got == expected
-    for kind, got in zip(ARMS, cells[2:]):
-        expected = [
-            reference("noise_rate", noise, "channel_loss_db", kind, run.loss_bracket())
-            for noise in map(float, run.noise_grid())
-        ]
-        assert got == expected
-    # and the tables print exactly those thresholds
-    assert [row[2:] for row in imp.noise_thresholds.rows] == [
-        cell for pair in zip(*cells[:2]) for cell in pair
+    assert by_loss == [
+        reference("channel_loss_db", loss, "noise_rate", kind, run.noise_bracket())
+        for loss in map(float, run.loss_grid())
+        for kind in ARMS
     ]
+    assert by_noise == [
+        reference("noise_rate", noise, "channel_loss_db", kind, run.loss_bracket())
+        for noise in map(float, run.noise_grid())
+        for kind in ARMS
+    ]
+    # and the tables print exactly those thresholds
+    assert [row[2:] for row in imp.noise_thresholds.rows] == by_loss
     assert [row[1:3] for row in imp.distance.rows] == [
-        (etf[0], utf[0]) for etf, utf in zip(*cells[2:])
+        (etf[0], utf[0]) for etf, utf in zip(by_noise[::2], by_noise[1::2])
     ]
 
 

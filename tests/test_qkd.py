@@ -271,6 +271,55 @@ def test_filter_dominance_without_insertion_penalty(default_run):
         assert r_utf >= r_etf - 1e-15
 
 
+def _report_fields(report) -> dict:
+    """Every ``ObservedRates`` and ``KeyRateReport`` field of a report."""
+    fields = {**vars(report.observed), **vars(report)}
+    del fields["observed"]
+    return fields
+
+
+@pytest.mark.parametrize("dark_mode", ["electronic", "optical", "ungated"])
+def test_mixed_arm_arrays_match_scalar_arms(default_run, dark_mode):
+    """An array of arm names broadcasts like the other array fields, and
+    each element equals its own scalar-arm evaluation bit for bit."""
+    gate = (_detector(), DecoyParams(), default_run.switch, default_run.spectral_overlap)
+    losses, noises = np.array([2.0, 12.0, 30.0]), np.array([0.0, 3e3, 4e5, 5e7])
+    kinds = np.array([ULTRAFAST, ELECTRONIC])
+    scenario = ChannelScenario(
+        channel_loss_db=losses[:, None, None],
+        noise_rate=noises[:, None],
+        filter_kind=kinds,
+        dark_count_mode=dark_mode,
+    )
+    got = _report_fields(evaluate_scenario(scenario, *gate))
+    shape = (losses.size, noises.size, kinds.size)
+    points = [
+        _report_fields(
+            evaluate_scenario(
+                scenario.with_(channel_loss_db=float(loss), noise_rate=float(noise), filter_kind=str(kind)), *gate
+            )
+        )
+        for loss in losses
+        for noise in noises
+        for kind in kinds
+    ]
+    for name, value in got.items():
+        expected = np.reshape([point[name] for point in points], shape)
+        assert np.array_equal(np.broadcast_to(value, shape), expected), name
+
+    # an all-electronic array needs no switch profile; a mixed one does
+    detector, decoy = gate[:2]
+    electronic = scenario.with_(filter_kind=np.array([ELECTRONIC, ELECTRONIC]))
+    got = _report_fields(evaluate_scenario(electronic, detector, decoy))
+    for name, value in got.items():
+        expected = np.reshape([point[name] for point in points], shape)[..., 1:]
+        assert np.array_equal(np.broadcast_to(value, shape), np.broadcast_to(expected, shape)), name
+    with pytest.raises(ValueError, match="switch profile"):
+        evaluate_scenario(scenario, detector, decoy)
+    with pytest.raises(ValueError, match="filter_kind"):
+        scenario.with_(filter_kind=np.array([ELECTRONIC, "acoustic"]))
+
+
 def test_evaluate_scenario_handles_dead_channel(default_run):
     # background swamps the signal: e1 clamps at 1/2 and the rate goes negative
     scenario = ChannelScenario(channel_loss_db=40.0, noise_rate=1e8, filter_kind=ELECTRONIC)
