@@ -320,8 +320,16 @@ def _chain_bisection(scenario: ChannelScenario, variable: str, gate: tuple, brac
 
 
 def _threshold(scenario, variable, gate, filter_kind, bracket, rel_width) -> ThresholdResult:
-    """The threshold in ``variable`` of a scalar scenario, or the error for its failing side."""
+    """The threshold in ``variable`` of a scalar scenario, or the error for its failing side.
+
+    ValueError if the arm or the scenario's other variable is an array:
+    ``improvement_factors`` bisects many elements at once.
+    """
     kind = filter_kind if filter_kind is not None else scenario.filter_kind
+    other = "channel_loss_db" if variable == "noise_rate" else "noise_rate"
+    for name, value in (("filter_kind", kind), ("scenario." + other, getattr(scenario, other))):
+        if np.ndim(value):
+            raise ValueError("%s must be a scalar: a single threshold bisects one point" % name)
     result = _chain_bisection(scenario.with_(filter_kind=kind), variable, gate, bracket, rel_width)
     threshold, lo, hi, iterations, side = result
     if side == "low":

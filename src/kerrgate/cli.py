@@ -29,7 +29,7 @@ from .analysis import (
     sweep_table,
 )
 from .config import RunConfig, dump_effective, load_config, resolve
-from .errors import ConfigError, ResolutionError, ThresholdNotFoundError
+from .errors import ConfigError, ResolutionError
 from .kerr import switching_trace
 
 _PS = 1e-12
@@ -70,9 +70,6 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print("resolution error: %s" % exc, file=sys.stderr)
         return 4
-    except ThresholdNotFoundError as exc:
-        print("threshold not found: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

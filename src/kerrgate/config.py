@@ -4,9 +4,12 @@ Config documents are JSON with unit-suffixed keys (``*_nm``, ``*_ps``,
 ``*_db``, ``*_hz``, ...); everything is converted to SI on resolution.
 Unknown keys are rejected so typos cannot silently fall back to defaults.
 Three keys accept null and are then derived from the physics: the fiber
-mode area (calibrated so the default pump reaches a peak phase of pi), the
-noise spectral overlap (computed from the gate kernel and linewidth), and
-the noise center wavelength (the filter center).
+mode area (calibrated so the configured pump reaches a peak phase of pi),
+the noise spectral overlap (computed from the gate kernel and linewidth),
+and the noise center wavelength (the filter center).  With a derived mode
+area the gate is a pi gate whatever the pump energy and the nonlinear
+index, so ``pump.pulse_energy_nj`` and ``fiber.nonlinear_index_m2_per_w``
+act only once ``fiber.mode_area_um2`` is set.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ DEFAULTS: dict = {
     "signal": {"center_wavelength_nm": 720.8, "bandwidth_fwhm_nm": 1.7},
     "fiber": {
         "length_cm": 10.0,
-        "effective_length_cm": None,
         "walkoff_ps_per_m": 10.0,
         "nonlinear_index_m2_per_w": 2.6e-20,
         "mode_area_um2": None,
@@ -62,10 +64,7 @@ DEFAULTS: dict = {
     },
     "decoy": {"mu": 0.6, "nu": 0.3, "sifting_q": 0.5, "error_correction_f": 1.22},
     "scenario": {
-        "channel_loss_db": 10.0,
         "receiver_loss_db": 8.25,
-        "noise_rate_hz": 0.0,
-        "filter_kind": "electronic",
         "utf_insertion_loss_db": 2.05,
         "misalignment_error": 0.0403,
         "pump_noise_per_pulse": 2.8e-6,
@@ -103,7 +102,6 @@ DEFAULTS: dict = {
 
 # keys that accept null and are filled in during resolution
 _NULLABLE = {
-    "fiber.effective_length_cm",
     "fiber.mode_area_um2",
     "noise.linewidth_nm",
     "noise.center_wavelength_nm",
@@ -201,7 +199,8 @@ class RunConfig:
 
     ``effective`` is the fully-resolved document: every nullable key is
     replaced by the derived value, so dumping and re-ingesting it reproduces
-    the same run exactly.
+    the same run exactly.  ``scenario`` is the receiver template: each study
+    sets the channel loss, the noise rate and the filter arm itself.
     """
 
     effective: dict
@@ -297,22 +296,10 @@ def _resolve(config: dict) -> RunConfig:
 
     fiber_cfg = effective["fiber"]
     length = fiber_cfg["length_cm"] * _CM
-    effective_length = (
-        length
-        if fiber_cfg["effective_length_cm"] is None
-        else fiber_cfg["effective_length_cm"] * _CM
-    )
     walkoff = fiber_cfg["walkoff_ps_per_m"] * _PS
     n2 = fiber_cfg["nonlinear_index_m2_per_w"]
     if fiber_cfg["mode_area_um2"] is None:
-        mode_area = calibrated_mode_area(
-            pump,
-            length,
-            walkoff,
-            n2,
-            signal.center_wavelength,
-            effective_length=effective_length,
-        )
+        mode_area = calibrated_mode_area(pump, length, walkoff, n2, signal.center_wavelength)
     else:
         mode_area = fiber_cfg["mode_area_um2"] * _UM2
     fiber = FiberSpec(
@@ -320,9 +307,7 @@ def _resolve(config: dict) -> RunConfig:
         length=length,
         walkoff_per_length=walkoff,
         mode_area=mode_area,
-        effective_length=effective_length,
     )
-    fiber_cfg["effective_length_cm"] = effective_length / _CM
     fiber_cfg["mode_area_um2"] = mode_area / _UM2
 
     filter_cfg = effective["spectral_filter"]
@@ -354,11 +339,8 @@ def _resolve(config: dict) -> RunConfig:
     linewidth = None if noise_cfg["linewidth_nm"] is None else noise_cfg["linewidth_nm"] * _NM
     scenario_cfg = effective["scenario"]
     scenario = ChannelScenario(
-        channel_loss_db=scenario_cfg["channel_loss_db"],
         receiver_loss_db=scenario_cfg["receiver_loss_db"],
-        noise_rate=scenario_cfg["noise_rate_hz"],
         noise_linewidth=linewidth,
-        filter_kind=scenario_cfg["filter_kind"],
         utf_insertion_loss_db=scenario_cfg["utf_insertion_loss_db"],
         misalignment_error=scenario_cfg["misalignment_error"],
         pump_noise_per_pulse=scenario_cfg["pump_noise_per_pulse"],

@@ -52,7 +52,6 @@ class FiberSpec:
     length: float  # m
     walkoff_per_length: float  # s/m
     mode_area: float  # m^2
-    effective_length: float | None = None  # m; None means equal to length
 
     def __post_init__(self):
         if self.nonlinear_index <= 0 or self.length <= 0:
@@ -61,10 +60,6 @@ class FiberSpec:
             raise ValueError("walkoff_per_length must be positive")
         if self.mode_area <= 0:
             raise ValueError("mode_area must be positive")
-        if self.effective_length is None:
-            object.__setattr__(self, "effective_length", self.length)
-        elif not 0 < self.effective_length <= self.length:
-            raise ValueError("effective_length must lie in (0, length]")
 
     @property
     def total_walkoff(self) -> float:
@@ -78,7 +73,6 @@ def calibrated_mode_area(
     walkoff_per_length: float,
     nonlinear_index: float,
     signal_wavelength: float,
-    effective_length: float | None = None,
 ) -> float:
     """Mode area (m^2) that puts the peak nonlinear phase at pi.
 
@@ -88,7 +82,7 @@ def calibrated_mode_area(
     """
     if signal_wavelength <= 0:
         raise ValueError("signal_wavelength must be positive")
-    unit = FiberSpec(nonlinear_index, length, walkoff_per_length, 1.0, effective_length)
+    unit = FiberSpec(nonlinear_index, length, walkoff_per_length, 1.0)
     center = np.array([unit.total_walkoff / 2.0])
     return float(_walkoff_phase(pump, unit, center, signal_wavelength)[0]) / np.pi
 
@@ -105,7 +99,7 @@ def _walkoff_phase(
     edges = (_erf(times / scale) - _erf((times - fiber.total_walkoff) / scale)).astype(float)
     integral = pump.pulse_energy / (2.0 * fiber.mode_area * fiber.walkoff_per_length) * edges
     coeff = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * signal_wavelength)
-    return coeff * integral * (fiber.effective_length / fiber.length)
+    return coeff * integral
 
 
 def nonlinear_phase_profile(
@@ -123,7 +117,7 @@ def nonlinear_phase_profile(
         E / (2 A d_w) * [erf(T / sqrt2 sigma) - erf((T - d_w L) / sqrt2 sigma)]
 
     The pump peak enters the fiber at T = 0, so the gate is centered at
-    T = d_w L / 2.  Attenuation is folded in as a uniform factor L_eff / L.
+    T = d_w L / 2.
 
     The grid guards protect the sampled eta that widths and traces are
     measured on: raises ResolutionError if the time step is coarser than
@@ -203,12 +197,12 @@ class SwitchProfile:
             return 0.0
         return float(np.trapezoid(self.efficiency * self.time_grid, self.time_grid) / self.effective_width)
 
-    def support(self, floor: float = 1e-3) -> tuple[float, float]:
-        """Interval where eta exceeds ``floor`` times its peak."""
+    def support(self) -> tuple[float, float]:
+        """Interval where eta exceeds 1e-3 of its peak."""
         peak = self.peak_efficiency
         if peak == 0.0:
             return (0.0, 0.0)
-        idx = np.nonzero(self.efficiency > floor * peak)[0]
+        idx = np.nonzero(self.efficiency > 1e-3 * peak)[0]
         return (float(self.time_grid[idx[0]]), float(self.time_grid[idx[-1]]))
 
 
@@ -350,8 +344,6 @@ def switching_trace(
     exceeds 1e-3 of its peak): a scan that never sees the gate edges, or
     an unsorted one, would report a meaningless width.
     """
-    if signal.fwhm_duration <= 0:
-        raise ValueError("signal duration must be positive")
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 3:
         raise ValueError("delays must be a 1-d array of at least 3 samples")

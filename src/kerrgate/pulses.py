@@ -50,18 +50,14 @@ def transform_limited_duration(center_wavelength: float, fwhm_bandwidth: float) 
 
 @dataclass(frozen=True)
 class GaussianPulse:
-    """Chirp-free Gaussian envelope described by carrier, spectrum, and energy.
+    """Transform-limited Gaussian envelope described by carrier, spectrum, and energy.
 
-    When ``fwhm_duration`` is omitted the pulse is transform limited and the
-    duration follows from the 0.441 time-bandwidth product.  An explicit
-    duration longer than the transform limit models a temporally broadened
-    pulse that keeps its spectral width.
+    The duration follows from the 0.441 time-bandwidth product.
     """
 
     center_wavelength: float  # m
     fwhm_bandwidth: float  # m
     pulse_energy: float  # J
-    fwhm_duration: float | None = None  # s; None selects the transform limit
 
     def __post_init__(self):
         if self.center_wavelength <= 0:
@@ -70,14 +66,11 @@ class GaussianPulse:
             raise ValueError("fwhm_bandwidth must be positive")
         if self.pulse_energy < 0:
             raise ValueError("pulse_energy must be non-negative")
-        limit = transform_limited_duration(self.center_wavelength, self.fwhm_bandwidth)
-        if self.fwhm_duration is None:
-            object.__setattr__(self, "fwhm_duration", limit)
-        elif self.fwhm_duration < limit * (1.0 - 1e-9):
-            raise ValueError(
-                "explicit duration %.4g s is below the transform limit %.4g s"
-                % (self.fwhm_duration, limit)
-            )
+
+    @property
+    def fwhm_duration(self) -> float:
+        """FWHM duration (s) of the intensity envelope: the transform limit."""
+        return transform_limited_duration(self.center_wavelength, self.fwhm_bandwidth)
 
     @property
     def sigma(self) -> float:

@@ -107,7 +107,7 @@ class ChannelScenario:
       - "ungated": one dark count opportunity per pulse slot.
     """
 
-    channel_loss_db: float  # dB, or an array
+    channel_loss_db: float = 0.0  # dB, or an array
     receiver_loss_db: float = 8.25
     noise_rate: float = 0.0  # Hz, or an array
     noise_linewidth: float | None = 0.83e-9  # m; None treats noise as broadband

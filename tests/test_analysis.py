@@ -226,6 +226,21 @@ def test_single_thresholds_raise_with_failing_side(default_run):
     assert all(type(end) is float for end in result.bracketing_interval)
 
 
+def test_single_thresholds_reject_array_arguments(default_run):
+    # improvement_factors bisects many elements; a single threshold is one point
+    run = default_run
+    gate = (_detector(), run.decoy, run.switch, run.spectral_overlap)
+    arms = np.array(ARMS)
+    with pytest.raises(ValueError, match="^filter_kind must be a scalar"):
+        noise_threshold(run.scenario.with_(channel_loss_db=10.0), *gate, arms)
+    with pytest.raises(ValueError, match="^filter_kind must be a scalar"):
+        loss_threshold(run.scenario.with_(filter_kind=arms), *gate)
+    with pytest.raises(ValueError, match="^scenario.channel_loss_db must be a scalar"):
+        noise_threshold(run.scenario.with_(channel_loss_db=np.array([5.0, 10.0])), *gate, ELECTRONIC)
+    with pytest.raises(ValueError, match="^scenario.noise_rate must be a scalar"):
+        loss_threshold(run.scenario.with_(noise_rate=np.array([0.0, 1e3])), *gate, ULTRAFAST)
+
+
 def _scalar_bisect(rate_fn, lo: float, hi: float, rel_width: float, geometric: bool) -> ThresholdResult:
     """The one-point bisection loop the lockstep one replaced, kept as its reference."""
     if not rel_width > 0.0:
@@ -479,7 +494,7 @@ def test_keyrate_sweep_matches_pointwise_evaluation(default_run):
     run = default_run
     gate = (_detector(), run.decoy, run.switch, run.spectral_overlap)
     # one loss, and a column of curve levels in the loss
-    for losses in (run.scenario.channel_loss_db, np.array([5.0, 20.0])[:, None]):
+    for losses in (10.0, np.array([5.0, 20.0])[:, None]):
         spec = SweepSpec(
             variable="noise_rate",
             start=1e3,

@@ -98,7 +98,7 @@ def _trapezoid_phase(pump, fiber, grid, z_samples):
     intensity = np.exp(tau, out=tau)
     integral = peak_power * np.trapezoid(intensity, z, axis=1)
     coeff = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * SIGNAL_WL)
-    return coeff * integral * (fiber.effective_length / fiber.length)
+    return coeff * integral
 
 
 def test_phase_matches_converging_quadrature():
@@ -382,22 +382,11 @@ def test_fwhm_stable_under_grid_refinement():
 
 def test_fiber_spec_validation():
     fiber = _fiber()
-    assert fiber.effective_length == fiber.length
     assert fiber.total_walkoff == pytest.approx(1.0e-12, rel=1e-12)
-    with pytest.raises(ValueError):
-        FiberSpec(2.6e-20, 0.10, 10e-12, AREA_M2, effective_length=0.2)
     with pytest.raises(ValueError):
         FiberSpec(2.6e-20, -0.10, 10e-12, AREA_M2)
     with pytest.raises(ValueError):
         FiberSpec(2.6e-20, 0.10, 0.0, AREA_M2)
-
-
-def test_attenuation_scales_phase():
-    grid = default_time_grid()
-    lossy = FiberSpec(2.6e-20, 0.10, 10e-12, AREA_M2, effective_length=0.05)
-    full = nonlinear_phase_profile(_pump(), _fiber(), grid, SIGNAL_WL)
-    half = nonlinear_phase_profile(_pump(), lossy, grid, SIGNAL_WL)
-    assert half.max() == pytest.approx(0.5 * full.max(), rel=1e-12)
 
 
 def test_switch_profile_construction_guards():

@@ -59,16 +59,6 @@ def test_pulse_defaults_to_transform_limit():
     assert pulse.fwhm_duration == pytest.approx(TL_PUMP, rel=1e-12, abs=0)
 
 
-def test_pulse_rejects_sub_limit_duration():
-    with pytest.raises(ValueError):
-        GaussianPulse(800e-9, 2.1e-9, 1e-9, fwhm_duration=0.9 * TL_PUMP)
-
-
-def test_pulse_accepts_broadened_duration():
-    pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9, fwhm_duration=10e-12)
-    assert pulse.fwhm_duration == 10e-12
-
-
 def test_sigma_fwhm_relation():
     pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9)
     assert pulse.sigma == pytest.approx(pulse.fwhm_duration * FWHM_TO_SIGMA, rel=1e-15)
