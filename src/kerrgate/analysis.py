@@ -20,8 +20,10 @@ from .pulses import (
     GaussianPulse,
     SpectralFilter,
     TemporalMode,
+    _check_uniform,
+    _lag_energy,
+    _support,
     mode_transmission,
-    spectral_energy,
 )
 from .qkd import (
     ARMS,
@@ -91,15 +93,19 @@ def spectral_overlap_factor(
     """Fraction of noise passed by the filter once the time gate chops it.
 
     Gating in time convolves the noise spectrum with the gate's spectral
-    kernel K = |FFT(sqrt(eta))|^2, pushing part of the line outside the
+    kernel K = |FT(sqrt(eta))|^2, pushing part of the line outside the
     bandpass.  The returned factor is the transmitted noise power with that
     broadening relative to the ungated line, so it multiplies the gate's
     duty-cycle suppression.  For a Gaussian line (FWHM w_l, offset ``off``
     from the center of a passband of FWHM w_f) the line-passband
-    cross-correlation is closed form, so the factor is sum K w / sum K with
-    w(f) = exp(-4 ln2 [(f + off)^2 - off^2] / (w_f^2 + w_l^2)).  A zero
-    linewidth is the monochromatic limit of the same expression.  The value
-    does not depend on grid parity, but the grid must be uniform.
+    cross-correlation is closed form, so the factor is the integral of K w
+    over that of K, with w(f) = exp(-alpha [(f + off)^2 - off^2]) and
+    alpha = 4 ln2 / (w_f^2 + w_l^2).  By Parseval the numerator is the lag
+    sum of sqrt(eta)'s autocorrelation against w's closed-form time kernel
+    (``_lag_energy``), on eta's support; the denominator is the energy of
+    sqrt(eta).  A zero linewidth is the monochromatic limit of the same
+    expression.  The value does not depend on grid parity, but the grid
+    must be uniform.
 
     ``noise_linewidth`` of None selects the broadband bookkeeping (factor
     1.0: for noise much wider than the filter the gate kernel does not
@@ -124,16 +130,16 @@ def spectral_overlap_factor(
     widths_sq = spectral_filter.frequency_fwhm**2 * (
         1.0 + (noise_linewidth / spectral_filter.fwhm_bandwidth) ** 2
     )
+    alpha = 4.0 * np.log(2.0) / widths_sq
 
-    def weight(freqs):
-        # (f + off)^2 - off^2, written without the cancellation
-        return np.exp(-4.0 * np.log(2.0) * freqs * (freqs + 2.0 * line_offset) / widths_sq)
-
-    gate = np.sqrt(profile.efficiency)
-    area = spectral_energy(profile.time_grid, gate, np.ones_like)
+    _, dt = _check_uniform(profile.time_grid)
+    gate = np.sqrt(profile.efficiency[_support(profile.efficiency)])
+    area = dt * np.dot(gate, gate)
     if area <= 0:
         raise ValueError("switch profile has no spectral content")
-    return float(spectral_energy(profile.time_grid, gate, weight) / area)
+    # the weight's peak exp(alpha off^2) rides in the kernel's scale
+    scale = np.exp(alpha * line_offset**2) * np.sqrt(np.pi / alpha)
+    return float(_lag_energy(gate, dt, scale, np.pi**2 / alpha, line_offset) / area)
 
 
 def noise_reduction_factor(

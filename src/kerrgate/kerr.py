@@ -22,17 +22,10 @@ from .pulses import (
     SpectralFilter,
     _check_grid,
     _check_uniform,
+    _gaussian_kernel,
+    _support,
     sampled_fwhm,
 )
-
-# Traces sum only over the samples where eta exceeds this fraction of its
-# peak.  Below it the phase is round-off: the erf difference resolves
-# phases in steps of about 1.8e-16 rad (for a pi gate), and at the floor
-# the phase is 2e-15 rad, a dozen such steps.  Further out the two erfs
-# round to the same value and eta is exactly 0.  On the default gate the
-# floor keeps 1657 of 16384 samples, and the eta it drops is 2e-32 of
-# eta's integral.
-_SUPPORT_FLOOR = 1e-30
 
 # Bytes of one block of delays x samples that a trace evaluates at once;
 # caps a trace's working set whatever the number of delays.
@@ -88,7 +81,19 @@ def calibrated_mode_area(
 
 
 # math.erf on arrays; numpy has no erf and scipy is not a dependency
-_erf = np.frompyfunc(math.erf, 1, 1)
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+
+# math.erf is exactly +-1 from |x| = 5.9216 on (erfc < 2^-54 there), so
+# beyond this cut the sign is the erf, bit for bit
+_ERF_SATURATED = 6.0
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of each element of ``x``, calling math.erf only where it is not +-1."""
+    out = np.sign(x)
+    inside = np.abs(x) < _ERF_SATURATED
+    out[inside] = _math_erf(x[inside]).astype(float)
+    return out
 
 
 def _walkoff_phase(
@@ -96,7 +101,7 @@ def _walkoff_phase(
 ) -> np.ndarray:
     """Closed form of the walkoff integral, see ``nonlinear_phase_profile``."""
     scale = np.sqrt(2.0) * pump.sigma
-    edges = (_erf(times / scale) - _erf((times - fiber.total_walkoff) / scale)).astype(float)
+    edges = _erf(times / scale) - _erf((times - fiber.total_walkoff) / scale)
     integral = pump.pulse_energy / (2.0 * fiber.mode_area * fiber.walkoff_per_length) * edges
     coeff = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * signal_wavelength)
     return coeff * integral
@@ -229,16 +234,6 @@ class SwitchingTrace:
     peak_value: float
 
 
-def _support(eta: np.ndarray) -> slice:
-    """Slice of the samples where eta exceeds ``_SUPPORT_FLOOR`` of its peak.
-
-    The slice runs from the first such sample to the last; it is empty for
-    a dark gate.
-    """
-    above = np.flatnonzero(eta > _SUPPORT_FLOOR * eta.max())
-    return slice(above[0], above[-1] + 1) if above.size else slice(0, 0)
-
-
 def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
     """sum_i weights_i exp(-(points_i - c)^2 / var) for each of the ``centers``.
 
@@ -308,9 +303,8 @@ def _filtered_trace(
     a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
     b = 1.0 / var + np.pi**2 / a
     scale = spectral_filter.peak_transmission * np.sqrt(np.pi / a)
-    lags = np.arange(size) * dt
     # k(tau) exp(-tau^2 / 8 sigma^2) at every lag of the support
-    kernel = scale * np.exp(-b * lags**2) * np.cos(2.0 * np.pi * offset * lags)
+    kernel = _gaussian_kernel(np.arange(size) * dt, scale, b, offset)
     pairs = np.zeros(2 * size - 1)
     pairs[::2] = kernel[0] * amp**2
     for lag in range(1, size):
@@ -321,6 +315,12 @@ def _filtered_trace(
     baseline = (
         np.sqrt(2.0 * np.pi) * signal.sigma * scale * np.sqrt(np.pi / b) * np.exp(-np.pi**2 * offset**2 / b)
     )
+    if baseline == 0.0:
+        raise ResolutionError(
+            "the filtered trace's open-gate energy underflows to 0: the signal carrier "
+            "(signal.center_wavelength_nm = %.6g) lies %.3g filter FWHMs from the filter center"
+            % (signal.center_wavelength * 1e9, abs(offset) / spectral_filter.frequency_fwhm)
+        )
     return energy / baseline
 
 

@@ -8,10 +8,11 @@ Unit conversion happens only at the config boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
+from numpy.polynomial.hermite import hermgauss, hermval
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -97,11 +98,12 @@ def _check_grid(time_grid: np.ndarray) -> np.ndarray:
 def _check_uniform(time_grid: np.ndarray) -> tuple[np.ndarray, float]:
     """The grid as a float array and its step; ValueError unless it is uniform.
 
-    Every spectral quantity (``spectral_energy`` and the filtered trace)
-    assumes a uniform grid, checks it here and takes this step.  The step
-    is the mean (t_N - t_1) / (N - 1): ``grid[1] - grid[0]`` of a linspace
-    loses digits to cancellation (1.25e-12 of dt at 32768 samples), which
-    would scale every energy and shift the FFT frequencies.
+    Every spectral quantity (the overlap, the filtered mode transmissions
+    and the filtered trace) assumes a uniform grid, checks it here and
+    takes this step.  The step is the mean (t_N - t_1) / (N - 1):
+    ``grid[1] - grid[0]`` of a linspace loses digits to cancellation
+    (1.25e-12 of dt at 32768 samples), which would scale every energy and
+    stretch every lag of the time kernel.
     """
     grid = _check_grid(time_grid)
     dt = (grid[-1] - grid[0]) / (grid.size - 1)
@@ -110,19 +112,53 @@ def _check_uniform(time_grid: np.ndarray) -> tuple[np.ndarray, float]:
     return grid, dt
 
 
-def spectral_energy(time_grid: np.ndarray, fields: np.ndarray, weight) -> np.ndarray:
-    """Energy of each row of the real ``fields`` after a spectral power weight.
+# Traces and spectral energies sum only over the samples where eta exceeds
+# this fraction of its peak.  Below it the gate phase is round-off: the erf
+# difference resolves phases in steps of about 1.8e-16 rad (for a pi gate),
+# and at the floor the phase is 2e-15 rad, a dozen such steps.  Further out
+# the two erfs round to the same value and eta is exactly 0.  On the default
+# gate the floor keeps 1657 of 16384 samples, and the eta it drops is 2e-32
+# of eta's integral.
+_SUPPORT_FLOOR = 1e-30
 
-    By Parseval this is dt/N * sum_k |FFT(field)_k|^2 * weight(f_k), with the
-    FFT frequencies f_k in Hz; a unit weight gives the time-domain energy.
-    One full-grid FFT per row: it serves ``mode_transmission`` and
-    ``spectral_overlap_factor``, which evaluate one field each.  Raises
-    ValueError on a non-uniform grid.
+
+def _support(eta: np.ndarray) -> slice:
+    """Slice of the samples where eta exceeds ``_SUPPORT_FLOOR`` of its peak.
+
+    The slice runs from the first such sample to the last; it is empty for
+    a dark gate.
     """
-    grid, dt = _check_uniform(time_grid)
-    spectra = np.fft.fft(fields, axis=-1)
-    power = spectra.real**2 + spectra.imag**2
-    return dt / grid.size * np.sum(power * weight(np.fft.fftfreq(grid.size, dt)), axis=-1)
+    above = np.flatnonzero(eta > _SUPPORT_FLOOR * eta.max())
+    return slice(above[0], above[-1] + 1) if above.size else slice(0, 0)
+
+
+def _gaussian_kernel(lags: np.ndarray, scale: float, b: float, offset: float) -> np.ndarray:
+    """scale exp(-b tau^2) cos(2 pi offset tau) at each of the ``lags`` tau.
+
+    The inverse Fourier transform of a Gaussian power weight
+    w(f) = exp(-a (f + offset)^2), taken with scale = sqrt(pi / a) and
+    b = pi^2 / a, is this kernel times exp(-2 pi i offset tau); against the
+    even autocorrelation of a real field only its cosine part survives.
+    """
+    return scale * np.exp(-b * lags**2) * np.cos(2.0 * np.pi * offset * lags)
+
+
+def _lag_energy(field: np.ndarray, dt: float, scale: float, b: float, offset: float) -> float:
+    """dt^2 sum_L k(L dt) R(L) of a real ``field`` sampled at step ``dt``.
+
+    By Parseval (Wiener-Khinchin) this is the field's energy after the
+    Gaussian power weight whose time kernel k is ``_gaussian_kernel``.  R is
+    the linear autocorrelation sum_i f_{i+L} f_i, from one FFT zero-padded
+    to a power of two of at least 2n - 1 samples so that no lag wraps
+    around.  Its cost follows the field's length, so callers pass a gated
+    field on the gate's support only.
+    """
+    size = field.size
+    length = 1 << (2 * size - 2).bit_length()
+    spectrum = np.fft.rfft(field, length)
+    autocorr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, length)[:size]
+    kernel = _gaussian_kernel(np.arange(size) * dt, scale, b, offset)
+    return float(dt**2 * (2.0 * np.dot(kernel, autocorr) - kernel[0] * autocorr[0]))
 
 
 @dataclass(frozen=True)
@@ -176,6 +212,11 @@ class TemporalMode:
         return cls(order=order, characteristic_duration=tau)
 
 
+def _hermite_gauss(order: int, x: np.ndarray) -> np.ndarray:
+    """H_n(x) exp(-x^2 / 2): the order-n mode at t = x tau, not normalized."""
+    return hermval(x, [0.0] * order + [1.0]) * np.exp(-(x**2) / 2.0)
+
+
 def hermite_gauss_amplitude(mode: TemporalMode, time_grid: np.ndarray) -> np.ndarray:
     """Normalized real amplitude of the mode on ``time_grid``.
 
@@ -183,9 +224,7 @@ def hermite_gauss_amplitude(mode: TemporalMode, time_grid: np.ndarray) -> np.nda
     the supplied grid, so transmittances computed from it are exact ratios.
     """
     grid = _check_grid(time_grid)
-    tau = mode.characteristic_duration
-    x = grid / tau
-    psi = hermval(x, [0.0] * mode.order + [1.0]) * np.exp(-(x**2) / 2.0)
+    psi = _hermite_gauss(mode.order, grid / mode.characteristic_duration)
     norm = np.trapezoid(psi**2, grid)
     if norm <= 0:
         raise ValueError("mode amplitude vanishes on this grid")
@@ -202,14 +241,25 @@ def mode_transmission(
     """Energy transmittance of a temporal mode through gate and/or filter.
 
     The mode amplitude is gated by sqrt(eta(T)) in time and its spectrum
-    weighted by the filter's intensity transmission (``spectral_energy``);
-    the surviving energy fraction is returned.  Either mask may be omitted;
-    at least one must be present.  The mode carrier is taken at the
-    filter's center wavelength.
+    weighted by the filter's intensity transmission; the surviving energy
+    fraction is returned.  Either mask may be omitted; at least one must be
+    present.  The mode carrier is taken at the filter's center wavelength.
 
-    ``time_gate`` is a SwitchProfile; its grid is used unless ``time_grid``
-    is supplied, in which case the two must match.  ``center`` places the
-    mode at a chosen arrival time, normally the gate center.
+    - Gate only: the trapezoid of eta psi^2 over that of psi^2 on the grid.
+    - Filter only: closed form.  The mode's spectrum is again Hermite-Gauss,
+      so for a filter T0 exp(-a f^2) the fraction is
+      T0 / (s sqrt(pi) 2^n n!) sum_k w_k H_n(y_k / s)^2 with
+      s = sqrt(1 + a / (2 pi tau)^2) and (y_k, w_k) the (n + 1)-point
+      Gauss-Hermite rule, exact for this degree-2n polynomial.
+    - Gate and filter: the gated mode on eta's support (``_support``)
+      through the filter's time kernel (``_lag_energy``), over the mode's
+      energy tau sqrt(pi) 2^n n!; a dark gate transmits 0.
+
+    Both filtered cases need a uniform grid and raise ValueError on any
+    other.  ``time_gate`` is a SwitchProfile; its grid is used unless
+    ``time_grid`` is supplied, in which case the two must match.
+    ``center`` places the mode at a chosen arrival time, normally the gate
+    center.
     """
     if time_gate is None and spectral_filter is None:
         raise ValueError("at least one of time_gate and spectral_filter is required")
@@ -221,15 +271,27 @@ def mode_transmission(
     else:
         if time_grid is None:
             raise ValueError("time_grid is required when no gate is given")
-        grid = _check_grid(time_grid)
+        grid = time_grid
 
-    psi = hermite_gauss_amplitude(mode, grid - center)
-    energy_in = np.trapezoid(psi**2, grid)
     if spectral_filter is None:
-        return float(np.trapezoid(time_gate.efficiency * psi**2, grid) / energy_in)
-    if time_gate is not None:
-        psi = psi * np.sqrt(time_gate.efficiency)
-    return float(spectral_energy(grid, psi, spectral_filter.intensity_transmission) / energy_in)
+        psi = hermite_gauss_amplitude(mode, grid - center)
+        return float(np.trapezoid(time_gate.efficiency * psi**2, grid) / np.trapezoid(psi**2, grid))
+    grid, dt = _check_uniform(grid)
+    order, tau = mode.order, mode.characteristic_duration
+    a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
+    peak = spectral_filter.peak_transmission
+    norm = np.sqrt(np.pi) * 2.0**order * math.factorial(order)
+    if time_gate is None:
+        s = np.sqrt(1.0 + a / (2.0 * np.pi * tau) ** 2)
+        nodes, weights = hermgauss(order + 1)
+        hermite = hermval(nodes / s, [0.0] * order + [1.0])
+        return float(peak / (s * norm) * np.dot(weights, hermite**2))
+    window = _support(time_gate.efficiency)
+    if window.start == window.stop:
+        return 0.0
+    field = np.sqrt(time_gate.efficiency[window]) * _hermite_gauss(order, (grid[window] - center) / tau)
+    energy = _lag_energy(field, dt, peak * np.sqrt(np.pi / a), np.pi**2 / a, 0.0)
+    return float(energy / (tau * norm))
 
 
 def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:

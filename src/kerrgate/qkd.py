@@ -19,15 +19,16 @@ from .kerr import SwitchProfile
 def binary_entropy(x):
     """Shannon binary entropy H2(x) in bits, with H2(0) = H2(1) = 0.
 
-    Accepts scalars or arrays; values outside [0, 1] raise a domain error.
+    Accepts scalars or arrays; values outside [0, 1], and NaN, raise a
+    domain error.  The formula runs on every element, with 0.5 standing in
+    at 0 and 1, so no element is picked out by index.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("binary_entropy requires x in [0, 1]")
-    out = np.zeros_like(arr)
     interior = (arr > 0.0) & (arr < 1.0)
-    xv = arr[interior]
-    out[interior] = -xv * np.log2(xv) - (1.0 - xv) * np.log2(1.0 - xv)
+    xv = np.where(interior, arr, 0.5)
+    out = np.where(interior, -xv * np.log2(xv) - (1.0 - xv) * np.log2(1.0 - xv), 0.0)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

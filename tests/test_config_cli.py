@@ -223,6 +223,14 @@ def test_cli_coarse_grid_exits_4(tmp_path):
     assert main(["--config", path, "switch-profile"]) == 4
 
 
+def test_cli_trace_baseline_underflow_exits_4(tmp_path, capsys):
+    # 648.7 nm is 47 filter FWHMs off centre: the filtered trace's open-gate
+    # energy underflows to 0, which is a numerics failure, not a width
+    path = _write(tmp_path, {"signal": {"center_wavelength_nm": 648.7}})
+    assert main(["--config", path, "trace"]) == 4
+    assert "signal.center_wavelength_nm" in capsys.readouterr().err
+
+
 def test_cli_out_collision_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

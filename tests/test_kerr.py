@@ -24,7 +24,8 @@ from kerrgate import (
     switching_trace,
 )
 from kerrgate.kerr import _trace
-from kerrgate.pulses import FWHM_TO_SIGMA, spectral_energy
+from kerrgate.pulses import FWHM_TO_SIGMA
+from test_pulses import spectral_energy
 
 SIGNAL_WL = 720.8e-9
 

@@ -1,5 +1,7 @@
 """Pulse, filter, and temporal-mode layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,27 @@ from kerrgate import (
     frequency_bandwidth,
     hermite_gauss_amplitude,
     mode_transmission,
+    nonlinear_phase_profile,
     sampled_fwhm,
+    spectral_overlap_factor,
+    switch_profile,
     transform_limited_duration,
 )
 from kerrgate.kerr import SwitchProfile
-from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP
+from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP, _check_uniform
+
+def spectral_energy(time_grid, fields, weight):
+    """Energy of each row of the real ``fields`` after a spectral power weight.
+
+    The full-grid reference for every spectral energy: by Parseval,
+    dt/N sum_k |FFT(field)_k|^2 weight(f_k), with the FFT frequencies f_k in
+    Hz; a unit weight gives the time-domain energy.
+    """
+    grid, dt = _check_uniform(time_grid)
+    spectra = np.fft.fft(fields, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    return dt / grid.size * np.sum(power * weight(np.fft.fftfreq(grid.size, dt)), axis=-1)
+
 
 # Hand-checked transform limits: 0.441 lambda^2 / (c dlambda), evaluated in
 # extended precision and frozen here.
@@ -172,6 +190,59 @@ def test_mode_transmission_requires_some_mask_and_matching_grid():
     gate = _unit_gate(grid, -1e-12, 1e-12)
     with pytest.raises(ValueError):
         mode_transmission(mode, gate, time_grid=default_time_grid(40e-12, 4096))
+
+
+def _gate_on(run, samples):
+    grid = default_time_grid(40e-12, samples)
+    return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, run.theta)
+
+
+@pytest.mark.parametrize("samples", [8192, 16385, 32768])
+def test_mode_transmission_matches_full_grid_parseval(default_run, samples):
+    # the support lag sum (gate and filter) and the Gauss-Hermite closed
+    # form (filter only) against one full-grid FFT per mode
+    gate = _gate_on(default_run, samples)
+    grid, filt, center = gate.time_grid, default_run.spectral_filter, gate.centroid
+    for order in range(11):
+        mode = TemporalMode.matched_to(default_run.signal, order)
+        psi = hermite_gauss_amplitude(mode, grid - center)
+        energy = np.trapezoid(psi**2, grid)
+        combined = spectral_energy(grid, psi * np.sqrt(gate.efficiency), filt.intensity_transmission) / energy
+        spectral = spectral_energy(grid, psi, filt.intensity_transmission) / energy
+        assert mode_transmission(mode, gate, filt, center=center) == pytest.approx(combined, rel=1e-11, abs=0)
+        assert mode_transmission(mode, None, filt, time_grid=grid, center=center) == pytest.approx(
+            spectral, rel=1e-11, abs=0
+        )
+
+
+def test_spectral_only_mode_transmission_rejects_nonuniform_grid():
+    grid = np.concatenate([np.linspace(-20e-12, -5e-12, 3072, endpoint=False), np.linspace(-5e-12, 20e-12, 10240)])
+    with pytest.raises(ValueError, match="uniform"):
+        mode_transmission(TemporalMode(0, 0.27e-12), None, SpectralFilter(720.8e-9, 1.7e-9), time_grid=grid)
+
+
+@pytest.mark.parametrize("samples", [8192, 16385, 32768])
+def test_phase_profile_matches_erf_on_every_sample(default_run, samples):
+    # math.erf is exactly +-1 beyond the cut, so taking the sign there
+    # changes no bit of the phase
+    pump, fiber, wavelength = default_run.pump, default_run.fiber, default_run.signal.center_wavelength
+    grid = default_time_grid(40e-12, samples)
+    erf = np.frompyfunc(math.erf, 1, 1)
+    scale = np.sqrt(2.0) * pump.sigma
+    assert np.sum(np.abs(grid / scale) >= 6.0) > samples // 2
+    edges = (erf(grid / scale) - erf((grid - fiber.total_walkoff) / scale)).astype(float)
+    integral = pump.pulse_energy / (2.0 * fiber.mode_area * fiber.walkoff_per_length) * edges
+    expected = 8.0 * np.pi * fiber.nonlinear_index / (3.0 * wavelength) * integral
+    np.testing.assert_array_equal(nonlinear_phase_profile(pump, fiber, grid, wavelength), expected)
+
+
+def test_dark_gate_transmits_nothing(default_run):
+    grid = default_time_grid(40e-12, 8192)
+    dark = SwitchProfile(time_grid=grid, efficiency=np.zeros_like(grid))
+    filt = default_run.spectral_filter
+    assert mode_transmission(TemporalMode(0, 0.27e-12), dark, filt) == 0.0
+    with pytest.raises(ValueError, match="no spectral content"):
+        spectral_overlap_factor(dark, filt, 0.83e-9)
 
 
 def test_sampled_fwhm_gaussian():

@@ -67,6 +67,27 @@ def test_binary_entropy_domain():
         binary_entropy(np.array([0.2, 1.01]))
 
 
+def test_binary_entropy_rejects_nan():
+    # NaN fails every comparison, so a range check written as "any outside"
+    # would let it through
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([[0.2, np.nan], [0.5, 0.0]]))
+
+
+def test_binary_entropy_matches_indexed_formula():
+    # the formula applied to the interior elements only, picked out by index
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (29, 2))
+    x.flat[[0, 7, 11, 30]] = [0.0, 0.5, 1.0, 0.0]
+    expected = np.zeros_like(x)
+    interior = (x > 0.0) & (x < 1.0)
+    xv = x[interior]
+    expected[interior] = -xv * np.log2(xv) - (1.0 - xv) * np.log2(1.0 - xv)
+    np.testing.assert_array_equal(binary_entropy(x), expected)
+
+
 def test_observed_rates_reference_point():
     scenario = ChannelScenario(
         channel_loss_db=10.0,
