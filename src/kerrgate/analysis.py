@@ -22,8 +22,8 @@ from .pulses import (
     TemporalMode,
     _check_uniform,
     _lag_energy,
+    _mode_transmissions,
     _support,
-    mode_transmission,
 )
 from .qkd import (
     ARMS,
@@ -496,18 +496,15 @@ def hg_mode_comparison(
 
     Modes share the signal's characteristic duration and arrive centered on
     the gate.  Columns give the combined time-plus-frequency transmission
-    and the spectral-only reference.
+    and the spectral-only reference, each from one pass over the orders.
     """
     if max_order < 0:
         raise ValueError("max_order must be non-negative")
-    center = gate.centroid
-    modes = [TemporalMode.matched_to(signal, order) for order in range(max_order + 1)]
+    tau = TemporalMode.matched_to(signal).characteristic_duration
     return Table.of(
         order=range(max_order + 1),
-        t_combined=[mode_transmission(mode, gate, spectral_filter, center=center) for mode in modes],
-        t_spectral_only=[
-            mode_transmission(mode, None, spectral_filter, time_grid=gate.time_grid, center=center) for mode in modes
-        ],
+        t_combined=_mode_transmissions(max_order, tau, gate, spectral_filter, gate.centroid),
+        t_spectral_only=_mode_transmissions(max_order, tau, None, spectral_filter),
     )
 
 

@@ -299,6 +299,8 @@ def _resolve(config: dict) -> RunConfig:
     walkoff = fiber_cfg["walkoff_ps_per_m"] * _PS
     n2 = fiber_cfg["nonlinear_index_m2_per_w"]
     if fiber_cfg["mode_area_um2"] is None:
+        if pump.pulse_energy == 0:
+            raise ConfigError("pump.pulse_energy_nj = 0 makes no pi gate: set fiber.mode_area_um2 to model that pump")
         mode_area = calibrated_mode_area(pump, length, walkoff, n2, signal.center_wavelength)
     else:
         mode_area = fiber_cfg["mode_area_um2"] * _UM2

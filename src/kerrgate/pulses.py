@@ -8,11 +8,9 @@ Unit conversion happens only at the config boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss, hermval
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -98,7 +96,7 @@ def _check_grid(time_grid: np.ndarray) -> np.ndarray:
 def _check_uniform(time_grid: np.ndarray) -> tuple[np.ndarray, float]:
     """The grid as a float array and its step; ValueError unless it is uniform.
 
-    Every spectral quantity (the overlap, the filtered mode transmissions
+    Every spectral quantity (the overlap, the combined mode transmission
     and the filtered trace) assumes a uniform grid, checks it here and
     takes this step.  The step is the mean (t_N - t_1) / (N - 1):
     ``grid[1] - grid[0]`` of a linspace loses digits to cancellation
@@ -172,8 +170,8 @@ class SpectralFilter:
     def __post_init__(self):
         if self.center_wavelength <= 0 or self.fwhm_bandwidth <= 0:
             raise ValueError("filter wavelength and bandwidth must be positive")
-        if not 0.0 <= self.peak_transmission <= 1.0:
-            raise ValueError("peak_transmission must lie in [0, 1]")
+        if not 0.0 < self.peak_transmission <= 1.0:
+            raise ValueError("peak_transmission must lie in (0, 1]")
 
     @property
     def frequency_fwhm(self) -> float:
@@ -212,9 +210,18 @@ class TemporalMode:
         return cls(order=order, characteristic_duration=tau)
 
 
-def _hermite_gauss(order: int, x: np.ndarray) -> np.ndarray:
-    """H_n(x) exp(-x^2 / 2): the order-n mode at t = x tau, not normalized."""
-    return hermval(x, [0.0] * order + [1.0]) * np.exp(-(x**2) / 2.0)
+def _hermite_functions(max_order: int, x: np.ndarray):
+    """Yield the orthonormal Hermite functions phi_0 ... phi_max_order at ``x``.
+
+    phi_n = H_n(x) exp(-x^2 / 2) / sqrt(sqrt(pi) 2^n n!) has unit integral of
+    phi_n^2 dx; the recurrence never forms 2^n n!, so no order overflows.
+    """
+    previous = np.zeros_like(x)
+    current = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    yield current
+    for n in range(max_order):
+        previous, current = current, np.sqrt(2.0 / (n + 1)) * x * current - np.sqrt(n / (n + 1)) * previous
+        yield current
 
 
 def hermite_gauss_amplitude(mode: TemporalMode, time_grid: np.ndarray) -> np.ndarray:
@@ -224,19 +231,42 @@ def hermite_gauss_amplitude(mode: TemporalMode, time_grid: np.ndarray) -> np.nda
     the supplied grid, so transmittances computed from it are exact ratios.
     """
     grid = _check_grid(time_grid)
-    psi = _hermite_gauss(mode.order, grid / mode.characteristic_duration)
+    for psi in _hermite_functions(mode.order, grid / mode.characteristic_duration):
+        pass  # keep only the last order
     norm = np.trapezoid(psi**2, grid)
     if norm <= 0:
         raise ValueError("mode amplitude vanishes on this grid")
     return psi / np.sqrt(norm)
 
 
+def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, center: float = 0.0) -> np.ndarray:
+    """``mode_transmission`` of orders 0 ... ``max_order`` of duration ``tau``, one order at a time."""
+    if time_gate is None and spectral_filter is None:
+        raise ValueError("at least one of time_gate and spectral_filter is required")
+    if spectral_filter is None:
+        grid, eta = time_gate.time_grid, time_gate.efficiency
+        phis = _hermite_functions(max_order, (grid - center) / tau)
+        return np.array([np.trapezoid(eta * phi**2, grid) / np.trapezoid(phi**2, grid) for phi in phis])
+    a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
+    peak = spectral_filter.peak_transmission
+    if time_gate is None:
+        s2 = 1.0 + a / (2.0 * np.pi * tau) ** 2
+        r = 2.0 / s2 - 1.0
+        q = [1.0, 1.0 / s2]
+        for n in range(1, max_order):
+            q.append(((2 * n + 1) * q[n] / s2 - n * r * q[n - 1]) / (n + 1))
+        return peak / np.sqrt(s2) * np.array(q[: max_order + 1])
+    grid, dt = _check_uniform(time_gate.time_grid)
+    window = _support(time_gate.efficiency)
+    if window.start == window.stop:
+        return np.zeros(max_order + 1)
+    gate, scale, b = np.sqrt(time_gate.efficiency[window]), peak * np.sqrt(np.pi / a), np.pi**2 / a
+    phis = _hermite_functions(max_order, (grid[window] - center) / tau)
+    return np.array([_lag_energy(gate * phi, dt, scale, b, 0.0) / tau for phi in phis])
+
+
 def mode_transmission(
-    mode: TemporalMode,
-    time_gate=None,
-    spectral_filter: SpectralFilter | None = None,
-    time_grid: np.ndarray | None = None,
-    center: float = 0.0,
+    mode: TemporalMode, time_gate=None, spectral_filter: SpectralFilter | None = None, center: float = 0.0
 ) -> float:
     """Energy transmittance of a temporal mode through gate and/or filter.
 
@@ -245,53 +275,21 @@ def mode_transmission(
     fraction is returned.  Either mask may be omitted; at least one must be
     present.  The mode carrier is taken at the filter's center wavelength.
 
-    - Gate only: the trapezoid of eta psi^2 over that of psi^2 on the grid.
-    - Filter only: closed form.  The mode's spectrum is again Hermite-Gauss,
-      so for a filter T0 exp(-a f^2) the fraction is
-      T0 / (s sqrt(pi) 2^n n!) sum_k w_k H_n(y_k / s)^2 with
-      s = sqrt(1 + a / (2 pi tau)^2) and (y_k, w_k) the (n + 1)-point
-      Gauss-Hermite rule, exact for this degree-2n polynomial.
+    - Gate only: the trapezoid of eta phi_n^2 over that of phi_n^2 on the
+      grid, with phi_n((t - center) / tau) from ``_hermite_functions``.
+    - Filter only: closed form, no grid.  The mode's spectrum is again
+      Hermite-Gauss, so for a filter T0 exp(-a f^2) the fraction is T0 Q_n / s
+      with s^2 = 1 + a / (2 pi tau)^2, r = 2 / s^2 - 1, Q_0 = 1, Q_1 = (1 + r) / 2
+      and (n + 1) Q_{n+1} = (2n + 1) (1 + r) / 2 Q_n - n r Q_{n-1}; by
+      Mehler's formula Q_n = r^{n/2} P_n((1 + r) / (2 sqrt r)), P_n Legendre.
     - Gate and filter: the gated mode on eta's support (``_support``)
       through the filter's time kernel (``_lag_energy``), over the mode's
-      energy tau sqrt(pi) 2^n n!; a dark gate transmits 0.
+      energy tau; a dark gate transmits 0.  Needs a uniform grid.
 
-    Both filtered cases need a uniform grid and raise ValueError on any
-    other.  ``time_gate`` is a SwitchProfile; its grid is used unless
-    ``time_grid`` is supplied, in which case the two must match.
-    ``center`` places the mode at a chosen arrival time, normally the gate
-    center.
+    ``time_gate`` is a SwitchProfile; ``center`` is the mode's arrival time,
+    normally the gate center.  This is the last order of ``_mode_transmissions``.
     """
-    if time_gate is None and spectral_filter is None:
-        raise ValueError("at least one of time_gate and spectral_filter is required")
-    if time_gate is not None:
-        gate_grid = time_gate.time_grid
-        if time_grid is not None and not np.array_equal(np.asarray(time_grid), gate_grid):
-            raise ValueError("time_grid does not match the gate's grid")
-        grid = gate_grid
-    else:
-        if time_grid is None:
-            raise ValueError("time_grid is required when no gate is given")
-        grid = time_grid
-
-    if spectral_filter is None:
-        psi = hermite_gauss_amplitude(mode, grid - center)
-        return float(np.trapezoid(time_gate.efficiency * psi**2, grid) / np.trapezoid(psi**2, grid))
-    grid, dt = _check_uniform(grid)
-    order, tau = mode.order, mode.characteristic_duration
-    a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
-    peak = spectral_filter.peak_transmission
-    norm = np.sqrt(np.pi) * 2.0**order * math.factorial(order)
-    if time_gate is None:
-        s = np.sqrt(1.0 + a / (2.0 * np.pi * tau) ** 2)
-        nodes, weights = hermgauss(order + 1)
-        hermite = hermval(nodes / s, [0.0] * order + [1.0])
-        return float(peak / (s * norm) * np.dot(weights, hermite**2))
-    window = _support(time_gate.efficiency)
-    if window.start == window.stop:
-        return 0.0
-    field = np.sqrt(time_gate.efficiency[window]) * _hermite_gauss(order, (grid[window] - center) / tau)
-    energy = _lag_energy(field, dt, peak * np.sqrt(np.pi / a), np.pi**2 / a, 0.0)
-    return float(energy / (tau * norm))
+    return float(_mode_transmissions(mode.order, mode.characteristic_duration, time_gate, spectral_filter, center)[-1])
 
 
 def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:

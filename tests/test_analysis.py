@@ -545,6 +545,19 @@ def test_hg_mode_comparison_frozen(default_run):
     assert combined[2] == pytest.approx(direct, rel=1e-12)
 
 
+def test_hg_mode_comparison_matches_per_order_calls(default_run):
+    # one pass over the family gives what one call per order gives
+    run = default_run
+    table = hg_mode_comparison(10, run.switch, run.spectral_filter, run.signal)
+    center = run.switch.centroid
+    for order, combined, spectral in table.rows:
+        mode = TemporalMode.matched_to(run.signal, order)
+        assert combined == pytest.approx(
+            mode_transmission(mode, run.switch, run.spectral_filter, center=center), rel=1e-12, abs=0
+        )
+        assert spectral == pytest.approx(mode_transmission(mode, None, run.spectral_filter), rel=1e-12, abs=0)
+
+
 def test_hg_higher_orders_are_rejected(default_run):
     run = default_run
     table = hg_mode_comparison(10, run.switch, run.spectral_filter, run.signal)

@@ -213,6 +213,40 @@ def test_cli_modes_output(tmp_path):
     assert len(lines) == 12
 
 
+def test_cli_modes_has_no_order_limit(tmp_path):
+    # 2^n n! leaves float range past order 170; the mode recurrence never forms it
+    path = _write(tmp_path, {"modes": {"max_order": 200}})
+    out = tmp_path / "modes"
+    assert main(["--config", path, "--no-banner", "--out", str(out), "modes"]) == 0
+    rows = np.loadtxt(out / "modes.tsv", skiprows=1, ndmin=2)
+    assert rows.shape == (201, 3)
+    assert np.all(np.isfinite(rows))
+    order, combined, spectral = rows.T
+    np.testing.assert_array_equal(order, np.arange(201))
+    peak = DEFAULTS["spectral_filter"]["peak_transmission"]
+    assert np.all(spectral > 0) and np.all(spectral <= peak)
+    assert np.all(combined <= spectral + 1e-12)
+
+
+def test_cli_dark_filter_exits_2(tmp_path, capsys):
+    # a filter that passes nothing is a config error, not a trace that
+    # blames the signal carrier
+    path = _write(tmp_path, {"spectral_filter": {"peak_transmission": 0.0}})
+    assert main(["--config", path, "trace"]) == 2
+    assert "peak_transmission" in capsys.readouterr().err
+
+
+def test_cli_zero_pump_needs_explicit_mode_area(tmp_path, capsys):
+    path = _write(tmp_path, {"pump": {"pulse_energy_nj": 0.0}})
+    assert main(["--config", path, "switch-profile"]) == 2
+    err = capsys.readouterr().err
+    assert "pump.pulse_energy_nj" in err and "fiber.mode_area_um2" in err
+    # with the area set the gate is dark; its overlap has no spectral content to derive from
+    document = {"pump": {"pulse_energy_nj": 0.0}, "fiber": {"mode_area_um2": 20.0}, "noise": {"spectral_overlap": 0.85}}
+    path = _write(tmp_path, document)
+    assert main(["--config", path, "--no-banner", "--out", str(tmp_path / "dark"), "modes"]) == 0
+
+
 def test_cli_unknown_key_exits_2(tmp_path):
     path = _write(tmp_path, {"tipo": 1})
     assert main(["--config", path, "switch-profile"]) == 2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss, hermval
 
 from kerrgate import (
     GaussianPulse,
@@ -20,7 +21,7 @@ from kerrgate import (
     transform_limited_duration,
 )
 from kerrgate.kerr import SwitchProfile
-from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP, _check_uniform
+from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP, SPEED_OF_LIGHT, _check_uniform, _mode_transmissions
 
 def spectral_energy(time_grid, fields, weight):
     """Energy of each row of the real ``fields`` after a spectral power weight.
@@ -105,6 +106,8 @@ def test_spectral_filter_validation():
         SpectralFilter(720.8e-9, -1.7e-9)
     with pytest.raises(ValueError):
         SpectralFilter(720.8e-9, 1.7e-9, peak_transmission=1.2)
+    with pytest.raises(ValueError, match="peak_transmission"):
+        SpectralFilter(720.8e-9, 1.7e-9, peak_transmission=0.0)
 
 
 def test_temporal_mode_matched_duration():
@@ -158,7 +161,7 @@ def test_mode_transmission_passthrough():
     open_gate = _unit_gate(grid, grid[2], grid[-3])
     assert mode_transmission(mode, open_gate) == pytest.approx(1.0, abs=1e-9)
     wide = SpectralFilter(720.8e-9, 400e-9)
-    assert mode_transmission(mode, None, wide, time_grid=grid) == pytest.approx(1.0, abs=1e-4)
+    assert mode_transmission(mode, None, wide) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_mode_transmission_combined_below_each_mask():
@@ -169,7 +172,7 @@ def test_mode_transmission_combined_below_each_mask():
         mode = TemporalMode(n, 0.27e-12)
         combined = mode_transmission(mode, gate, filt)
         time_only = mode_transmission(mode, gate)
-        spectral_only = mode_transmission(mode, None, filt, time_grid=grid)
+        spectral_only = mode_transmission(mode, None, filt)
         assert combined <= time_only + 1e-12
         assert combined <= spectral_only + 1e-12
 
@@ -182,14 +185,9 @@ def test_mode_transmission_narrowing_gate_loses_energy():
     assert all(a > b for a, b in zip(trans, trans[1:]))
 
 
-def test_mode_transmission_requires_some_mask_and_matching_grid():
-    grid = default_time_grid(40e-12, 8192)
-    mode = TemporalMode(0, 0.27e-12)
+def test_mode_transmission_requires_some_mask():
     with pytest.raises(ValueError):
-        mode_transmission(mode)
-    gate = _unit_gate(grid, -1e-12, 1e-12)
-    with pytest.raises(ValueError):
-        mode_transmission(mode, gate, time_grid=default_time_grid(40e-12, 4096))
+        mode_transmission(TemporalMode(0, 0.27e-12))
 
 
 def _gate_on(run, samples):
@@ -199,26 +197,42 @@ def _gate_on(run, samples):
 
 @pytest.mark.parametrize("samples", [8192, 16385, 32768])
 def test_mode_transmission_matches_full_grid_parseval(default_run, samples):
-    # the support lag sum (gate and filter) and the Gauss-Hermite closed
-    # form (filter only) against one full-grid FFT per mode
+    # the support lag sum (gate and filter) and the closed-form recurrence
+    # (filter only) against one full-grid FFT per mode, built with hermval
+    # rather than the recurrence under test
     gate = _gate_on(default_run, samples)
     grid, filt, center = gate.time_grid, default_run.spectral_filter, gate.centroid
     for order in range(11):
         mode = TemporalMode.matched_to(default_run.signal, order)
-        psi = hermite_gauss_amplitude(mode, grid - center)
+        x = (grid - center) / mode.characteristic_duration
+        psi = hermval(x, [0.0] * order + [1.0]) * np.exp(-(x**2) / 2.0)
         energy = np.trapezoid(psi**2, grid)
         combined = spectral_energy(grid, psi * np.sqrt(gate.efficiency), filt.intensity_transmission) / energy
         spectral = spectral_energy(grid, psi, filt.intensity_transmission) / energy
         assert mode_transmission(mode, gate, filt, center=center) == pytest.approx(combined, rel=1e-11, abs=0)
-        assert mode_transmission(mode, None, filt, time_grid=grid, center=center) == pytest.approx(
-            spectral, rel=1e-11, abs=0
-        )
+        assert mode_transmission(mode, None, filt, center=center) == pytest.approx(spectral, rel=1e-11, abs=0)
 
 
-def test_spectral_only_mode_transmission_rejects_nonuniform_grid():
-    grid = np.concatenate([np.linspace(-20e-12, -5e-12, 3072, endpoint=False), np.linspace(-5e-12, 20e-12, 10240)])
-    with pytest.raises(ValueError, match="uniform"):
-        mode_transmission(TemporalMode(0, 0.27e-12), None, SpectralFilter(720.8e-9, 1.7e-9), time_grid=grid)
+@pytest.mark.parametrize("s2", [1.0001, 1.5, 2.0, 3.0, 100.0, 1e4])
+def test_spectral_only_recurrence_matches_gauss_hermite_sum(s2):
+    # a Hermite-Gauss mode's spectrum is Hermite-Gauss, so through the
+    # filter T0 exp(-a f^2) it keeps T0 / (s sqrt(pi) 2^n n!) sum_k w_k
+    # H_n(y_k / s)^2, with the (n + 1)-point Gauss-Hermite rule exact
+    tau, wavelength, peak = 0.27e-12, 720.8e-9, 0.93
+    width_hz = np.sqrt(4.0 * np.log(2.0) / (s2 - 1.0)) / (2.0 * np.pi * tau)
+    filt = SpectralFilter(wavelength, width_hz * wavelength**2 / SPEED_OF_LIGHT, peak)
+    s = np.sqrt(1.0 + 4.0 * np.log(2.0) / (filt.frequency_fwhm * 2.0 * np.pi * tau) ** 2)
+    transmissions = _mode_transmissions(60, tau, None, filt)
+    assert transmissions.shape == (61,)
+    for order, value in enumerate(transmissions):
+        nodes, weights = hermgauss(order + 1)
+        hermite = hermval(nodes / s, [0.0] * order + [1.0])
+        norm = np.sqrt(np.pi) * 2.0**order * math.factorial(order)
+        assert value == pytest.approx(peak / (s * norm) * np.dot(weights, hermite**2), rel=1e-12, abs=0)
+    if s2 == 2.0:
+        # the recurrence's r = 2 / s^2 - 1 vanishes: Q_n = C(2n, n) / 4^n
+        central = np.array([math.comb(2 * n, n) / 4.0**n for n in range(61)])
+        np.testing.assert_allclose(transmissions, peak / np.sqrt(2.0) * central, rtol=1e-12)
 
 
 @pytest.mark.parametrize("samples", [8192, 16385, 32768])
