@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SweepSpec, spectral_overlap_factor
+from .analysis import MIN_RELATIVE_WIDTH, SweepSpec, spectral_overlap_factor
 from .errors import ConfigError, ResolutionError
 from .kerr import (
     FiberSpec,
@@ -262,6 +262,23 @@ def _require_count(effective: dict, path: str, minimum: int):
     effective[section][key] = int(value)
 
 
+def _check_thresholds(section: dict):
+    """Refuse the ``thresholds`` values on which a bisection would never stop or mislead."""
+    for key in ("loss_bracket_db", "noise_bracket_hz"):
+        bracket = section[key]
+        if len(bracket) != 2 or not bracket[0] < bracket[1]:
+            raise ConfigError("thresholds.%s must be [low, high] with low < high" % key)
+    if section["loss_bracket_db"][0] < 0:
+        raise ConfigError("thresholds.loss_bracket_db must not start below 0 dB: channel losses are non-negative")
+    if not section["noise_bracket_hz"][0] > 0:
+        raise ConfigError("thresholds.noise_bracket_hz must start above 0 Hz: noise rates bisect geometrically")
+    if not section["relative_width"] >= MIN_RELATIVE_WIDTH:
+        raise ConfigError(
+            "thresholds.relative_width must be at least %g: a narrower width is below one double step"
+            % MIN_RELATIVE_WIDTH
+        )
+
+
 def resolve(config: dict) -> RunConfig:
     """Build model objects from a validated config document."""
     try:
@@ -278,6 +295,7 @@ def _resolve(config: dict) -> RunConfig:
 
     for path, minimum in _COUNTS.items():
         _require_count(effective, path, minimum)
+    _check_thresholds(effective["thresholds"])
     grid_cfg = effective["grid"]
     time_grid = default_time_grid(grid_cfg["time_span_ps"] * _PS, grid_cfg["samples"])
 

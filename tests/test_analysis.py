@@ -279,6 +279,103 @@ def _reference_cells(rate_fn, bracket, geometric, rel_width=0.005):
     return (result.threshold_value, result.iterations, "ok")
 
 
+def _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geometric):
+    """``_bisect_positive`` of ``rate = threshold - x`` equals ``_scalar_bisect`` to the bit."""
+    thresholds = np.array(thresholds)
+    threshold, lo, hi, iterations, side = _bisect_positive(
+        lambda x: thresholds - x, lows, highs, rel_width, geometric
+    )
+    for i, t in enumerate(thresholds.tolist()):
+        try:
+            alone = _scalar_bisect(lambda x: t - x, lows[i], highs[i], rel_width, geometric)
+        except ThresholdNotFoundError as exc:
+            assert (side[i], np.isnan(threshold[i]), iterations[i]) == (exc.side, True, 0)
+            assert (lo[i], hi[i]) == (lows[i], highs[i])
+            continue
+        assert side[i] == ""
+        assert (threshold[i], (lo[i], hi[i]), iterations[i]) == (
+            alone.threshold_value,
+            alone.bracketing_interval,
+            alone.iterations,
+        )
+    return iterations
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    elements=st.lists(
+        st.tuples(
+            st.floats(1e-3, 1e3),  # lower bracket end
+            st.floats(1e-6, 1e6),  # upper end over lower end, minus 1
+            st.floats(-0.25, 1.25),  # threshold's place in the bracket: outside below 0 and above 1
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    rel_width=st.floats(1e-15, 0.5),
+    geometric=st.booleans(),
+)
+def test_bisection_blocks_match_one_step_reference(elements, rel_width, geometric):
+    # each chain call settles several steps; every element still takes the
+    # midpoints, bracket and iteration count of the one-step loop
+    lows = [low for low, _, _ in elements]
+    highs = [low * (1.0 + excess) for low, excess, _ in elements]
+    if geometric:
+        thresholds = [lo * (hi / lo) ** place for lo, hi, (_, _, place) in zip(lows, highs, elements)]
+    else:
+        thresholds = [lo + place * (hi - lo) for lo, hi, (_, _, place) in zip(lows, highs, elements)]
+    _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geometric)
+
+
+def test_bisection_call_count(default_run, monkeypatch):
+    # brackets of span 0.02 * 2**j around the same threshold stop after
+    # j + 1 steps: inside a block of four and on its boundaries
+    lows, highs = [1.0] * 8, (1.0 + 0.02 * 2.0 ** np.arange(8)).tolist()
+    calls = []
+
+    def rate(x):
+        calls.append(np.shape(x))
+        return 1.005 - x
+
+    iterations = _assert_matches_one_step_reference([1.005] * 8, lows, highs, 0.01, geometric=False)
+    assert iterations.tolist() == list(range(1, 9))
+    iterations = _bisect_positive(rate, lows, highs, 0.01, geometric=False)[3]
+    # both ends in one call, then one call per block of four steps
+    assert calls == [(2, 8), (15, 8), (15, 8)]
+    assert len(calls) == 1 + -(-iterations.max() // 4)
+
+    run = default_run
+    evaluations = []
+
+    def counting(*args, **kwargs):
+        evaluations.append(args[0].noise_rate.shape)
+        return evaluate_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "evaluate_scenario", counting)
+    result = noise_threshold(run.scenario, _detector(), run.decoy, run.switch, run.spectral_overlap)
+    # one step per call would take 2 + 13 calls
+    assert result.iterations == 13
+    assert evaluations == [(2,)] + [(15,)] * 4
+
+
+def test_bisection_refuses_inputs_that_never_stop():
+    # each of these would loop forever or report a misleading side
+    def rate(x):
+        return 10.0 - x
+
+    with pytest.raises(ValueError, match="rel_width"):
+        _bisect_positive(rate, 1.0, 100.0, 1e-17, geometric=False)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _bisect_positive(rate, [1.0, 100.0], [100.0, 1.0], 0.005, geometric=False)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _bisect_positive(rate, 5.0, 5.0, 0.005, geometric=True)
+    with pytest.raises(ValueError, match="positive lower bracket end"):
+        _bisect_positive(rate, 0.0, 1e12, 0.005, geometric=True)
+    # the narrowest width allowed still stops
+    threshold = _bisect_positive(rate, 1.0, 100.0, 1e-15, geometric=True)[0]
+    assert threshold == pytest.approx(10.0, rel=1e-15)
+
+
 def _spy_bisections(monkeypatch) -> list:
     """Every result ``analysis._bisect_positive`` returns from now on."""
     results = []

@@ -281,6 +281,37 @@ def test_cli_hopeless_brackets_exit_3(tmp_path):
     assert main(["--config", path, "thresholds"]) == 3
 
 
+@pytest.mark.parametrize(
+    "thresholds, key",
+    [
+        # a geometric midpoint of 0 stays 0, and the stopping width never holds
+        ({"noise_bracket_hz": [0.0, 1e12]}, "thresholds.noise_bracket_hz"),
+        # a reversed bracket would mark every row no-threshold-low or both-unavailable
+        ({"noise_bracket_hz": [1e12, 1.0]}, "thresholds.noise_bracket_hz"),
+        ({"loss_bracket_db": [45.0, 5.0]}, "thresholds.loss_bracket_db"),
+        ({"loss_bracket_db": [5.0, 5.0]}, "thresholds.loss_bracket_db"),
+        ({"loss_bracket_db": [5.0]}, "thresholds.loss_bracket_db"),
+        ({"loss_bracket_db": [-5.0, 45.0]}, "thresholds.loss_bracket_db"),
+        # narrower than one double step: the bisection never stops
+        ({"relative_width": 1e-17}, "thresholds.relative_width"),
+        ({"relative_width": 0.0}, "thresholds.relative_width"),
+    ],
+)
+def test_bisection_settings_that_never_stop_are_refused(tmp_path, capsys, thresholds, key):
+    path = _write(tmp_path, {"thresholds": thresholds})
+    with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.")):
+        resolve(load_config(path))
+    for command in ("thresholds", "fluctuations"):
+        assert main(["--config", path, command]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_narrowest_relative_width_stops(tmp_path):
+    path = _write(tmp_path, {"thresholds": {"relative_width": 1e-15}, "sweep": {"noise_samples": 2, "loss_samples": 2}})
+    for command in ("thresholds", "fluctuations"):
+        assert main(["--config", path, "--no-banner", "--out", str(tmp_path / command), command]) == 0
+
+
 def test_cli_thresholds_outputs(tmp_path):
     out = tmp_path / "thr"
     document = {"sweep": {"noise_samples": 7, "loss_samples": 7}}
