@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResolutionError
 from .pulses import (
@@ -27,9 +28,10 @@ from .pulses import (
     sampled_fwhm,
 )
 
-# Bytes of one block of delays x samples that a trace evaluates at once;
-# caps a trace's working set whatever the number of delays.
-_BLOCK_BYTES = 1 << 21
+# Bytes of one block that a trace evaluates at once, delays x samples in the
+# Gaussian sums and lags x samples in the filtered trace's pair sums; caps a
+# trace's working set whatever the number of delays or the gate's support.
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -238,18 +240,64 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     """sum_i weights_i exp(-(points_i - c)^2 / var) for each of the ``centers``.
 
     Centers are taken in blocks of at most ``_BLOCK_BYTES`` of float64 rows,
-    and each row is summed pairwise.
+    filled in one reused buffer, and each row is summed pairwise.
     """
     out = np.empty(centers.size)
     rows = max(1, _BLOCK_BYTES // (8 * max(points.size, 1)))
+    buffer = np.empty((min(rows, centers.size), points.size))
     for start in range(0, centers.size, rows):
-        block = points[None, :] - centers[start : start + rows, None]
+        stop = min(start + rows, centers.size)
+        block = buffer[: stop - start]
+        np.subtract(points[None, :], centers[start:stop, None], out=block)
         block **= 2
         block /= -var
         np.exp(block, out=block)
         block *= weights
-        out[start : start + rows] = block.sum(axis=1)
+        np.sum(block, axis=1, out=out[start:stop])
     return out
+
+
+def _pair_sums(kernel: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """H[S] = sum over i + j = S of amp_i amp_j kernel[|i - j|], S = 0 ... 2 size - 2.
+
+    The lag-0 terms kernel[0] amp_n^2 start the even sums; a lag L = 2q + p
+    then adds (2 kernel[L] amp[n + q + p]) amp[n - q] to P_p[n] = H[p + 2n].
+    Per parity p, a block of rows q0 ... q1 - 1 over the columns
+    n in [q0, size - q0 - p) stacks the running slice of P_p on those lags'
+    products and adds the rows one after another (``np.add.reduce`` along
+    axis 0), so every sum takes its terms in increasing lag, with the same
+    roundings as one addition per lag.  The amplitude is zero-padded by
+    ``size`` on both sides, so a product outside a lag's columns is +-0.0,
+    which leaves a running sum unchanged as long as it is not -0.0; so
+    kernel[0], the filter kernel's scale, must be positive or +0.0.  A block
+    holds at most ``_BLOCK_BYTES`` of float64, or two rows.
+    """
+    size = amp.size
+    sums = (kernel[0] * amp**2, np.zeros(size - 1))
+    coef = 2.0 * kernel
+    padded = np.zeros(3 * size)
+    padded[size : 2 * size] = amp
+    rows = max(1, _BLOCK_BYTES // (8 * size) - 1)
+    buffer = np.empty((rows + 1) * size)
+    windows = sliding_window_view(padded, size)
+    for parity, running in enumerate(sums):
+        # lags 2q + p below size; the even sums already hold lag 0
+        end = (size + 1 - parity) // 2
+        for q0 in range(1 - parity, end, rows):
+            q1 = min(q0 + rows, end)
+            width = size - 2 * q0 - parity
+            block = buffer[: (q1 - q0 + 1) * width].reshape(q1 - q0 + 1, width)
+            columns = running[q0 : q0 + width]
+            block[0] = columns
+            # amp[n + q + p] and amp[n - q] for row q, column n
+            up = windows[size + 2 * q0 + parity : size + q0 + q1 + parity, :width]
+            down = windows[size - (q1 - q0) + 1 : size + 1][::-1, :width]
+            np.multiply(coef[2 * q0 + parity : 2 * q1 + parity : 2, None], up, out=block[1:])
+            block[1:] *= down
+            np.add.reduce(block, axis=0, out=columns)
+    pairs = np.empty(2 * size - 1)
+    pairs[::2], pairs[1::2] = sums
+    return pairs
 
 
 def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) -> np.ndarray:
@@ -293,6 +341,13 @@ def _filtered_trace(
     trace is E(d) over the open-gate energy at zero delay, which is closed
     form, so a unit-efficiency gate gives exactly 1.  Raises ValueError on a
     non-uniform grid.
+
+    ``_pair_sums`` builds H in blocks of lags, a few numpy calls per block
+    rather than one per lag.  Each sum still takes its terms in increasing
+    lag, one addition at a time, and each term is (2 k_L g_{j+L}) g_j, so H
+    and the trace keep the bits of the one-lag-at-a-time sum.  The lag
+    blocks and the delay blocks of ``_gaussian_sums`` share one byte budget,
+    ``_BLOCK_BYTES``.
     """
     grid, dt = _check_uniform(profile.time_grid)
     window = _support(profile.efficiency)
@@ -305,10 +360,7 @@ def _filtered_trace(
     scale = spectral_filter.peak_transmission * np.sqrt(np.pi / a)
     # k(tau) exp(-tau^2 / 8 sigma^2) at every lag of the support
     kernel = _gaussian_kernel(np.arange(size) * dt, scale, b, offset)
-    pairs = np.zeros(2 * size - 1)
-    pairs[::2] = kernel[0] * amp**2
-    for lag in range(1, size):
-        pairs[lag : 2 * size - 1 - lag : 2] += 2.0 * kernel[lag] * amp[lag:] * amp[:-lag]
+    pairs = _pair_sums(kernel, amp)
     sums = 2.0 * grid[window.start] + np.arange(pairs.size) * dt
     energy = dt**2 * _gaussian_sums(sums, pairs, 2.0 * delays, var)
     # the same energy for an open gate (eta = 1) at zero delay, in closed form

@@ -285,9 +285,13 @@ def secret_key_rate(
     """Asymptotic secret key rate R = q (-Q_mu f H2(E_mu) + Q1 [1 - H2(e1)]).
 
     Negative rates are reported as computed; thresholds bisect on the sign.
+    H2 is taken once when ``e1`` is ``rates.e_mu`` itself, as for the ideal
+    single-photon source of the broadening study.
     """
-    leak = rates.q_mu * decoy.error_correction_f * binary_entropy(rates.e_mu)
-    gain = q1 * (1.0 - binary_entropy(e1))
+    h_mu = binary_entropy(rates.e_mu)
+    h1 = h_mu if e1 is rates.e_mu else binary_entropy(e1)
+    leak = rates.q_mu * decoy.error_correction_f * h_mu
+    gain = q1 * (1.0 - h1)
     rate = decoy.sifting_q * (gain - leak)
     return KeyRateReport(
         observed=rates,

@@ -30,7 +30,7 @@ from kerrgate import (
     spectral_overlap_factor,
     switch_profile,
 )
-from kerrgate import analysis
+from kerrgate import analysis, qkd
 from kerrgate.analysis import KEYRATE_COLUMNS, _bisect_positive, _threshold_columns, sweep_table
 from kerrgate.pulses import FWHM_TO_SIGMA
 from kerrgate.qkd import ARMS, ELECTRONIC, ULTRAFAST, binary_entropy
@@ -708,6 +708,30 @@ def test_fluctuation_rates_consistent_with_closed_form(default_run):
     assert qber == pytest.approx(expected_qber, rel=1e-12, abs=0)
     h = binary_entropy(expected_qber)
     assert rate == pytest.approx(0.5 * expected_gain * (1.0 - 1.22 * h - h), rel=1e-12, abs=0)
+
+
+def test_key_rate_takes_one_entropy_when_e1_is_the_observed_error(default_run, monkeypatch):
+    # the broadening study's ideal single-photon source passes E_mu as e1
+    entropies, key_rates = [], []
+
+    def counting_entropy(x):
+        entropies.append(x)
+        return binary_entropy(x)
+
+    def counting_key_rate(rates, decoy, q1, e1, repetition_rate):
+        key_rates.append(e1 is rates.e_mu)
+        return qkd.secret_key_rate(rates, decoy, q1, e1, repetition_rate)
+
+    monkeypatch.setattr(qkd, "binary_entropy", counting_entropy)
+    monkeypatch.setattr(analysis, "secret_key_rate", counting_key_rate)
+    fluctuation_study([1e-12, 100e-12], [920.0, 8.0e6], np.linspace(0.0, 70.0, 71), default_run.switch)
+    assert key_rates and all(key_rates)
+    assert len(entropies) == len(key_rates)
+    # a decoy bound e1 is a different quantity: H2 of each
+    entropies.clear()
+    run = default_run
+    evaluate_scenario(run.scenario, _detector(), run.decoy, run.switch, run.spectral_overlap)
+    assert len(entropies) == 2
 
 
 def test_fluctuation_study_validation(default_run):

@@ -1,9 +1,12 @@
 """Kerr gate: phase accumulation, switching profile, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kerrgate import (
     SPEED_OF_LIGHT,
@@ -23,7 +26,8 @@ from kerrgate import (
     switching_efficiency,
     switching_trace,
 )
-from kerrgate.kerr import _trace
+from kerrgate import kerr
+from kerrgate.kerr import _gaussian_sums, _pair_sums, _trace
 from kerrgate.pulses import FWHM_TO_SIGMA
 from test_pulses import spectral_energy
 
@@ -210,6 +214,115 @@ def test_filtered_trace_frozen():
     )
     assert trace.fwhm == pytest.approx(FILTERED_FWHM, rel=1e-9, abs=0)
     assert trace.peak_value == pytest.approx(FILTERED_PEAK, rel=1e-9)
+
+
+# the filtered trace on the coarsest and finest gate-scan grids: eta's
+# support spans 829 and 3313 samples, against 1657 on the default grid
+@pytest.mark.parametrize(
+    "samples, delays, fwhm, peak",
+    [
+        (8192, 1501, 0.945760148920568e-12, 0.9349101478944745),
+        (32768, 401, 0.9457783297465157e-12, 0.9349101478944741),
+    ],
+)
+def test_filtered_trace_frozen_off_default_supports(samples, delays, fwhm, peak):
+    profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
+    filt = SpectralFilter(720.8e-9, 1.7e-9, peak_transmission=0.93)
+    trace = switching_trace(profile, _signal(), np.linspace(-3.5e-12, 4.5e-12, delays), filt)
+    assert trace.fwhm == pytest.approx(fwhm, rel=1e-9, abs=0)
+    assert trace.peak_value == pytest.approx(peak, rel=1e-9)
+
+
+def _one_lag_at_a_time(kernel, amp):
+    """H[S] by one vector addition per lag, in increasing lag, as a reference."""
+    size = amp.size
+    pairs = np.zeros(2 * size - 1)
+    pairs[::2] = kernel[0] * amp**2
+    for lag in range(1, size):
+        pairs[lag : 2 * size - 1 - lag : 2] += 2.0 * kernel[lag] * amp[lag:] * amp[:-lag]
+    return pairs
+
+
+@st.composite
+def _lag_sum_inputs(draw):
+    """(kernel, amp, rows): a signed kernel whose lag-0 value, like the
+    filter kernel's scale, is not negative; non-negative amplitudes with
+    zeros; and a block of ``rows`` lags."""
+    size = draw(st.integers(1, 400))
+    lag0 = draw(st.floats(0.0, 2.0))
+    lags = draw(arrays(float, size - 1, elements=st.floats(-2.0, 2.0)))
+    amp = draw(arrays(float, size, elements=st.floats(0.0, 1.0) | st.just(0.0)))
+    # a parity holds (size - 1) // 2 or size // 2 lags: draw blocks just
+    # below, at and just above that count as well as small ones
+    rows = draw(st.integers(1, 8) | st.integers(max(1, size // 2 - 1), size // 2 + 1))
+    return np.r_[lag0, lags], amp, rows
+
+
+def _assert_pair_sums_match_loop(kernel, amp, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kerr, "_BLOCK_BYTES", budget)
+        blocked = _pair_sums(kernel, amp)
+    reference = _one_lag_at_a_time(kernel, amp)
+    assert np.array_equal(blocked, reference)
+    # the sign of zero too
+    assert blocked.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inputs=_lag_sum_inputs())
+@example(inputs=(np.array([0.7]), np.array([0.0]), 1))
+@example(inputs=(np.array([0.7]), np.array([0.4]), 1))
+@example(inputs=(np.array([0.7, -1.3]), np.array([0.4, 0.9]), 1))
+@example(inputs=(np.array([0.0, -1.3]), np.array([0.0, 0.9]), 1))
+def test_pair_sums_match_one_lag_at_a_time(inputs):
+    kernel, amp, rows = inputs
+    # a block of ``rows`` lags under the running sums' row
+    _assert_pair_sums_match_loop(kernel, amp, 8 * amp.size * (rows + 1))
+
+
+@pytest.mark.parametrize("samples", [8192, 16384, 16385, 32768])
+@pytest.mark.parametrize("budget", [8, kerr._BLOCK_BYTES])
+def test_pair_sums_match_one_lag_at_a_time_on_gate_supports(samples, budget):
+    # eta's support of 829 to 3313 samples, and about the 721.3-nm filter's
+    # kernel, whose cos factor changes sign across the support
+    profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
+    amp = np.sqrt(profile.efficiency[kerr._support(profile.efficiency)])
+    dt = profile.time_grid[1] - profile.time_grid[0]
+    kernel = kerr._gaussian_kernel(np.arange(amp.size) * dt, 0.93, 6.9e24, 2.88e11)
+    _assert_pair_sums_match_loop(kernel, amp, budget)
+
+
+def test_gaussian_sums_do_not_depend_on_the_budget():
+    profile = _default_profile()
+    window = kerr._support(profile.efficiency)
+    points, weights = profile.time_grid[window], profile.efficiency[window]
+    # 801 delays: 7 rows per block leave a partial block of 3
+    centers = np.linspace(-3.5e-12, 4.5e-12, 801)
+    var = 2.0 * _signal().sigma ** 2
+    default = _gaussian_sums(points, weights, centers, var)
+    for budget in (8, 8 * points.size * 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kerr, "_BLOCK_BYTES", budget)
+            assert _gaussian_sums(points, weights, centers, var).tobytes() == default.tobytes()
+
+
+def test_trace_blocks_stay_within_the_byte_budget():
+    # one 1-MiB block of lags or of delays at a time; the support's vectors
+    # and numpy's iteration buffers add about 150 KiB
+    rng = np.random.default_rng(1)
+    size, budget = 400, 1 << 20
+    kernel, amp = rng.random(size), rng.random(size)
+    centers = np.linspace(0.0, 1.0, 3000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kerr, "_BLOCK_BYTES", budget)
+        for call in (lambda: _pair_sums(kernel, amp), lambda: _gaussian_sums(amp, kernel, centers, 0.1)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget + (1 << 18)
 
 
 def test_filtered_trace_narrower_than_plain():
