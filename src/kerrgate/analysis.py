@@ -39,44 +39,66 @@ from .qkd import (
 )
 
 
+def _cell(value) -> str:
+    """One table cell: empty for None, lower-case bools, plain ints, %.10g floats."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if value == 0.0:
+            value = 0.0  # normalize -0.0
+        return "%.10g" % value
+    return str(value)
+
+
+def _format_column(values: list):
+    """The cells of one column, made as the rows take them; Python floats skip the type tests.
+
+    Lazy cells keep the peak memory of a long table's text below that of
+    its rows: only the joined lines are ever held.
+    """
+    if set(map(type, values)) == {float}:
+        return ("%.10g" % (value + 0.0) for value in values)  # + 0.0 normalizes -0.0
+    return map(_cell, values)
+
+
 @dataclass
 class Table:
-    """Column-named rows with deterministic text serialization."""
+    """Named columns of equal length with deterministic text serialization.
+
+    The table stores one list per column (arrays enter through ``tolist``);
+    ``rows``, the list of row tuples, is derived from them on each read.
+    """
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    _values: tuple[list, ...]
 
     @classmethod
     def of(cls, **columns) -> Table:
         """The table of the given columns, in keyword order; ValueError on unequal lengths."""
-        return cls(tuple(columns), list(zip(*columns.values(), strict=True)))
+        values = tuple(v.tolist() if isinstance(v, np.ndarray) else list(v) for v in columns.values())
+        if len({len(v) for v in values}) > 1:
+            raise ValueError("table columns must have equal lengths")
+        return cls(tuple(columns), values)
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self._values))
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return list(self._values[self.columns.index(name)])
 
     def select(self, *names: str) -> Table:
         """The sub-table of the named columns, in that order."""
-        return Table.of(**{name: self.column(name) for name in names})
+        return Table(names, tuple(self._values[self.columns.index(name)] for name in names))
 
     def format_tsv(self) -> str:
-        def cell(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, (bool, np.bool_)):
-                return str(bool(value)).lower()
-            if isinstance(value, (int, np.integer)):
-                return str(int(value))
-            if isinstance(value, (float, np.floating)):
-                value = float(value)
-                if value == 0.0:
-                    value = 0.0  # normalize -0.0
-                return "%.10g" % value
-            return str(value)
-
         lines = ["\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(cell(v) for v in row))
+        lines += map("\t".join, zip(*map(_format_column, self._values)))
         return "\n".join(lines) + "\n"
 
 
@@ -265,8 +287,21 @@ class ThresholdResult:
 
 # bisection steps settled by one ``rate_fn`` call: it rates all 2**_LEVELS - 1
 # midpoints the next steps can reach, and numpy's fixed cost per chain call
-# dwarfs the extra points (3 to 6 levels timed alike on a 2-vCPU machine)
+# dwarfs the extra points (4 to 6 levels timed alike on a 2-vCPU machine)
 _LEVELS = 4
+_NODES = 2**_LEVELS - 1
+
+# the midpoint tree: node j of level l sits at 2**l - 1 + j and splits into
+# bracket j (rate <= 0) and bracket j + 2**l (rate > 0) of level l + 1, so the
+# bracket a round ends in, leaf j, took sign bit l of j at level l.
+# _PATH[l, j] is the node of level l on the way to leaf j (row _LEVELS holds
+# the leaves themselves, numbered after the nodes) and _SIGNS[l, j] that bit.
+# Both come from flat lists of Python values: numpy ufuncs or nested lists at
+# import would map more of numpy's code into every process, 0.15-0.3 MiB
+_LEAVES = range(2**_LEVELS)
+_PATH = np.array([2**level - 1 + leaf % 2**level for level in range(_LEVELS + 1) for leaf in _LEAVES])
+_PATH = _PATH.reshape(_LEVELS + 1, -1)
+_SIGNS = np.array([leaf >> level & 1 == 1 for level in range(_LEVELS) for leaf in _LEAVES]).reshape(_LEVELS, -1, 1)
 
 # narrowest relative stopping width: below about 2.2e-16 the width is less
 # than one double step, so a bisection would never stop
@@ -278,17 +313,21 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tupl
 
     ``rate_fn`` maps arguments shaped like the bracket arrays ``lo`` and
     ``hi``, with one more leading axis of candidates, to rates of the same
-    shape; it must be elementwise.  One call rates both bracket ends, and
-    each further call rates the 2**_LEVELS - 1 midpoints that the next
-    _LEVELS steps can reach, computed as those steps compute them; the steps
-    then replay from the signs.  The elements bisect in lockstep under
-    per-element convergence masks, so each takes the midpoints and iteration
-    count it would take alone, one step at a time.  Returns the arrays
-    ``(threshold, lo, hi, iterations, side)``; ``side`` is "low" or "high"
-    where that bracket end already fails (threshold NaN), else "".
-    ValueError unless ``lo < hi`` everywhere, ``lo > 0`` when geometric, and
-    ``rel_width`` is at least ``MIN_RELATIVE_WIDTH``: otherwise the loop
-    would never stop.
+    shape; it must be elementwise.  Each round builds the tree of the
+    2**_LEVELS - 1 midpoints that the next _LEVELS steps can reach, computed
+    as those steps compute them, and one call rates them: the first call
+    rates both bracket ends with them, so at most n steps take
+    max(1, ceil(n / _LEVELS)) calls, and a round whose elements all stop at
+    its first midpoint makes none.  The round then replays every level at
+    once: the stopping test runs on each node's own bracket, the node signs
+    pick the leaf each element reaches, and the first node on that path that
+    stops ends the element's steps.  The elements thus bisect in lockstep,
+    each taking the midpoints and iteration count it would take alone, one
+    step at a time.  Returns the arrays ``(threshold, lo, hi, iterations,
+    side)``; ``side`` is "low" or "high" where that bracket end already
+    fails (threshold NaN), else "".  ValueError unless ``lo < hi``
+    everywhere, ``lo > 0`` when geometric, and ``rel_width`` is at least
+    ``MIN_RELATIVE_WIDTH``: otherwise the loop would never stop.
     """
     if not rel_width >= MIN_RELATIVE_WIDTH:
         raise ValueError("rel_width must be at least %g, the width of a few double steps" % MIN_RELATIVE_WIDTH)
@@ -297,38 +336,48 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tupl
         raise ValueError("bisection bracket must be strictly increasing")
     if geometric and not np.all(lo > 0.0):
         raise ValueError("geometric bisection needs a positive lower bracket end")
-    low_rate, high_rate = rate_fn(np.stack([lo, hi]))
-    side = np.where(low_rate <= 0.0, "low", np.where(high_rate > 0.0, "high", ""))
-    threshold = np.full(lo.shape, np.nan)
-    iterations = np.zeros(lo.shape, dtype=int)
-    active = side == ""
+    # the elements run along one axis; ``rate_fn`` sees them in their shape
+    shape = lo.shape
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    elements = np.arange(lo.size)
+    leaves_stop = np.ones((2**_LEVELS, lo.size), dtype=bool)
+    iterations = np.zeros(lo.size, dtype=int)
+    side = positive = None
     while True:
-        # the midpoint tree: at level l, bracket j splits into bracket j
-        # (rate <= 0) and bracket j + 2**l (rate > 0); node j of level l sits
-        # at 2**l - 1 + j
-        lows, highs, levels = lo[None], hi[None], []
+        # every node's bracket and midpoint, then the leaves' brackets
+        lows, highs, node_lows, node_highs, mids = lo[None], hi[None], [], [], []
         for _ in range(_LEVELS):
-            mids = np.sqrt(lows * highs) if geometric else 0.5 * (lows + highs)
-            levels.append(mids)
-            lows, highs = np.concatenate([lows, mids]), np.concatenate([mids, highs])
-        candidates = np.concatenate(levels)
-        positive_at = None
-        node = np.zeros(lo.shape, dtype=int)
-        for level in range(_LEVELS):
-            at = (2**level - 1 + node)[None]
-            mid = np.take_along_axis(candidates, at, axis=0)[0]
-            done = active & (hi - lo <= rel_width * mid)
-            threshold[done] = mid[done]
-            active &= ~done
-            if not active.any():
-                return threshold, lo, hi, iterations, side
-            if positive_at is None:
-                positive_at = rate_fn(candidates) > 0.0
-            iterations += active
-            positive = np.take_along_axis(positive_at, at, axis=0)[0]
-            lo = np.where(active & positive, mid, lo)
-            hi = np.where(active & ~positive, mid, hi)
-            node += positive * 2**level
+            mid = np.sqrt(lows * highs) if geometric else 0.5 * (lows + highs)
+            node_lows.append(lows)
+            node_highs.append(highs)
+            mids.append(mid)
+            lows, highs = np.concatenate([lows, mid]), np.concatenate([mid, highs])
+        node_lows, node_highs = np.concatenate(node_lows + [lows]), np.concatenate(node_highs + [highs])
+        mids = np.concatenate(mids)
+        # a stopped element's bracket is its stopping node's, so it stops at
+        # the root of every later tree; a round ends unstopped at its leaf
+        stops = np.concatenate([node_highs[:_NODES] - node_lows[:_NODES] <= rel_width * mids, leaves_stop])
+        if side is None:
+            rates = rate_fn(np.concatenate([lo[None], hi[None], mids]).reshape((2 + _NODES,) + shape))
+            rates = rates.reshape(2 + _NODES, -1)
+            side = np.where(rates[0] <= 0.0, "low", np.where(rates[1] > 0.0, "high", ""))
+            failed = side != ""
+            positive = rates[2:] > 0.0
+        stops[0] |= failed  # a failing bracket end keeps its bracket
+        if stops[0].all():
+            break
+        if positive is None:
+            positive = rate_fn(mids.reshape((_NODES,) + shape)).reshape(_NODES, -1) > 0.0
+        # the node signs pick each element's leaf; its first stop on the way ends its steps
+        leaf = (positive[_PATH[:-1]] == _SIGNS).all(axis=0).argmax(axis=0)
+        path = _PATH[:, leaf]
+        steps = stops[path, elements].argmax(axis=0)
+        end = path[steps, elements]
+        iterations += steps
+        lo, hi = node_lows[end, elements], node_highs[end, elements]
+        positive = None
+    threshold = np.where(failed, np.nan, mids[0])
+    return tuple(a.reshape(shape) for a in (threshold, lo, hi, iterations, side))
 
 
 def _threshold_columns(result: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -160,10 +160,11 @@ def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:
 class SwitchProfile:
     """Sampled time-dependent switching efficiency eta(T).
 
-    ``fwhm`` and ``effective_width`` are derived from the samples on
-    construction; ``effective_width`` is the plain integral of eta over time,
-    which is the quantity that scales cw noise transmission.  Arrays are
-    frozen, so a profile is immutable.
+    ``fwhm``, ``effective_width`` and ``centroid`` are derived from the
+    samples on construction; ``effective_width`` is the plain integral of eta
+    over time, which is the quantity that scales cw noise transmission, and
+    ``centroid`` is eta's first moment (s), the optimal signal arrival time
+    (0 for a dark gate).  Arrays are frozen, so a profile is immutable.
     """
 
     time_grid: np.ndarray
@@ -171,6 +172,7 @@ class SwitchProfile:
     phase: np.ndarray | None = None
     fwhm: float = field(init=False, default=0.0)
     effective_width: float = field(init=False, default=0.0)
+    centroid: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         grid = np.asarray(self.time_grid, dtype=float)
@@ -190,19 +192,14 @@ class SwitchProfile:
             object.__setattr__(self, "phase", phase)
         width = float(np.trapezoid(eta, grid))
         object.__setattr__(self, "effective_width", width)
+        if width != 0.0:
+            object.__setattr__(self, "centroid", float(np.trapezoid(eta * grid, grid) / width))
         fwhm = sampled_fwhm(grid, eta) if eta.max() > 0 else 0.0
         object.__setattr__(self, "fwhm", fwhm)
 
     @property
     def peak_efficiency(self) -> float:
         return float(self.efficiency.max())
-
-    @property
-    def centroid(self) -> float:
-        """First moment of eta (s); the optimal signal arrival time."""
-        if self.effective_width == 0.0:
-            return 0.0
-        return float(np.trapezoid(self.efficiency * self.time_grid, self.time_grid) / self.effective_width)
 
     def support(self) -> tuple[float, float]:
         """Interval where eta exceeds 1e-3 of its peak."""

@@ -16,6 +16,17 @@ import numpy as np
 from .kerr import SwitchProfile
 
 
+def _in_unit_interval(value) -> bool:
+    """Whether every element lies in [0, 1]; NaN does not, an empty array does.
+
+    The reductions start from 0 and 1 so that an empty array passes, and NaN
+    propagates through them to fail both comparisons.
+    """
+    # ufunc reductions: np.min and np.max add microseconds of Python dispatch
+    low, high = np.minimum.reduce(value, None, initial=0.0), np.maximum.reduce(value, None, initial=1.0)
+    return bool(low >= 0.0 and high <= 1.0)
+
+
 def binary_entropy(x):
     """Shannon binary entropy H2(x) in bits, with H2(0) = H2(1) = 0.
 
@@ -24,7 +35,7 @@ def binary_entropy(x):
     at 0 and 1, so no element is picked out by index.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if not _in_unit_interval(arr):
         raise ValueError("binary_entropy requires x in [0, 1]")
     interior = (arr > 0.0) & (arr < 1.0)
     xv = np.where(interior, arr, 0.5)
@@ -84,6 +95,23 @@ ARMS = (ELECTRONIC, ULTRAFAST)  # the filter arms, in the order every table list
 _DARK_MODES = ("electronic", "optical", "ungated")
 
 
+# each ChannelScenario field's test for an invalid value, and its message, in field order
+_SCENARIO_CHECKS = {
+    "channel_loss_db": (lambda v: np.any(v < 0), "losses must be non-negative"),
+    "receiver_loss_db": (lambda v: v < 0, "losses must be non-negative"),
+    "noise_rate": (lambda v: np.any(v < 0), "noise_rate must be non-negative"),
+    "noise_linewidth": (lambda v: v is not None and v < 0, "noise_linewidth must be non-negative or None"),
+    "filter_kind": (
+        lambda v: not np.all((v == ELECTRONIC) | (v == ULTRAFAST)),
+        "filter_kind must be one of %s" % (ARMS,),
+    ),
+    "utf_insertion_loss_db": (lambda v: v < 0, "utf_insertion_loss_db must be non-negative"),
+    "misalignment_error": (lambda v: not 0.0 <= v <= 0.5, "misalignment_error must lie in [0, 0.5]"),
+    "pump_noise_per_pulse": (lambda v: v < 0, "pump_noise_per_pulse must be non-negative"),
+    "dark_count_mode": (lambda v: v not in _DARK_MODES, "dark_count_mode must be one of %s" % (_DARK_MODES,)),
+}
+
+
 @dataclass(frozen=True)
 class ChannelScenario:
     """One channel-and-receiver operating point.
@@ -119,28 +147,23 @@ class ChannelScenario:
     dark_count_mode: str = "electronic"
 
     def __post_init__(self):
-        if np.any(self.channel_loss_db < 0) or self.receiver_loss_db < 0:
-            raise ValueError("losses must be non-negative")
-        if np.any(self.noise_rate < 0):
-            raise ValueError("noise_rate must be non-negative")
-        if self.noise_linewidth is not None and self.noise_linewidth < 0:
-            raise ValueError("noise_linewidth must be non-negative or None")
-        if not np.all((self.filter_kind == ELECTRONIC) | (self.filter_kind == ULTRAFAST)):
-            raise ValueError("filter_kind must be one of %s" % (ARMS,))
-        if self.utf_insertion_loss_db < 0:
-            raise ValueError("utf_insertion_loss_db must be non-negative")
-        if not 0.0 <= self.misalignment_error <= 0.5:
-            raise ValueError("misalignment_error must lie in [0, 0.5]")
-        if self.pump_noise_per_pulse < 0:
-            raise ValueError("pump_noise_per_pulse must be non-negative")
-        if self.dark_count_mode not in _DARK_MODES:
-            raise ValueError("dark_count_mode must be one of %s" % (_DARK_MODES,))
+        self._check(_SCENARIO_CHECKS)
+
+    def _check(self, names):
+        """ValueError for the first of the named fields, in field order, that is out of range."""
+        for name, (invalid, message) in _SCENARIO_CHECKS.items():
+            if name in names and invalid(getattr(self, name)):
+                raise ValueError(message)
 
     def with_(self, **changes) -> "ChannelScenario":
-        """Copy with selected fields replaced."""
-        from dataclasses import replace
-
-        return replace(self, **changes)
+        """Copy with selected fields replaced; only the replaced fields are checked."""
+        unknown = changes.keys() - _SCENARIO_CHECKS.keys()
+        if unknown:
+            raise TypeError("ChannelScenario has no field %s" % ", ".join(sorted(unknown)))
+        scenario = object.__new__(type(self))
+        vars(scenario).update(vars(self), **changes)
+        scenario._check(changes)
+        return scenario
 
     def total_loss_db(self) -> float:
         extra = self.utf_insertion_loss_db * (self.filter_kind == ULTRAFAST)
@@ -152,7 +175,12 @@ class ChannelScenario:
 
 @dataclass(frozen=True)
 class ObservedRates:
-    """Gains and error rates as the postprocessing layer sees them."""
+    """Gains and error rates as the postprocessing layer sees them.
+
+    Each field is a probability, a scalar or an array; construction raises
+    ValueError, naming the field and its first value outside [0, 1] (NaN
+    included), from one min/max pair per field.
+    """
 
     q_mu: float
     q_nu: float
@@ -162,9 +190,10 @@ class ObservedRates:
 
     def __post_init__(self):
         for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
-            value = np.asarray(getattr(self, name))
-            inside = (0.0 <= value) & (value <= 1.0)
-            if not inside.all():
+            value = getattr(self, name)
+            if not _in_unit_interval(value):
+                value = np.asarray(value)
+                inside = (0.0 <= value) & (value <= 1.0)
                 raise ValueError("%s = %g outside [0, 1]" % (name, value[~inside][0]))
 
 
@@ -225,8 +254,8 @@ def _gain_and_error(y0, opened, e_d: float) -> tuple:
     """
     gain = np.minimum(y0 + opened, 1.0)
     errors = np.minimum(0.5 * y0 + e_d * opened, 0.5 * gain)
-    with np.errstate(invalid="ignore"):  # 0/0 where nothing clicks
-        return gain, np.where(gain > 0, errors / gain, 0.5)[()]  # [()]: 0-d to scalar
+    # 1/2 where nothing clicks; [()]: 0-d to scalar
+    return gain, np.divide(errors, gain, out=np.full_like(gain, 0.5), where=gain > 0)[()]
 
 
 def simulate_observed_rates(

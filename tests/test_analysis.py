@@ -340,9 +340,9 @@ def test_bisection_call_count(default_run, monkeypatch):
     iterations = _assert_matches_one_step_reference([1.005] * 8, lows, highs, 0.01, geometric=False)
     assert iterations.tolist() == list(range(1, 9))
     iterations = _bisect_positive(rate, lows, highs, 0.01, geometric=False)[3]
-    # both ends in one call, then one call per block of four steps
-    assert calls == [(2, 8), (15, 8), (15, 8)]
-    assert len(calls) == 1 + -(-iterations.max() // 4)
+    # both ends ride the first block of four steps, then one call per block
+    assert calls == [(17, 8), (15, 8)]
+    assert len(calls) == max(1, -(-iterations.max() // 4))
 
     run = default_run
     evaluations = []
@@ -355,7 +355,41 @@ def test_bisection_call_count(default_run, monkeypatch):
     result = noise_threshold(run.scenario, _detector(), run.decoy, run.switch, run.spectral_overlap)
     # one step per call would take 2 + 13 calls
     assert result.iterations == 13
-    assert evaluations == [(2,)] + [(15,)] * 4
+    assert evaluations == [(17,)] + [(15,)] * 3
+    assert len(evaluations) == max(1, -(-result.iterations // 4))
+
+
+def test_bisection_with_failing_ends_makes_one_call():
+    # below the lower end the rate is already non-positive, above the upper
+    # end still positive: the first call decides both, and nothing follows
+    calls = []
+
+    def rate(x):
+        calls.append(np.shape(x))
+        return 1.005 - x
+
+    threshold, lo, hi, iterations, side = _bisect_positive(rate, [2.0, 0.1], [3.0, 0.5], 0.01, geometric=False)
+    assert calls == [(17, 2)]
+    assert side.tolist() == ["low", "high"]
+    assert np.isnan(threshold).all() and iterations.tolist() == [0, 0]
+    assert (lo.tolist(), hi.tolist()) == ([2.0, 0.1], [3.0, 0.5])
+    _assert_matches_one_step_reference([1.005] * 2, [2.0, 0.1], [3.0, 0.5], 0.01, geometric=False)
+
+
+def test_bisection_stopping_at_a_rounds_first_midpoint_makes_no_call():
+    # a bracket of span 0.16 stops after exactly four steps, at the first
+    # midpoint of the second round: that midpoint needs no rate
+    calls = []
+
+    def rate(x):
+        calls.append(np.shape(x))
+        return 1.005 - x
+
+    lows, highs = [1.0, 2.0], [1.16, 3.0]
+    iterations = _bisect_positive(rate, lows, highs, 0.01, geometric=False)[3]
+    assert iterations.tolist() == [4, 0]
+    assert calls == [(17, 2)]
+    _assert_matches_one_step_reference([1.005] * 2, lows, highs, 0.01, geometric=False)
 
 
 def test_bisection_refuses_inputs_that_never_stop():
@@ -749,6 +783,74 @@ def test_fluctuation_gains_and_qbers_stay_probabilities(default_run):
     assert max(gains) <= 1.0 and max(qbers) <= 0.5
     saturated = [row for row in study.rates.rows if row[2] == ELECTRONIC]
     assert {(row[4], row[5]) for row in saturated} == {(1.0, 0.5)}
+
+
+def _row_by_row_tsv(columns: dict) -> str:
+    """The row-by-row formatter tables used before they stored columns, as reference."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value)).lower()
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            value = float(value)
+            if value == 0.0:
+                value = 0.0  # normalize -0.0
+            return "%.10g" % value
+        return str(value)
+
+    lines = ["\t".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append("\t".join(cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -2.5e17, 1.0 / 3.0]
+
+_TABLE_CASES = {
+    "float list": {"x": _SPECIALS},
+    "float array": {"x": np.array(_SPECIALS)},
+    "float32 array": {"x": np.array(_SPECIALS, dtype=np.float32)},
+    "numpy float scalars": {"x": list(np.array(_SPECIALS))},
+    "None and floats": {
+        "threshold": np.where(np.arange(8) % 3 == 0, np.array(_SPECIALS), None),
+        "plain": [None, 1.5, -0.0, None, np.nan, 2, True, "x"],
+    },
+    "bools": {"b": np.array([True, False]), "c": [True, np.False_]},
+    "ints": {"i": np.arange(-2, 3), "j": range(5), "k": np.array([0, 1, 2, 3, 2**40], dtype=np.int64)},
+    "strings": {"s": np.array(["electronic", "ultrafast"]), "t": np.char.add("no-threshold-", np.array(["low", ""]))},
+    "no rows": {"a": [], "b": np.array([])},
+    "no columns": {},
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_table_columns_format_as_rows_did(case):
+    columns = _TABLE_CASES[case]
+    assert Table.of(**columns).format_tsv() == _row_by_row_tsv(columns)
+
+
+def test_table_stores_columns():
+    table = Table.of(a=np.array([1.0, 2.0]), b=["x", "y"], c=np.array([3, 4]))
+    assert table.rows == [(1.0, "x", 3), (2.0, "y", 4)]
+    assert table.column("c") == [3, 4]
+    # rows and columns are derived copies: changing one leaves the table alone
+    table.rows.clear()
+    table.column("b").append("z")
+    assert table.rows == [(1.0, "x", 3), (2.0, "y", 4)]
+    with pytest.raises(AttributeError):
+        table.rows = []
+    assert table.select("c", "a") == Table.of(c=[3, 4], a=[1.0, 2.0])
+    assert table.select("c", "a") != Table.of(a=[1.0, 2.0], c=[3, 4])
+    assert table == Table.of(a=[1.0, 2.0], b=np.array(["x", "y"]), c=[3, 4])
+    assert table != Table.of(a=[1.0, 2.5], b=["x", "y"], c=[3, 4])
+    with pytest.raises(ValueError, match="equal lengths"):
+        Table.of(a=[1.0, 2.0], b=["x"])
+    with pytest.raises(ValueError):
+        table.column("d")
 
 
 def test_table_behaviour():

@@ -1,5 +1,7 @@
 """Decoy-state chain: entropy, yields, bounds, key rate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,16 @@ def test_binary_entropy_rejects_nan():
         binary_entropy(np.array([[0.2, np.nan], [0.5, 0.0]]))
 
 
+def test_binary_entropy_rejects_one_nan_in_an_array():
+    with pytest.raises(ValueError, match=r"^binary_entropy requires x in \[0, 1\]$"):
+        binary_entropy(np.array([0.0, 0.2, np.nan, 1.0]))
+
+
+def test_binary_entropy_accepts_the_closed_interval_and_empty_arrays():
+    np.testing.assert_array_equal(binary_entropy(np.array([0.0, 1.0])), [0.0, 0.0])
+    assert binary_entropy(np.array([])).shape == (0,)
+
+
 def test_binary_entropy_matches_indexed_formula():
     # the formula applied to the interior elements only, picked out by index
     rng = np.random.default_rng(5)
@@ -86,6 +98,24 @@ def test_binary_entropy_matches_indexed_formula():
     xv = x[interior]
     expected[interior] = -xv * np.log2(xv) - (1.0 - xv) * np.log2(1.0 - xv)
     np.testing.assert_array_equal(binary_entropy(x), expected)
+
+
+_RATE_FIELDS = ("q_mu", "q_nu", "e_mu", "e_nu", "y0")
+
+
+@pytest.mark.parametrize("form", ["scalar", "0-d", "array"])
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+@pytest.mark.parametrize("name", _RATE_FIELDS)
+def test_observed_rates_reject_values_outside_the_unit_interval(name, bad, form):
+    value = {"scalar": bad, "0-d": np.array(bad), "array": np.array([[0.0, 0.3], [bad, 1.0]])}[form]
+    fields = dict.fromkeys(_RATE_FIELDS, 0.25) | {name: value}
+    # the message names the field and its first value outside [0, 1]
+    with pytest.raises(ValueError, match="^%s = %s outside \\[0, 1\\]$" % (name, "%g" % bad)):
+        ObservedRates(**fields)
+
+
+def test_observed_rates_accept_the_closed_interval():
+    ObservedRates(q_mu=0.0, q_nu=np.array(1.0), e_mu=np.array([0.0, 0.5, 1.0]), e_nu=np.array([]), y0=1.0)
 
 
 def test_observed_rates_reference_point():
@@ -263,6 +293,43 @@ def test_scenario_validation():
         DecoyParams(mu=0.3, nu=0.6)
     with pytest.raises(ValueError):
         DetectorParams(efficiency=0.0)
+
+
+# every field value the scenario checks reject, with the message they give
+_BAD_SCENARIO_FIELDS = [
+    ("channel_loss_db", -1.0, "losses must be non-negative"),
+    ("channel_loss_db", np.array([[3.0], [-0.5]]), "losses must be non-negative"),
+    ("receiver_loss_db", -0.1, "losses must be non-negative"),
+    ("noise_rate", -1.0, "noise_rate must be non-negative"),
+    ("noise_rate", np.array([0.0, 1e3, -1e-9]), "noise_rate must be non-negative"),
+    ("noise_linewidth", -1e-9, "noise_linewidth must be non-negative or None"),
+    ("filter_kind", "acoustic", "filter_kind must be one of ('electronic', 'ultrafast')"),
+    ("filter_kind", np.array(["electronic", "acoustic"]), "filter_kind must be one of ('electronic', 'ultrafast')"),
+    ("utf_insertion_loss_db", -2.0, "utf_insertion_loss_db must be non-negative"),
+    ("misalignment_error", 0.6, "misalignment_error must lie in [0, 0.5]"),
+    ("misalignment_error", -0.01, "misalignment_error must lie in [0, 0.5]"),
+    ("misalignment_error", np.nan, "misalignment_error must lie in [0, 0.5]"),
+    ("pump_noise_per_pulse", -1e-6, "pump_noise_per_pulse must be non-negative"),
+    ("dark_count_mode", "thermal", "dark_count_mode must be one of ('electronic', 'optical', 'ungated')"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _BAD_SCENARIO_FIELDS)
+def test_scenario_checks_reject_through_init_and_with(name, value, message):
+    # with_ checks only the fields it replaces, but rejects each as __init__ does
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        ChannelScenario(**{name: value})
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        ChannelScenario(channel_loss_db=10.0).with_(**{name: value})
+
+
+def test_scenario_with_replaces_fields():
+    base = ChannelScenario(channel_loss_db=10.0, noise_rate=5e3)
+    changed = base.with_(noise_rate=1e4, dark_count_mode="optical")
+    assert changed == ChannelScenario(channel_loss_db=10.0, noise_rate=1e4, dark_count_mode="optical")
+    assert base.noise_rate == 5e3 and base.dark_count_mode == "electronic"
+    with pytest.raises(TypeError):
+        base.with_(noise=1e4)
 
 
 def test_filter_dominance_without_insertion_penalty(default_run):
