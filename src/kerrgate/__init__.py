@@ -42,7 +42,6 @@ from .pulses import (
     TemporalMode,
     default_time_grid,
     frequency_bandwidth,
-    hermite_gauss_amplitude,
     mode_transmission,
     sampled_fwhm,
     transform_limited_duration,

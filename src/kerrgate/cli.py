@@ -5,8 +5,8 @@ produces byte-identical outputs (modulo the suppressible banner line).
 Tables go to stdout or, with --out, to one .tsv file per table; error
 messages go to stderr.
 
-Exit codes: 0 success, 2 config or domain error, 3 no threshold found
-anywhere in a thresholds run, 4 numerical-resolution error.
+Exit codes: 0 success, 2 config, domain or floating-point error, 3 no
+threshold found anywhere in a thresholds run, 4 numerical-resolution error.
 """
 
 from __future__ import annotations
@@ -60,17 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        run = resolve(config)
-        handler = _HANDLERS[args.command]
-        return handler(args, run)
+        # a floating-point failure exits 2 instead of printing inf or nan cells
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            run = resolve(load_config(args.config))
+            return _HANDLERS[args.command](args, run)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except ResolutionError as exc:
         print("resolution error: %s" % exc, file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -29,95 +29,124 @@ from .kerr import (
     switch_profile,
 )
 from .pulses import GaussianPulse, SpectralFilter, default_time_grid
-from .qkd import ChannelScenario, DecoyParams, DetectorParams
+from .qkd import _DARK_MODES, ChannelScenario, DecoyParams, DetectorParams
 
-DEFAULTS: dict = {
-    "grid": {"time_span_ps": 40.0, "samples": 16384},
+_INF = float("inf")
+
+# A value rule is (test, words), and a refusal reads "<dotted key> must be
+# <words>".  Every test compares, and NaN fails every comparison.
+_FINITE = (lambda v: -_INF < v < _INF, "finite")
+_POSITIVE = (lambda v: 0 < v < _INF, "positive and finite")
+_NON_NEGATIVE = (lambda v: 0 <= v < _INF, "non-negative and finite")
+_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _count(low: int, cap: int = 10**6) -> tuple:
+    """An integral count in [low, cap]: 16384.0 passes and is stored as 16384, 40.9 does not."""
+    return (lambda v: low <= v <= cap and float(v).is_integer(), "an integer in [%d, %d]" % (low, cap))
+
+
+def _nullable(rule: tuple) -> tuple:
+    return (lambda v: v is None or rule[0](v), rule[1] + " or null")
+
+
+def _each(rule: tuple) -> tuple:
+    return (lambda v: all(map(rule[0], v)), "a list of %s numbers" % rule[1])
+
+
+def _bracket(rule: tuple) -> tuple:
+    each = _each(rule)[0]
+    return (lambda v: len(v) == 2 and each(v) and v[0] < v[1], "[low, high] with low < high, both %s" % rule[1])
+
+
+# Every leaf of the config document, once, as (default, rule); the counts
+# are the leaves with an int default.  A 2^22-sample grid array takes
+# 32 MiB, and each mode order one recurrence step.
+_TABLE = {
+    "grid": {"time_span_ps": (40.0, _POSITIVE), "samples": (16384, _count(16, 1 << 22))},
     "pump": {
-        "center_wavelength_nm": 800.0,
-        "bandwidth_fwhm_nm": 2.1,
-        "pulse_energy_nj": 2.47,
+        "center_wavelength_nm": (800.0, _POSITIVE),
+        "bandwidth_fwhm_nm": (2.1, _POSITIVE),
+        "pulse_energy_nj": (2.47, _NON_NEGATIVE),
     },
-    "signal": {"center_wavelength_nm": 720.8, "bandwidth_fwhm_nm": 1.7},
+    "signal": {"center_wavelength_nm": (720.8, _POSITIVE), "bandwidth_fwhm_nm": (1.7, _POSITIVE)},
     "fiber": {
-        "length_cm": 10.0,
-        "walkoff_ps_per_m": 10.0,
-        "nonlinear_index_m2_per_w": 2.6e-20,
-        "mode_area_um2": None,
+        "length_cm": (10.0, _POSITIVE),
+        "walkoff_ps_per_m": (10.0, _POSITIVE),
+        "nonlinear_index_m2_per_w": (2.6e-20, _POSITIVE),
+        "mode_area_um2": (None, _nullable(_POSITIVE)),
     },
-    "switch": {"polarization_angle_deg": 45.0},
+    "switch": {"polarization_angle_deg": (45.0, _FINITE)},
     "spectral_filter": {
-        "center_wavelength_nm": 720.8,
-        "bandwidth_fwhm_nm": 1.7,
-        "peak_transmission": 0.93,
+        "center_wavelength_nm": (720.8, _POSITIVE),
+        "bandwidth_fwhm_nm": (1.7, _POSITIVE),
+        "peak_transmission": (0.93, _FRACTION),
     },
     "noise": {
-        "linewidth_nm": 0.83,
-        "center_wavelength_nm": None,
-        "spectral_overlap": None,
+        "linewidth_nm": (0.83, _nullable(_NON_NEGATIVE)),
+        "center_wavelength_nm": (None, _nullable(_POSITIVE)),
+        "spectral_overlap": (None, _nullable(_FRACTION)),
     },
     "detector": {
-        "efficiency": 1.0,
-        "dark_rate_hz": 100.0,
-        "coincidence_window_ns": 2.0,
-        "repetition_rate_mhz": 80.0,
+        "efficiency": (1.0, _FRACTION),
+        "dark_rate_hz": (100.0, _NON_NEGATIVE),
+        "coincidence_window_ns": (2.0, _POSITIVE),
+        "repetition_rate_mhz": (80.0, _POSITIVE),
     },
-    "decoy": {"mu": 0.6, "nu": 0.3, "sifting_q": 0.5, "error_correction_f": 1.22},
+    "decoy": {
+        "mu": (0.6, _POSITIVE),
+        "nu": (0.3, _POSITIVE),
+        "sifting_q": (0.5, _FRACTION),
+        "error_correction_f": (1.22, (lambda v: 1 <= v < _INF, "finite and at least 1")),
+    },
     "scenario": {
-        "receiver_loss_db": 8.25,
-        "utf_insertion_loss_db": 2.05,
-        "misalignment_error": 0.0403,
-        "pump_noise_per_pulse": 2.8e-6,
-        "dark_count_mode": "electronic",
+        "receiver_loss_db": (8.25, _NON_NEGATIVE),
+        "utf_insertion_loss_db": (2.05, _NON_NEGATIVE),
+        "misalignment_error": (0.0403, (lambda v: 0 <= v <= 0.5, "in [0, 0.5]")),
+        "pump_noise_per_pulse": (2.8e-6, _NON_NEGATIVE),
+        "dark_count_mode": ("electronic", (lambda v: v in _DARK_MODES, "one of %s" % ", ".join(_DARK_MODES))),
     },
-    "trace": {"delay_min_ps": -3.5, "delay_max_ps": 4.5, "samples": 801},
+    "trace": {"delay_min_ps": (-3.5, _FINITE), "delay_max_ps": (4.5, _FINITE), "samples": (801, _count(3))},
     "sweep": {
-        "noise_min_hz": 100.0,
-        "noise_max_hz": 1.0e6,
-        "noise_samples": 33,
-        "loss_min_db": 2.0,
-        "loss_max_db": 30.0,
-        "loss_samples": 29,
-        "curve_loss_levels_db": [5.0, 10.0, 15.0, 20.0],
-        "curve_noise_levels_hz": [0.0, 1.0e3, 1.0e4, 1.0e5],
+        "noise_min_hz": (100.0, _POSITIVE),
+        "noise_max_hz": (1.0e6, _POSITIVE),
+        "noise_samples": (33, _count(2)),
+        "loss_min_db": (2.0, _NON_NEGATIVE),
+        "loss_max_db": (30.0, _NON_NEGATIVE),
+        "loss_samples": (29, _count(2)),
+        "curve_loss_levels_db": ([5.0, 10.0, 15.0, 20.0], _each(_NON_NEGATIVE)),
+        "curve_noise_levels_hz": ([0.0, 1.0e3, 1.0e4, 1.0e5], _each(_NON_NEGATIVE)),
     },
     "thresholds": {
-        "loss_bracket_db": [5.0, 45.0],
-        "noise_bracket_hz": [1.0, 1.0e12],
-        "relative_width": 0.005,
+        # noise rates bisect geometrically, so from above 0; a bisection narrower
+        # than a few double steps never stops
+        "loss_bracket_db": ([5.0, 45.0], _bracket(_NON_NEGATIVE)),
+        "noise_bracket_hz": ([1.0, 1.0e12], _bracket(_POSITIVE)),
+        "relative_width": (0.005, (lambda v: MIN_RELATIVE_WIDTH <= v < _INF, "finite and >= %g" % MIN_RELATIVE_WIDTH)),
     },
-    "modes": {"max_order": 10},
+    "modes": {"max_order": (10, _count(0, 10**4))},
     "fluctuation": {
-        "pulse_fwhm_ps": [1.0, 10.0, 100.0, 500.0],
-        "noise_levels_hz": [920.0, 2.5e4, 8.0e6],
-        "loss_min_db": 0.0,
-        "loss_max_db": 70.0,
-        "loss_samples": 71,
-        "visibility": 0.99,
-        "detector_efficiency": 0.8,
-        "dark_rate_hz": 100.0,
-        "electronic_window_ns": 1.0,
+        "pulse_fwhm_ps": ([1.0, 10.0, 100.0, 500.0], _each(_POSITIVE)),
+        "noise_levels_hz": ([920.0, 2.5e4, 8.0e6], _each(_NON_NEGATIVE)),
+        "loss_min_db": (0.0, _FINITE),
+        "loss_max_db": (70.0, _FINITE),
+        "loss_samples": (71, _count(1)),
+        "visibility": (0.99, _FRACTION),
+        "detector_efficiency": (0.8, _FRACTION),
+        "dark_rate_hz": (100.0, _NON_NEGATIVE),
+        "electronic_window_ns": (1.0, _POSITIVE),
     },
 }
 
-# keys that accept null and are filled in during resolution
-_NULLABLE = {
-    "fiber.mode_area_um2",
-    "noise.linewidth_nm",
-    "noise.center_wavelength_nm",
-    "noise.spectral_overlap",
-}
+# (section, lower, upper): the lower leaf's value must lie below the upper's
+_INCREASING = (
+    ("decoy", "nu", "mu"),
+    ("sweep", "noise_min_hz", "noise_max_hz"),
+    ("sweep", "loss_min_db", "loss_max_db"),
+    ("trace", "delay_min_ps", "delay_max_ps"),
+)
 
-# count keys and their least valid values: a trace needs three delays and
-# a sweep two points
-_COUNTS = {
-    "grid.samples": 16,
-    "trace.samples": 3,
-    "sweep.noise_samples": 2,
-    "sweep.loss_samples": 2,
-    "modes.max_order": 0,
-    "fluctuation.loss_samples": 1,
-}
+DEFAULTS: dict = {section: {key: leaf[0] for key, leaf in leaves.items()} for section, leaves in _TABLE.items()}
 
 _NM = 1e-9
 _PS = 1e-12
@@ -131,8 +160,9 @@ _UM2 = 1e-12
 def load_config(path: str | None) -> dict:
     """Defaults merged with the user document at ``path`` (None = defaults).
 
-    Raises ConfigError on JSON syntax errors, unknown keys, or type
-    mismatches; the message carries the dotted key path.
+    Raises ConfigError on JSON syntax errors, unknown keys, type
+    mismatches and nulls where the leaf's rule takes none; the message
+    carries the dotted key path.  The value rules run in ``resolve``.
     """
     merged = copy.deepcopy(DEFAULTS)
     if path is None:
@@ -146,11 +176,11 @@ def load_config(path: str | None) -> dict:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    _merge(merged, user, prefix="")
+    _merge(merged, user, _TABLE, prefix="")
     return merged
 
 
-def _merge(target: dict, user: dict, prefix: str):
+def _merge(target: dict, user: dict, table: dict, prefix: str):
     for key, value in user.items():
         path = prefix + key if not prefix else "%s.%s" % (prefix, key)
         if key not in target:
@@ -159,38 +189,52 @@ def _merge(target: dict, user: dict, prefix: str):
         if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError("%s must be an object" % path)
-            _merge(default, value, path)
+            _merge(default, value, table[key], path)
             continue
-        _check_type(path, value, default)
+        if value is not None:
+            _check_type(path, value, default)
+        else:  # only the nullable leaves' rules hold for null
+            _check_value(path, value, table[key][1])
         target[key] = value
 
 
 def _check_type(path: str, value, default):
-    if value is None:
-        if path in _NULLABLE:
-            return
-        raise ConfigError("%s must not be null" % path)
-    if default is None:
-        # nullable keys are numeric when present
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError("%s must be a number or null" % path)
-        return
-    if isinstance(default, (int, float)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError("%s must be a number" % path)
-        return
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError("%s must be a string" % path)
-        return
-    if isinstance(default, list):
+    elif isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError("%s must be a non-empty list" % path)
         for item in value:
             if not isinstance(item, (int, float)) or isinstance(item, bool):
                 raise ConfigError("%s must contain numbers only" % path)
-        return
-    raise ConfigError("unsupported schema entry at %s" % path)
+    # a number, or a nullable leaf's value (whose default may be null)
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError("%s must be a number" % path)
+
+
+def _check_value(path: str, value, rule: tuple):
+    """ConfigError "<path> must be <words>" unless ``value`` passes ``rule``."""
+    test, words = rule
+    try:
+        valid = test(value)
+    except TypeError:  # a null, a string or a list where a number belongs
+        valid = False
+    if not valid:
+        raise ConfigError("%s must be %s" % (path, words))
+
+
+def _check_values(effective: dict):
+    """Run every leaf's rule, then the increasing pairs; store each count as an int."""
+    for section, leaves in _TABLE.items():
+        values = effective[section]
+        for key, (default, rule) in leaves.items():
+            _check_value(section + "." + key, values[key], rule)
+            if type(default) is int:
+                values[key] = int(values[key])
+    for section, lower, upper in _INCREASING:
+        if not effective[section][lower] < effective[section][upper]:
+            raise ConfigError("%s.%s must be below %s.%s" % (section, lower, section, upper))
 
 
 @dataclass
@@ -253,49 +297,21 @@ class RunConfig:
         return (float(lo), float(hi))
 
 
-def _require_count(effective: dict, path: str, minimum: int):
-    """Store the count at dotted ``path`` as an int; 16384.0 passes, 40.9 does not."""
-    section, key = path.split(".")
-    value = effective[section][key]
-    if not float(value).is_integer() or value < minimum:
-        raise ConfigError("%s must be an integer >= %d" % (path, minimum))
-    effective[section][key] = int(value)
-
-
-def _check_thresholds(section: dict):
-    """Refuse the ``thresholds`` values on which a bisection would never stop or mislead."""
-    for key in ("loss_bracket_db", "noise_bracket_hz"):
-        bracket = section[key]
-        if len(bracket) != 2 or not bracket[0] < bracket[1]:
-            raise ConfigError("thresholds.%s must be [low, high] with low < high" % key)
-    if section["loss_bracket_db"][0] < 0:
-        raise ConfigError("thresholds.loss_bracket_db must not start below 0 dB: channel losses are non-negative")
-    if not section["noise_bracket_hz"][0] > 0:
-        raise ConfigError("thresholds.noise_bracket_hz must start above 0 Hz: noise rates bisect geometrically")
-    if not section["relative_width"] >= MIN_RELATIVE_WIDTH:
-        raise ConfigError(
-            "thresholds.relative_width must be at least %g: a narrower width is below one double step"
-            % MIN_RELATIVE_WIDTH
-        )
-
-
 def resolve(config: dict) -> RunConfig:
-    """Build model objects from a validated config document."""
+    """Build model objects from a config document; raises only ConfigError and ResolutionError."""
     try:
-        return _resolve(config)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _resolve(config)
     except ResolutionError:
         # an undersampled grid is a numerics problem, not a schema problem
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _resolve(config: dict) -> RunConfig:
     effective = copy.deepcopy(config)
-
-    for path, minimum in _COUNTS.items():
-        _require_count(effective, path, minimum)
-    _check_thresholds(effective["thresholds"])
+    _check_values(effective)
     grid_cfg = effective["grid"]
     time_grid = default_time_grid(grid_cfg["time_span_ps"] * _PS, grid_cfg["samples"])
 
@@ -354,8 +370,6 @@ def _resolve(config: dict) -> RunConfig:
     )
 
     noise_cfg = effective["noise"]
-    if noise_cfg["center_wavelength_nm"] is not None and not noise_cfg["center_wavelength_nm"] > 0:
-        raise ConfigError("noise.center_wavelength_nm must be positive")
     linewidth = None if noise_cfg["linewidth_nm"] is None else noise_cfg["linewidth_nm"] * _NM
     scenario_cfg = effective["scenario"]
     scenario = ChannelScenario(
@@ -371,25 +385,23 @@ def _resolve(config: dict) -> RunConfig:
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
     switch = switch_profile(pump, fiber, time_grid, signal.center_wavelength, theta=theta)
 
-    given = noise_cfg["spectral_overlap"] is not None
-    if given:
+    if noise_cfg["spectral_overlap"] is not None:
         overlap = float(noise_cfg["spectral_overlap"])
-    else:
-        noise_center = (
-            None
-            if noise_cfg["center_wavelength_nm"] is None
-            else noise_cfg["center_wavelength_nm"] * _NM
-        )
-        overlap = spectral_overlap_factor(switch, spectral_filter, linewidth, noise_center)
-    if not 0.0 < overlap <= 1.0:
-        if given:
-            raise ConfigError("noise.spectral_overlap must lie in (0, 1]")
-        # off the filter centre the gate can broaden more noise into the passband
-        # than the unbroadened line passes, and background_yield needs (0, 1]
+    elif switch.peak_efficiency == 0.0:
         raise ConfigError(
-            "noise.center_wavelength_nm = %s is too far off the filter centre: its derived spectral "
-            "overlap %.6g lies outside (0, 1]" % (noise_cfg["center_wavelength_nm"], overlap)
+            "a dark gate (switch.polarization_angle_deg = %s, fiber.mode_area_um2 = %.6g) has no spectrum to "
+            "derive noise.spectral_overlap from: set it" % (switch_cfg["polarization_angle_deg"], mode_area / _UM2)
         )
+    else:
+        center = noise_cfg["center_wavelength_nm"]
+        overlap = spectral_overlap_factor(switch, spectral_filter, linewidth, None if center is None else center * _NM)
+        if not 0.0 < overlap <= 1.0:
+            # off the filter centre the gate can broaden more noise into the passband
+            # than the unbroadened line passes, and background_yield needs (0, 1]
+            raise ConfigError(
+                "noise.center_wavelength_nm = %s is too far off the filter centre: its derived spectral "
+                "overlap %.6g lies outside (0, 1]" % (noise_cfg["center_wavelength_nm"], overlap)
+            )
     noise_cfg["spectral_overlap"] = overlap
     if noise_cfg["center_wavelength_nm"] is None:
         noise_cfg["center_wavelength_nm"] = spectral_filter.center_wavelength / _NM

@@ -49,11 +49,11 @@ class FiberSpec:
     mode_area: float  # m^2
 
     def __post_init__(self):
-        if self.nonlinear_index <= 0 or self.length <= 0:
+        if not (self.nonlinear_index > 0 and self.length > 0):
             raise ValueError("nonlinear_index and length must be positive")
-        if self.walkoff_per_length <= 0:
+        if not self.walkoff_per_length > 0:
             raise ValueError("walkoff_per_length must be positive")
-        if self.mode_area <= 0:
+        if not self.mode_area > 0:
             raise ValueError("mode_area must be positive")
 
     @property
@@ -140,12 +140,15 @@ def nonlinear_phase_profile(
     scale = min(fwhm, walk)
     if step > scale / 16.0:
         raise ResolutionError(
-            "grid step %.3g s exceeds min(pump FWHM, walkoff)/16 = %.3g s"
-            % (step, scale / 16.0)
+            "grid step %.3g s exceeds min(pump FWHM, walkoff)/16 = %.3g s: raise grid.samples "
+            "or shorten grid.time_span_ps" % (step, scale / 16.0)
         )
     margin = 3.0 * fwhm
     if grid[0] > -margin or grid[-1] < walk + margin:
-        raise ValueError("time grid does not cover the gate support")
+        raise ValueError(
+            "time grid does not cover the gate support: widen grid.time_span_ps, or shorten fiber.length_cm, "
+            "fiber.walkoff_ps_per_m or the pump (pump.center_wavelength_nm, pump.bandwidth_fwhm_nm)"
+        )
     if pump.pulse_energy == 0.0:
         return np.zeros_like(grid)
     return _walkoff_phase(pump, fiber, grid, signal_wavelength)

@@ -59,11 +59,11 @@ class GaussianPulse:
     pulse_energy: float  # J
 
     def __post_init__(self):
-        if self.center_wavelength <= 0:
+        if not self.center_wavelength > 0:
             raise ValueError("center_wavelength must be positive")
-        if self.fwhm_bandwidth <= 0:
+        if not self.fwhm_bandwidth > 0:
             raise ValueError("fwhm_bandwidth must be positive")
-        if self.pulse_energy < 0:
+        if not self.pulse_energy >= 0:
             raise ValueError("pulse_energy must be non-negative")
 
     @property
@@ -168,7 +168,7 @@ class SpectralFilter:
     peak_transmission: float = 1.0
 
     def __post_init__(self):
-        if self.center_wavelength <= 0 or self.fwhm_bandwidth <= 0:
+        if not (self.center_wavelength > 0 and self.fwhm_bandwidth > 0):
             raise ValueError("filter wavelength and bandwidth must be positive")
         if not 0.0 < self.peak_transmission <= 1.0:
             raise ValueError("peak_transmission must lie in (0, 1]")
@@ -200,7 +200,7 @@ class TemporalMode:
     def __post_init__(self):
         if self.order < 0 or int(self.order) != self.order:
             raise ValueError("order must be a non-negative integer")
-        if self.characteristic_duration <= 0:
+        if not self.characteristic_duration > 0:
             raise ValueError("characteristic_duration must be positive")
 
     @classmethod
@@ -222,21 +222,6 @@ def _hermite_functions(max_order: int, x: np.ndarray):
     for n in range(max_order):
         previous, current = current, np.sqrt(2.0 / (n + 1)) * x * current - np.sqrt(n / (n + 1)) * previous
         yield current
-
-
-def hermite_gauss_amplitude(mode: TemporalMode, time_grid: np.ndarray) -> np.ndarray:
-    """Normalized real amplitude of the mode on ``time_grid``.
-
-    Normalization is discrete: trapezoidal integral of |psi|^2 equals 1 on
-    the supplied grid, so transmittances computed from it are exact ratios.
-    """
-    grid = _check_grid(time_grid)
-    for psi in _hermite_functions(mode.order, grid / mode.characteristic_duration):
-        pass  # keep only the last order
-    norm = np.trapezoid(psi**2, grid)
-    if norm <= 0:
-        raise ValueError("mode amplitude vanishes on this grid")
-    return psi / np.sqrt(norm)
 
 
 def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, center: float = 0.0) -> np.ndarray:

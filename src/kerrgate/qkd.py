@@ -59,7 +59,7 @@ class DecoyParams:
             raise ValueError("need 0 < nu < mu")
         if not 0.0 < self.sifting_q <= 1.0:
             raise ValueError("sifting_q must lie in (0, 1]")
-        if self.error_correction_f < 1.0:
+        if not self.error_correction_f >= 1.0:
             raise ValueError("error_correction_f must be >= 1")
 
 
@@ -75,11 +75,11 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        if self.dark_rate < 0:
+        if not self.dark_rate >= 0:
             raise ValueError("dark_rate must be non-negative")
-        if self.coincidence_window <= 0:
+        if not self.coincidence_window > 0:
             raise ValueError("coincidence_window must be positive")
-        if self.repetition_rate <= 0:
+        if not self.repetition_rate > 0:
             raise ValueError("repetition_rate must be positive")
 
     @property
@@ -95,19 +95,19 @@ ARMS = (ELECTRONIC, ULTRAFAST)  # the filter arms, in the order every table list
 _DARK_MODES = ("electronic", "optical", "ungated")
 
 
-# each ChannelScenario field's test for an invalid value, and its message, in field order
+# each ChannelScenario field's test for an invalid value (NaN included), and its message, in field order
 _SCENARIO_CHECKS = {
-    "channel_loss_db": (lambda v: np.any(v < 0), "losses must be non-negative"),
-    "receiver_loss_db": (lambda v: v < 0, "losses must be non-negative"),
-    "noise_rate": (lambda v: np.any(v < 0), "noise_rate must be non-negative"),
-    "noise_linewidth": (lambda v: v is not None and v < 0, "noise_linewidth must be non-negative or None"),
+    "channel_loss_db": (lambda v: not np.all(v >= 0), "losses must be non-negative"),
+    "receiver_loss_db": (lambda v: not v >= 0, "losses must be non-negative"),
+    "noise_rate": (lambda v: not np.all(v >= 0), "noise_rate must be non-negative"),
+    "noise_linewidth": (lambda v: v is not None and not v >= 0, "noise_linewidth must be non-negative or None"),
     "filter_kind": (
         lambda v: not np.all((v == ELECTRONIC) | (v == ULTRAFAST)),
         "filter_kind must be one of %s" % (ARMS,),
     ),
-    "utf_insertion_loss_db": (lambda v: v < 0, "utf_insertion_loss_db must be non-negative"),
+    "utf_insertion_loss_db": (lambda v: not v >= 0, "utf_insertion_loss_db must be non-negative"),
     "misalignment_error": (lambda v: not 0.0 <= v <= 0.5, "misalignment_error must lie in [0, 0.5]"),
-    "pump_noise_per_pulse": (lambda v: v < 0, "pump_noise_per_pulse must be non-negative"),
+    "pump_noise_per_pulse": (lambda v: not v >= 0, "pump_noise_per_pulse must be non-negative"),
     "dark_count_mode": (lambda v: v not in _DARK_MODES, "dark_count_mode must be one of %s" % (_DARK_MODES,)),
 }
 

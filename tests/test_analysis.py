@@ -1,5 +1,8 @@
 """Sweeps, thresholds, improvement factors, modes, and the broadening study."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrgate import (
+    DEFAULTS,
     SPEED_OF_LIGHT,
     ChannelScenario,
     DecoyParams,
@@ -27,6 +31,7 @@ from kerrgate import (
     mode_transmission,
     noise_reduction_factor,
     noise_threshold,
+    resolve,
     spectral_overlap_factor,
     switch_profile,
 )
@@ -696,6 +701,34 @@ def test_hg_higher_orders_are_rejected(default_run):
         assert combined <= spectral + 1e-12
         if order > 4:
             assert combined < 0.007
+
+
+# fiber length (cm) and pump energy (nJ) of the five varied gates of the
+# benchmark's cli-session configs, each with the default mode area pinned
+_CLI_GATES = [(9.327, 2.3972), (17.824, 2.622), (6.411, 2.7623), (17.393, 1.8002), (5.782, 2.1392)]
+
+
+@pytest.mark.parametrize("gate", [None] + _CLI_GATES, ids=["default", "c1", "c2", "c3", "c4", "c5"])
+def test_mode_transmissions_sum_to_the_operator_trace(default_run, gate):
+    # gate then filter is one positive operator F = sqrt(eta) K sqrt(eta), K the
+    # filter's time kernel; its trace does not depend on the basis, so the
+    # modes' combined transmissions sum to Tr F, the integral of eta times that
+    # of the filter's power transmission T0 exp(-a f^2).  Every gate here is
+    # covered to rel 1e-12 by order 59.
+    if gate is None:
+        run = default_run
+    else:
+        document = copy.deepcopy(DEFAULTS)
+        document["fiber"].update(length_cm=gate[0], mode_area_um2=23.553721366133519)
+        document["pump"]["pulse_energy_nj"] = gate[1]
+        run = resolve(document)
+    spectral_filter = run.spectral_filter
+    a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
+    trace = run.switch.effective_width * spectral_filter.peak_transmission * np.sqrt(np.pi / a)
+    if gate is None:
+        assert trace == pytest.approx(0.9762591551850968, rel=1e-12)
+    combined = hg_mode_comparison(200, run.switch, spectral_filter, run.signal).column("t_combined")
+    assert math.fsum(combined) == pytest.approx(trace, rel=1e-12)
 
 
 def test_fluctuation_study_frozen_thresholds(default_run):

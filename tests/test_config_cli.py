@@ -2,7 +2,9 @@
 
 import copy
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrgate import DEFAULTS, ConfigError, dump_effective, load_config, resolve
+from kerrgate import DEFAULTS, ConfigError, ResolutionError, dump_effective, load_config, resolve
 from kerrgate.cli import main
 
 AREA_UM2 = 23.553721366133519
@@ -252,9 +254,10 @@ def test_cli_unknown_key_exits_2(tmp_path):
     assert main(["--config", path, "switch-profile"]) == 2
 
 
-def test_cli_coarse_grid_exits_4(tmp_path):
+def test_cli_coarse_grid_exits_4(tmp_path, capsys):
     path = _write(tmp_path, {"grid": {"samples": 64}})
     assert main(["--config", path, "switch-profile"]) == 4
+    assert "grid.samples" in capsys.readouterr().err
 
 
 def test_cli_trace_baseline_underflow_exits_4(tmp_path, capsys):
@@ -372,12 +375,12 @@ def test_cli_fluctuations_outputs(tmp_path):
     [
         ("detector_efficiency", 1.5, "efficiency"),
         ("detector_efficiency", 0.0, "efficiency"),
-        ("electronic_window_ns", -1.0, "coincidence_window"),
+        ("electronic_window_ns", -1.0, "fluctuation.electronic_window_ns"),
         ("dark_rate_hz", -5.0, "dark_rate"),
     ],
 )
 def test_cli_fluctuation_detector_keys_validated(tmp_path, capsys, key, value, named):
-    # validated as DetectorParams validates detector.*, before any rate is formed
+    # refused by the config's value rules, as detector.* is, before any rate is formed
     path = _write(tmp_path, {"fluctuation": {key: value}})
     assert main(["--config", path, "fluctuations"]) == 2
     err = capsys.readouterr().err
@@ -402,12 +405,13 @@ def test_cli_stdout_multi_output_separators(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["keyrate", "thresholds"])
 def test_sweep_grids_share_one_rule(tmp_path, capsys, command):
-    # both subcommands build their grids from the same SweepSpec checks
+    # both subcommands take their grids from the sweep section, whose rules
+    # refuse a log-spaced noise sweep from 0 Hz before either grid is built
     path = _write(tmp_path, {"sweep": {"noise_min_hz": 0.0}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--config", path, command]) == 2
-    assert capsys.readouterr().err == "error: log spacing needs a positive start\n"
+    assert capsys.readouterr().err == "config error: sweep.noise_min_hz must be positive and finite\n"
 
 
 def test_pump_noise_section_is_unknown(tmp_path):
@@ -548,3 +552,178 @@ def test_every_config_key_changes_an_output(tmp_path):
         if _table_files(tmp_path, document) == reference:
             inert.append(path)
     assert inert == []
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"grid": {"samples": 2**22 + 1}}, "grid.samples must be an integer in [16, 4194304]"),
+        ({"modes": {"max_order": 10001}}, "modes.max_order must be an integer in [0, 10000]"),
+        # at 1e300 the mode recurrence would run without end
+        ({"modes": {"max_order": 1e300}}, "modes.max_order must be an integer in [0, 10000]"),
+        ({"trace": {"samples": 10**6 + 1}}, "trace.samples must be an integer in [3, 1000000]"),
+        ({"sweep": {"noise_samples": 1e300}}, "sweep.noise_samples must be an integer in [2, 1000000]"),
+        ({"fluctuation": {"loss_samples": 0}}, "fluctuation.loss_samples must be an integer in [1, 1000000]"),
+    ],
+)
+def test_counts_are_capped(tmp_path, document, message):
+    path = _write(tmp_path, document)
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        resolve(load_config(path))
+
+
+def test_largest_sizes_in_use_stay_valid():
+    # CI and the benchmark run grids of 32768 samples, 1601 delays and 2000 mode orders
+    document = copy.deepcopy(DEFAULTS)
+    document["grid"]["samples"] = 32768
+    document["trace"]["samples"] = 1601
+    document["modes"]["max_order"] = 2000.0
+    effective = resolve(document).effective
+    assert effective["grid"]["samples"] == 32768 and effective["trace"]["samples"] == 1601
+    assert effective["modes"]["max_order"] == 2000 and isinstance(effective["modes"]["max_order"], int)
+
+
+@pytest.mark.parametrize(
+    "section, lower, upper",
+    [
+        ("decoy", "nu", "mu"),
+        ("sweep", "noise_min_hz", "noise_max_hz"),
+        ("sweep", "loss_min_db", "loss_max_db"),
+        ("trace", "delay_min_ps", "delay_max_ps"),
+    ],
+)
+def test_increasing_pairs_are_refused_by_name(section, lower, upper):
+    document = copy.deepcopy(DEFAULTS)
+    document[section][lower] = document[section][upper]
+    message = "%s.%s must be below %s.%s" % (section, lower, section, upper)
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        resolve(document)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("detector", "dark_rate_hz", math.nan, "detector.dark_rate_hz must be non-negative and finite"),
+        ("pump", "pulse_energy_nj", None, "pump.pulse_energy_nj must be non-negative and finite"),
+        ("fiber", "length_cm", "long", "fiber.length_cm must be positive and finite"),
+        ("noise", "spectral_overlap", 0.0, "noise.spectral_overlap must be in (0, 1] or null"),
+        (
+            "sweep",
+            "curve_loss_levels_db",
+            [5.0, -1.0],
+            "sweep.curve_loss_levels_db must be a list of non-negative and finite numbers",
+        ),
+        ("scenario", "dark_count_mode", "thermal", "scenario.dark_count_mode must be one of electronic, optical, ungated"),
+        ("thresholds", "relative_width", math.inf, "thresholds.relative_width must be finite and >= 1e-15"),
+    ],
+)
+def test_documents_passed_straight_to_resolve_are_checked(section, key, value, message):
+    # load_config is not the only way in: resolve runs every rule itself
+    document = copy.deepcopy(DEFAULTS)
+    document[section][key] = value
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        resolve(document)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_tokens_are_refused(tmp_path, capsys, token):
+    # Python's json module reads these tokens as floats; a NaN once printed nan cells
+    path = tmp_path / "config.json"
+    path.write_text('{"decoy": {"error_correction_f": %s}}' % token)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "keyrate"]) == 2
+    assert capsys.readouterr().err == "config error: decoy.error_correction_f must be finite and at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Probes of every numeric leaf on a base with a small grid, trace and sweeps.
+# Each non-finite value fails its leaf's rule.  A finite one may pass the rule
+# and still be refused by a derived guard; these few refusals still name no
+# key, because the floating-point failure has no one leaf to blame.
+_PROBE_BASE = {
+    "grid": {"samples": 2048},
+    "trace": {"samples": 41},
+    "sweep": {"noise_samples": 3, "loss_samples": 3},
+    "modes": {"max_order": 2},
+    "fluctuation": {"loss_samples": 3},
+}
+_PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300)
+_UNNAMED = {
+    "pump.center_wavelength_nm",
+    "pump.bandwidth_fwhm_nm",
+    "signal.center_wavelength_nm",
+    "fiber.nonlinear_index_m2_per_w",
+    "spectral_filter.center_wavelength_nm",
+    "spectral_filter.bandwidth_fwhm_nm",
+    "noise.linewidth_nm",
+    "noise.center_wavelength_nm",
+}
+_TABLE_COMMANDS = ("switch-profile", "trace", "keyrate", "thresholds", "modes", "fluctuations")
+
+
+def _numeric_leaves():
+    merged = copy.deepcopy(DEFAULTS)
+    return [path for path, value in _leaves(merged) if value is None or type(value) in (int, float)]
+
+
+def test_probes_cover_every_numeric_leaf():
+    assert len(_numeric_leaves()) == 48
+    assert _UNNAMED <= set(_numeric_leaves())
+
+
+def _probe(path, value):
+    """(refusal message or None, document) of resolving the probe base with ``path`` set to ``value``."""
+    document = copy.deepcopy(DEFAULTS)
+    for section, values in _PROBE_BASE.items():
+        document[section].update(values)
+    section, key = path.split(".")
+    document[section][key] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            resolve(document)
+            message = None
+        except (ConfigError, ResolutionError) as exc:
+            message = str(exc)
+    assert caught == [], (path, value, [str(w.message) for w in caught])
+    return message, document
+
+
+def _finite_cells(directory) -> bool:
+    for entry in directory.iterdir():
+        for word in entry.read_text().replace("\n", "\t").replace(" ", "\t").split("\t"):
+            try:
+                number = float(word)
+            except ValueError:
+                continue
+            if not math.isfinite(number):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("path", _numeric_leaves())
+def test_every_numeric_leaf_resolves_or_is_refused_by_name(tmp_path, path):
+    config = tmp_path / "config.json"
+    for value in _PROBES:
+        message, document = _probe(path, value)
+        if message is not None:
+            # a rule's refusal reads "<key> must be <words>", key first; an
+            # increasing pair's names the lower key first and this one last
+            named = message.startswith(path + " must be ") or message.endswith(" must be below " + path)
+            if not math.isfinite(value) or re.match(r"[a-z_]+\.[a-z_0-9]+ must be ", message):
+                assert named, (value, message)
+            elif path not in message:
+                assert path in _UNNAMED and value == 1e300, (value, message)
+            continue
+        assert math.isfinite(value), (value, "resolved")
+        # a huge mode order is only ever refused, never run
+        assert path != "modes.max_order" or value <= 10**4
+        config.write_text(json.dumps(document))
+        for command in _TABLE_COMMANDS:
+            out = tmp_path / ("%s-%r" % (command, value))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["--config", str(config), "--no-banner", "--out", str(out), command])
+            # 3 is "no threshold found anywhere", a fair answer of thresholds
+            assert code in ((0, 2, 3, 4) if command == "thresholds" else (0, 2, 4)), (value, command, code)
+            if code in (0, 3):
+                assert _finite_cells(out), (value, command)

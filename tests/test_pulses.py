@@ -12,7 +12,6 @@ from kerrgate import (
     TemporalMode,
     default_time_grid,
     frequency_bandwidth,
-    hermite_gauss_amplitude,
     mode_transmission,
     nonlinear_phase_profile,
     sampled_fwhm,
@@ -21,7 +20,14 @@ from kerrgate import (
     transform_limited_duration,
 )
 from kerrgate.kerr import SwitchProfile
-from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP, SPEED_OF_LIGHT, _check_uniform, _mode_transmissions
+from kerrgate.pulses import (
+    FWHM_TO_SIGMA,
+    GAUSSIAN_TBP,
+    SPEED_OF_LIGHT,
+    _check_uniform,
+    _hermite_functions,
+    _mode_transmissions,
+)
 
 def spectral_energy(time_grid, fields, weight):
     """Energy of each row of the real ``fields`` after a spectral power weight.
@@ -123,10 +129,14 @@ def test_temporal_mode_matched_duration():
         TemporalMode(0, 0.0)
 
 
+def _mode_amplitudes(max_order, tau, grid):
+    """Amplitudes phi_n(t / tau) / sqrt(tau) of orders 0 ... max_order: unit energy over t."""
+    return [phi / np.sqrt(tau) for phi in _hermite_functions(max_order, grid / tau)]
+
+
 def test_hermite_gauss_orthonormality():
     grid = default_time_grid(40e-12, 8192)
-    tau = 0.27e-12
-    amps = [hermite_gauss_amplitude(TemporalMode(n, tau), grid) for n in range(7)]
+    amps = _mode_amplitudes(6, 0.27e-12, grid)
     gram = np.array([[np.trapezoid(a * b, grid) for b in amps] for a in amps])
     assert np.max(np.abs(gram - np.eye(7))) < 1e-5
 
@@ -134,7 +144,7 @@ def test_hermite_gauss_orthonormality():
 def test_hermite_gauss_order0_is_gaussian():
     signal = GaussianPulse(720.8e-9, 1.7e-9, 0.0)
     grid = default_time_grid(40e-12, 8192)
-    psi = hermite_gauss_amplitude(TemporalMode.matched_to(signal, 0), grid)
+    (psi,) = _mode_amplitudes(0, TemporalMode.matched_to(signal, 0).characteristic_duration, grid)
     sigma = signal.sigma
     gaussian = np.exp(-(grid**2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
     assert np.max(np.abs(psi**2 - gaussian)) < 1e-6 * np.max(psi**2)
@@ -143,7 +153,7 @@ def test_hermite_gauss_order0_is_gaussian():
 def test_hermite_gauss_node_count():
     grid = default_time_grid(40e-12, 8192)
     for n in (1, 2, 3, 4):
-        psi = hermite_gauss_amplitude(TemporalMode(n, 0.27e-12), grid)
+        psi = _mode_amplitudes(n, 0.27e-12, grid)[-1]
         # count strict sign changes away from the numerically-zero tails
         core = psi[np.abs(psi) > 1e-6 * np.max(np.abs(psi))]
         assert int(np.sum(np.diff(np.sign(core)) != 0)) == n

@@ -9,6 +9,10 @@ from kerrgate import (
     ChannelScenario,
     DecoyParams,
     DetectorParams,
+    FiberSpec,
+    GaussianPulse,
+    SpectralFilter,
+    TemporalMode,
     ObservedRates,
     background_yield,
     binary_entropy,
@@ -311,6 +315,15 @@ _BAD_SCENARIO_FIELDS = [
     ("misalignment_error", np.nan, "misalignment_error must lie in [0, 0.5]"),
     ("pump_noise_per_pulse", -1e-6, "pump_noise_per_pulse must be non-negative"),
     ("dark_count_mode", "thermal", "dark_count_mode must be one of ('electronic', 'optical', 'ungated')"),
+    # NaN fails every test, as a scalar and inside an array
+    ("channel_loss_db", np.nan, "losses must be non-negative"),
+    ("channel_loss_db", np.array([3.0, np.nan]), "losses must be non-negative"),
+    ("receiver_loss_db", np.nan, "losses must be non-negative"),
+    ("noise_rate", np.nan, "noise_rate must be non-negative"),
+    ("noise_rate", np.array([[0.0], [np.nan]]), "noise_rate must be non-negative"),
+    ("noise_linewidth", np.nan, "noise_linewidth must be non-negative or None"),
+    ("utf_insertion_loss_db", np.nan, "utf_insertion_loss_db must be non-negative"),
+    ("pump_noise_per_pulse", np.nan, "pump_noise_per_pulse must be non-negative"),
 ]
 
 
@@ -321,6 +334,31 @@ def test_scenario_checks_reject_through_init_and_with(name, value, message):
         ChannelScenario(**{name: value})
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         ChannelScenario(channel_loss_db=10.0).with_(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda nan: GaussianPulse(nan, 1.7e-9, 0.0), "center_wavelength must be positive"),
+        (lambda nan: GaussianPulse(720.8e-9, nan, 0.0), "fwhm_bandwidth must be positive"),
+        (lambda nan: GaussianPulse(720.8e-9, 1.7e-9, nan), "pulse_energy must be non-negative"),
+        (lambda nan: SpectralFilter(nan, 1.7e-9), "filter wavelength and bandwidth must be positive"),
+        (lambda nan: SpectralFilter(720.8e-9, nan), "filter wavelength and bandwidth must be positive"),
+        (lambda nan: FiberSpec(nan, 0.1, 1e-11, 2e-11), "nonlinear_index and length must be positive"),
+        (lambda nan: FiberSpec(2.6e-20, nan, 1e-11, 2e-11), "nonlinear_index and length must be positive"),
+        (lambda nan: FiberSpec(2.6e-20, 0.1, nan, 2e-11), "walkoff_per_length must be positive"),
+        (lambda nan: FiberSpec(2.6e-20, 0.1, 1e-11, nan), "mode_area must be positive"),
+        (lambda nan: DetectorParams(dark_rate=nan), "dark_rate must be non-negative"),
+        (lambda nan: DetectorParams(coincidence_window=nan), "coincidence_window must be positive"),
+        (lambda nan: DetectorParams(repetition_rate=nan), "repetition_rate must be positive"),
+        (lambda nan: DecoyParams(error_correction_f=nan), "error_correction_f must be >= 1"),
+        (lambda nan: TemporalMode(0, nan), "characteristic_duration must be positive"),
+    ],
+)
+def test_constructors_reject_nan(make, message):
+    # each check is written so that NaN fails it, with the message of any other bad value
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        make(float("nan"))
 
 
 def test_scenario_with_replaces_fields():
