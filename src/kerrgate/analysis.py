@@ -136,7 +136,7 @@ def spectral_overlap_factor(
     """
     if noise_linewidth is None:
         return 1.0
-    if noise_linewidth < 0:
+    if not noise_linewidth >= 0:
         raise ValueError("noise_linewidth must be non-negative or None")
     if noise_center_wavelength is not None and not noise_center_wavelength > 0:
         raise ValueError("noise_center_wavelength must be positive")
@@ -649,7 +649,7 @@ def fluctuation_study(
     durations = np.array(broadened_durations, dtype=float)
     noise_levels = np.array(noise_levels, dtype=float)
     loss_grid = np.array(loss_grid, dtype=float)
-    if np.any(durations <= 0):
+    if not np.all(durations > 0):
         raise ValueError("durations must be positive")
 
     # elements on the axes (noise, duration, arm, loss)

@@ -25,6 +25,7 @@ from .errors import ConfigError, ResolutionError
 from .kerr import (
     FiberSpec,
     SwitchProfile,
+    _check_signal_sampling,
     calibrated_mode_area,
     switch_profile,
 )
@@ -384,6 +385,7 @@ def _resolve(config: dict) -> RunConfig:
     switch_cfg = effective["switch"]
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
     switch = switch_profile(pump, fiber, time_grid, signal.center_wavelength, theta=theta)
+    _check_signal_sampling(signal, time_grid)
 
     if noise_cfg["spectral_overlap"] is not None:
         overlap = float(noise_cfg["spectral_overlap"])

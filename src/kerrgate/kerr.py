@@ -28,10 +28,18 @@ from .pulses import (
     sampled_fwhm,
 )
 
-# Bytes of one block that a trace evaluates at once, delays x samples in the
-# Gaussian sums and lags x samples in the filtered trace's pair sums; caps a
-# trace's working set whatever the number of delays or the gate's support.
+# Bytes of one block that a trace evaluates at once: rows of delays (with
+# their factors, table and products) in the Gaussian sums, lags x samples in
+# the filtered trace's pair sums.  Caps a trace's working set whatever the
+# number of delays or the gate's support, as long as one row of delays fits.
 _BLOCK_BYTES = 1 << 19
+
+# Largest |2 d g / var| that the Gaussian sums take to first order: there
+# exp(x) and 1 + x differ by under 2^-55.
+_FIRST_ORDER = 2.0**-27
+
+# Cap on the Gaussian sums' anchor exponent 2 (P - C) g / var.
+_ANCHOR_CAP = 300.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,7 @@ def calibrated_mode_area(
     gate center T = d_w L / 2, so the area is the closed-form phase there
     for a unit area divided by pi; the calibration is exact.
     """
-    if signal_wavelength <= 0:
+    if not signal_wavelength > 0:
         raise ValueError("signal_wavelength must be positive")
     unit = FiberSpec(nonlinear_index, length, walkoff_per_length, 1.0)
     center = np.array([unit.total_walkoff / 2.0])
@@ -131,7 +139,7 @@ def nonlinear_phase_profile(
     min(pump FWHM, total walkoff) / 16, and ValueError if the grid does not
     cover the gate support.
     """
-    if signal_wavelength <= 0:
+    if not signal_wavelength > 0:
         raise ValueError("signal_wavelength must be positive")
     grid = _check_grid(time_grid)
     walk = fiber.total_walkoff
@@ -152,6 +160,22 @@ def nonlinear_phase_profile(
     if pump.pulse_energy == 0.0:
         return np.zeros_like(grid)
     return _walkoff_phase(pump, fiber, grid, signal_wavelength)
+
+
+def _check_signal_sampling(signal: GaussianPulse, time_grid: np.ndarray) -> None:
+    """ResolutionError unless the signal's intensity FWHM spans 16 grid steps.
+
+    The pump's rule (``nonlinear_phase_profile``) for the signal: a
+    narrower signal falls between the samples of the gate it is traced
+    through.  It also keeps the point rows of the trace's Gaussian sums,
+    sqrt(var) / 2 wide, at four samples or more.
+    """
+    step = float(np.max(np.diff(time_grid)))
+    if not signal.fwhm_duration >= 16.0 * step:
+        raise ResolutionError(
+            "signal FWHM %.3g s spans fewer than 16 grid steps of %.3g s: lower signal.bandwidth_fwhm_nm, "
+            "raise grid.samples or shorten grid.time_span_ps" % (signal.fwhm_duration, step)
+        )
 
 
 def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:
@@ -236,24 +260,157 @@ class SwitchingTrace:
     peak_value: float
 
 
+def _rows(values: np.ndarray, width: float) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """``values`` sorted into rows of consecutive members, their mean step, and the sorting order.
+
+    A row holds floor(width / largest step) members, at least one, so it
+    spans less than ``width``; the last row is filled by continuing the
+    values in mean steps.  The order is None for values already sorted.
+    An infinite width makes one row of the values as they are.  The rows
+    depend on the values and the width only, not on ``_BLOCK_BYTES``.
+    """
+    if values.size == 1 or width == math.inf:
+        return values.reshape(1, -1), 0.0, None
+    steps = values[1:] - values[:-1]
+    order = None
+    if steps.min() < 0.0:
+        order = values.argsort(kind="stable")
+        values = values[order]
+        steps = values[1:] - values[:-1]
+    mean = (values[-1] - values[0]) / (values.size - 1)
+    largest = steps.max()
+    count = values.size if largest * values.size <= width else max(1, int(width // largest))
+    extra = -values.size % count
+    if extra:
+        values = np.concatenate([values, values[-1] + mean * np.arange(1.0, extra + 1.0)])
+    return values.reshape(-1, count), mean, order
+
+
 def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
     """sum_i weights_i exp(-(points_i - c)^2 / var) for each of the ``centers``.
 
-    Centers are taken in blocks of at most ``_BLOCK_BYTES`` of float64 rows,
-    filled in one reused buffer, and each row is summed pairwise.
+    Centres c = C + g are taken in rows of consecutive ones spanning less
+    than 2 sqrt(var), points p = P + b in rows spanning less than
+    sqrt(var) / 2 (``_rows``), C and P the first member of a row.  Each term
+    then splits exactly (the fast Gauss transform's blocks, without its
+    series):
+
+        exp(-(p - c)^2 / var)
+            = exp(-(p - C)^2 / var) exp(2 (P - C) g / var) exp((2 b - g) g / var).
+
+    The first factor takes one exp per point and centre row, the second one
+    per point row and centre, and the sum over each point row's b is one
+    matrix product per centre row with a table of the third.  On a uniform
+    grid of step h, b = k h + d with |2 d g / var| under ``_FIRST_ORDER``,
+    so the third factor is exp((2 k h - g) g / var) (1 + 2 d g / var) to
+    round-off: one table serves every point row, and the d term is a
+    second half of the product.  On any other grid the table is taken per
+    point row, one exp per term.  Narrow point rows balance the table's
+    exps against the second factor's; wide centre rows save first factors
+    until the exponents' round-off shows.  Where no centre row has a second
+    member, g = 0 makes the last two factors 1 and the points one row.
+
+    The third factor's exponent lies in [-4, 1/4] and the second's is
+    capped at ``_ANCHOR_CAP``: where the cap binds, the row's points lie
+    over 75 sqrt(var) past C, their first factors are already 0, and no
+    factor overflows.  Each term keeps a relative error of a few ulp per
+    unit of its exponents, as the direct sum does.
+
+    Centre rows are evaluated a few at a time, under ``_BLOCK_BYTES`` of
+    float64 where one row fits, and so are the point rows of a per-row
+    table.  The rows do not depend on that budget, and each sum takes its
+    point rows in order, so neither do the bits.  Raises ValueError unless
+    ``var`` is positive.
     """
+    if not var > 0:
+        raise ValueError("var must be positive, got %r" % var)
+    if points.size == 0 or centers.size == 0:
+        return np.zeros(centers.size)
+    width = math.sqrt(var)
+    crows, _, corder = _rows(centers, 2.0 * width)
+    anchor_c = crows[:, :1, None]
+    gamma = crows - crows[:, :1]
+    reach = gamma[:, -1].max()
+    pts, step, order = _rows(points, width / 2.0 if reach > 0.0 else math.inf)
+    if order is not None:
+        weights = weights[order]
+    blocks, size = pts.shape
+    if pts.size > weights.size:
+        weights = np.concatenate([weights, np.zeros(pts.size - weights.size)])
+    wts = weights.reshape(blocks, size)
+    shared = True
+    if reach > 0.0:
+        anchor_p = pts[:, :1]
+        offsets = pts - anchor_p
+        nominal = np.arange(size) * step
+        deviation = offsets - nominal
+        shared = abs(deviation).max() * 2.0 * reach / var <= _FIRST_ORDER
+        offsets = nominal[:, None] if shared else offsets[:, :, None]
+
+    # float64 of the first factors (and their products with d), the table
+    # of third factors, the products and the stacked terms: per centre row
+    # where one table serves all, else per point row
+    span = gamma.shape[1]
+    if shared:
+        group = blocks
+        rows = max(1, _BLOCK_BYTES // (8 * (2 * blocks * size + size * span + 3 * blocks * span + 3 * span)))
+    else:
+        pair = size * span + size + 2 * span
+        group = min(blocks, max(1, _BLOCK_BYTES // (8 * pair)))
+        rows = max(1, _BLOCK_BYTES // (8 * pair * blocks))
+    rows = min(rows, gamma.shape[0])
+    factors = np.empty((rows, 2 * group if shared else group, size))
+    table = np.empty((rows, 1 if shared else group, size, span))
+    products = np.empty((rows, 2 * group if shared else group, span))
+    stack = np.empty((rows, group + 1, span))
+    sums = np.zeros(gamma.shape)
+    for n0 in range(0, gamma.shape[0], rows):
+        n1 = min(n0 + rows, gamma.shape[0])
+        c, g = anchor_c[n0:n1], gamma[n0:n1, None, :]
+        if reach > 0.0:
+            scaled = g / var
+            twice = scaled + scaled
+        for m0 in range(0, blocks, group):
+            m1 = min(m0 + group, blocks)
+            first = factors[: n1 - n0, : m1 - m0]
+            np.subtract(pts[m0:m1], c, out=first)
+            first *= first
+            first /= -var
+            np.exp(first, out=first)
+            first *= wts[m0:m1]
+            # the running sums, then this group's terms, added in order
+            terms = stack[: n1 - n0, : m1 - m0 + 1]
+            terms[:, 0] = sums[n0:n1]
+            part = terms[:, 1:]
+            if reach == 0.0:
+                first.sum(axis=-1, out=part[..., 0])
+            else:
+                # exp((2 b - g) g / var), b the nominal offsets or each row's own
+                third = table[: n1 - n0, : 1 if shared else m1 - m0]
+                np.multiply(offsets if shared else offsets[m0:m1], 2.0, out=third)
+                third -= g[:, :, None, :]
+                third *= scaled[:, :, None, :]
+                np.exp(third, out=third)
+                if shared:
+                    np.multiply(first, deviation, out=factors[: n1 - n0, blocks:])
+                    both = np.matmul(factors[: n1 - n0], third[:, 0], out=products[: n1 - n0])
+                    np.multiply(twice, both[:, blocks:], out=part)
+                    part += both[:, :blocks]
+                else:
+                    np.matmul(first[:, :, None, :], third, out=part[:, :, None, :])
+                # exp(2 (P - C) g / var), capped
+                middle = products[: n1 - n0, : m1 - m0]
+                np.subtract(anchor_p[m0:m1], c, out=middle)
+                middle *= twice
+                np.minimum(middle, _ANCHOR_CAP, out=middle)
+                np.exp(middle, out=middle)
+                part *= middle
+            np.add.reduce(terms, axis=1, out=sums[n0:n1])
+    sums = sums.ravel()[: centers.size]
+    if corder is None:
+        return sums
     out = np.empty(centers.size)
-    rows = max(1, _BLOCK_BYTES // (8 * max(points.size, 1)))
-    buffer = np.empty((min(rows, centers.size), points.size))
-    for start in range(0, centers.size, rows):
-        stop = min(start + rows, centers.size)
-        block = buffer[: stop - start]
-        np.subtract(points[None, :], centers[start:stop, None], out=block)
-        block **= 2
-        block /= -var
-        np.exp(block, out=block)
-        block *= weights
-        np.sum(block, axis=1, out=out[start:stop])
+    out[corder] = sums
     return out
 
 
@@ -305,14 +462,19 @@ def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) 
 
     The trapezoid over eta's support (``_support``) of eta times the signal
     intensity exp(-(T - delay)^2 / 2 sigma^2) / (sigma sqrt(2 pi)), with eta
-    and the trapezoid weights folded into one vector.  The grid need not be
-    uniform.
+    and the trapezoid weights folded into one vector, summed for all delays
+    by ``_gaussian_sums``: one exp per support sample and row of delays
+    rather than one per sample and delay.  The grid need not be uniform;
+    off a uniform grid the sums cost about one exp per sample and delay.
     """
     window = _support(eta)
     grid = grid[window]
-    half_steps = np.diff(grid) / 2.0
-    weights = eta[window] * (np.r_[half_steps, 0.0] + np.r_[0.0, half_steps])
-    return _gaussian_sums(grid, weights, delays, 2.0 * sigma**2) / (sigma * np.sqrt(2.0 * np.pi))
+    half_steps = (grid[1:] - grid[:-1]) / 2.0
+    weights = np.zeros(grid.size)
+    weights[:-1] = half_steps
+    weights[1:] += half_steps
+    weights *= eta[window]
+    return _gaussian_sums(grid, weights, delays, 2.0 * sigma**2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def _filtered_trace(
@@ -345,9 +507,10 @@ def _filtered_trace(
     ``_pair_sums`` builds H in blocks of lags, a few numpy calls per block
     rather than one per lag.  Each sum still takes its terms in increasing
     lag, one addition at a time, and each term is (2 k_L g_{j+L}) g_j, so H
-    and the trace keep the bits of the one-lag-at-a-time sum.  The lag
-    blocks and the delay blocks of ``_gaussian_sums`` share one byte budget,
-    ``_BLOCK_BYTES``.
+    and the trace keep the bits of the one-lag-at-a-time sum.  The sums
+    S dt are uniform, so ``_gaussian_sums`` takes them with one table per
+    row of delays.  The lag blocks and the delay rows share one byte
+    budget, ``_BLOCK_BYTES``.
     """
     grid, dt = _check_uniform(profile.time_grid)
     window = _support(profile.efficiency)
@@ -394,12 +557,14 @@ def switching_trace(
 
     ``delays`` must be strictly increasing and span the gate (where eta
     exceeds 1e-3 of its peak): a scan that never sees the gate edges, or
-    an unsorted one, would report a meaningless width.
+    an unsorted one, would report a meaningless width.  Raises
+    ResolutionError if the signal's FWHM spans fewer than 16 grid steps.
     """
+    _check_signal_sampling(signal, profile.time_grid)
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 3:
         raise ValueError("delays must be a 1-d array of at least 3 samples")
-    if np.any(np.diff(delays) <= 0):
+    if not np.all(np.diff(delays) > 0):
         raise ValueError("delays must be strictly increasing")
     if profile.peak_efficiency > 0.0:
         lo, hi = profile.support()

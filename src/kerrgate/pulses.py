@@ -24,7 +24,7 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 def frequency_bandwidth(center_wavelength: float, fwhm_bandwidth: float) -> float:
     """FWHM frequency bandwidth (Hz) of a spectrum given in wavelength terms."""
-    if center_wavelength <= 0 or fwhm_bandwidth <= 0:
+    if not (center_wavelength > 0 and fwhm_bandwidth > 0):
         raise ValueError("wavelength and bandwidth must be positive")
     return SPEED_OF_LIGHT * fwhm_bandwidth / center_wavelength**2
 
@@ -79,7 +79,7 @@ class GaussianPulse:
 
 def default_time_grid(span: float = 40e-12, samples: int = 16384) -> np.ndarray:
     """Uniform time grid (s) of ``samples`` points covering ``span`` total."""
-    if span <= 0 or samples < 2:
+    if not (span > 0 and samples >= 2):
         raise ValueError("span must be positive and samples >= 2")
     return np.linspace(-span / 2.0, span / 2.0, samples)
 
@@ -88,7 +88,7 @@ def _check_grid(time_grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(time_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("time grid must be a 1-d array of at least 2 samples")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("time grid must be strictly increasing")
     return grid
 

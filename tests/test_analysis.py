@@ -156,6 +156,12 @@ def test_spectral_overlap_rejects_negative(default_run):
             spectral_overlap_factor(default_run.switch, default_run.spectral_filter, linewidth, center)
 
 
+@pytest.mark.parametrize("linewidth", [math.nan, -math.inf])
+def test_spectral_overlap_rejects_nan_linewidth(default_run, linewidth):
+    with pytest.raises(ValueError, match="noise_linewidth"):
+        spectral_overlap_factor(default_run.switch, default_run.spectral_filter, linewidth)
+
+
 def test_noise_reduction_factor_frozen(default_run):
     sw, filt = default_run.switch, default_run.spectral_filter
     assert noise_reduction_factor(sw, 2e-9, None, filt) == pytest.approx(NRF_BROADBAND, rel=1e-9)
@@ -806,6 +812,12 @@ def test_fluctuation_study_validation(default_run):
         fluctuation_study([1e-12], [920.0], [0.0, 10.0], default_run.switch, visibility=0.0)
     with pytest.raises(ValueError):
         fluctuation_study([-1e-12], [920.0], [0.0, 10.0], default_run.switch)
+
+
+@pytest.mark.parametrize("durations", [[math.nan], [1e-12, math.nan], [0.0]])
+def test_fluctuation_study_rejects_nan_and_nonpositive_durations(default_run, durations):
+    with pytest.raises(ValueError, match="durations must be positive"):
+        fluctuation_study(durations, [920.0], [0.0, 10.0], default_run.switch)
 
 
 def test_fluctuation_gains_and_qbers_stay_probabilities(default_run):

@@ -268,6 +268,17 @@ def test_cli_trace_baseline_underflow_exits_4(tmp_path, capsys):
     assert "signal.center_wavelength_nm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bandwidth_nm", [1000.0, 200.0])
+def test_cli_trace_of_an_unresolved_signal_exits_4(tmp_path, capsys, bandwidth_nm):
+    # a signal FWHM under 16 grid steps (0.76 and 3.8 fs against 2.4-fs
+    # steps) falls between the gate's samples; 1000 nm once printed a peak of 3
+    path = _write(tmp_path, {"signal": {"bandwidth_fwhm_nm": bandwidth_nm}})
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 4
+    err = capsys.readouterr().err
+    assert "signal.bandwidth_fwhm_nm" in err and "grid.samples" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_out_collision_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -1,5 +1,6 @@
 """Kerr gate: phase accumulation, switching profile, traces."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from kerrgate import (
 )
 from kerrgate import kerr
 from kerrgate.kerr import _gaussian_sums, _pair_sums, _trace
-from kerrgate.pulses import FWHM_TO_SIGMA
+from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP
 from test_pulses import spectral_energy
 
 SIGNAL_WL = 720.8e-9
@@ -323,6 +324,159 @@ def test_trace_blocks_stay_within_the_byte_budget():
             finally:
                 tracemalloc.stop()
             assert peak <= budget + (1 << 18)
+
+
+def _direct_sums(points, weights, centers, var):
+    """The Gaussian sums and the sums of their terms' magnitudes, one term per
+    point and centre, as a reference."""
+    terms = weights * np.exp(-((points[None, :] - centers[:, None]) ** 2) / var)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _two_spacing_grid():
+    """The grid of ``test_spectral_quantities_reject_nonuniform_grid``."""
+    return np.concatenate(
+        [np.linspace(-20e-12, -5e-12, 3072, endpoint=False), np.linspace(-5e-12, 20e-12, 10240)]
+    )
+
+
+@st.composite
+def _sum_inputs(draw):
+    """(points, weights, centers, var): a stretch of up to 2000 points of a
+    linspace grid of 8192 to 32768 samples or of the two-spacing grid, in
+    order or shuffled; weights of one sign or both; 1, 3, 41 or 5001
+    centres over the points and a few sqrt(var) beyond, in order or
+    shuffled; and var from 3 grid steps squared to the grid's span squared."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        grid = default_time_grid(40e-12, draw(st.integers(8192, 32768)))
+    else:
+        grid = _two_spacing_grid()
+    count = draw(st.integers(1, 2000))
+    start = draw(st.integers(0, grid.size - count))
+    points = grid[start : start + count].copy()
+    step = 40e-12 / grid.size
+    var = step**2 * 10.0 ** draw(st.floats(np.log10(3.0), 2.0 * np.log10(grid.size)))
+    weights = rng.random(count) - (0.5 if draw(st.booleans()) else 0.0)
+    reach = 3.0 * np.sqrt(var)
+    centers = np.linspace(points[0] - reach, points[-1] + reach, draw(st.sampled_from([1, 3, 41, 5001])))
+    if draw(st.booleans()):
+        rng.shuffle(points)
+    if draw(st.booleans()):
+        rng.shuffle(centers)
+    return points, weights, centers, var
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inputs=_sum_inputs())
+def test_gaussian_sums_match_the_direct_sum(inputs):
+    points, weights, centers, var = inputs
+    # the same points and weights in their order, as the reference takes them
+    reference, magnitude = _direct_sums(points, weights, centers, var)
+    assert np.all(np.abs(_gaussian_sums(points, weights, centers, var) - reference) <= 1e-13 * magnitude)
+
+
+@pytest.mark.parametrize("center_nm", [721.3, 720.0])
+def test_gaussian_sums_match_the_direct_sum_on_filtered_trace_sums(center_nm, monkeypatch):
+    # the filtered trace's own sums: with the filter at +288 and -462 GHz
+    # from the carrier, the lag kernel of the pair sums changes sign
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _gaussian_sums(*args)
+
+    monkeypatch.setattr(kerr, "_gaussian_sums", record)
+    filt = SpectralFilter(center_nm * 1e-9, 1.7e-9, peak_transmission=0.93)
+    switching_trace(_default_profile(), _signal(), np.linspace(-3.5e-12, 4.5e-12, 801), filt)
+    (sums, pairs, centers, var), = calls
+    reference, magnitude = _direct_sums(sums, pairs, centers, var)
+    assert np.all(np.abs(_gaussian_sums(sums, pairs, centers, var) - reference) <= 1e-13 * magnitude)
+
+
+@pytest.mark.parametrize("budget", [8, 1 << 12])
+@pytest.mark.parametrize("grid", ["two-spacing", "shuffled"])
+def test_gaussian_sums_off_a_uniform_grid_do_not_depend_on_the_budget(budget, grid):
+    # one table per point row: the rows' products are added in order,
+    # however many point rows a chunk holds
+    rng = np.random.default_rng(3)
+    points = _two_spacing_grid()[2800:3600].copy()
+    if grid == "shuffled":
+        rng.shuffle(points)
+    weights = rng.random(points.size)
+    centers = np.linspace(-6e-12, -4e-12, 401)
+    var = 2.0 * _signal().sigma ** 2
+    default = _gaussian_sums(points, weights, centers, var)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kerr, "_BLOCK_BYTES", budget)
+        assert _gaussian_sums(points, weights, centers, var).tobytes() == default.tobytes()
+
+
+@pytest.mark.parametrize("var", [0.0, -1e-24, math.nan])
+def test_gaussian_sums_reject_nan_and_nonpositive_var(var):
+    grid = default_time_grid(40e-12, 8192)
+    with pytest.raises(ValueError, match="var must be positive"):
+        _gaussian_sums(grid, np.ones_like(grid), np.array([0.0]), var)
+
+
+def _narrowest_signal():
+    """The broadest-band signal whose FWHM spans 16 steps of the default grid."""
+    step = np.max(np.diff(default_time_grid()))
+    bandwidth = GAUSSIAN_TBP * SIGNAL_WL**2 / (SPEED_OF_LIGHT * 16.0 * step) * (1.0 - 1e-9)
+    return GaussianPulse(SIGNAL_WL, bandwidth, 0.0)
+
+
+@pytest.mark.parametrize("signal", ["default", "narrowest"])
+@pytest.mark.parametrize("delays", [5, 41, 161])
+def test_trace_factors_do_not_overflow(signal, delays):
+    # sparse delays leave one centre per row; the narrowest signal puts the
+    # anchors hundreds of sqrt(var) from the far point rows, where the
+    # anchor exponent is capped and the first factors are 0
+    profile = _default_profile()
+    pulse = _signal() if signal == "default" else _narrowest_signal()
+    scan = np.linspace(-3.5e-12, 4.5e-12, delays)
+    filt = SpectralFilter(721.3e-9, 1.7e-9, peak_transmission=0.93)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        plain = switching_trace(profile, pulse, scan).efficiency
+        filtered = switching_trace(profile, pulse, scan, filt).efficiency
+    assert np.all(np.isfinite(plain)) and np.all(np.isfinite(filtered))
+    reference = _full_grid_plain_trace(profile, pulse, scan)
+    assert np.max(np.abs(plain - reference)) <= 1e-15 * reference.max()
+    # delays over the whole grid, against one term per cell: within 12
+    # sqrt(var) of the gate to 1e-13 of the terms' magnitudes; further out
+    # both sums lose digits with the size of the exponents, and terms under
+    # 2.2e-308 keep few of them
+    window = kerr._support(profile.efficiency)
+    points = profile.time_grid[window]
+    var = 2.0 * pulse.sigma**2
+    wide = np.linspace(-20e-12, 20e-12, 4001)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        sums = _gaussian_sums(points, profile.efficiency[window], wide, var)
+    direct, magnitude = _direct_sums(points, profile.efficiency[window], wide, var)
+    near = (wide > points[0] - 12.0 * np.sqrt(var)) & (wide < points[-1] + 12.0 * np.sqrt(var))
+    assert np.all(np.abs(sums - direct)[near] <= 1e-13 * magnitude[near])
+    assert np.all(np.abs(sums - direct) <= 1e-12 * magnitude + 1e-290)
+
+
+def test_narrow_signal_is_refused():
+    profile = _default_profile()
+    scan = np.linspace(-3.5e-12, 4.5e-12, 41)
+    switching_trace(profile, _narrowest_signal(), scan)
+    broad = GaussianPulse(SIGNAL_WL, 1.001 * _narrowest_signal().fwhm_bandwidth, 0.0)
+    with pytest.raises(ResolutionError, match="signal.bandwidth_fwhm_nm.*grid.samples"):
+        switching_trace(profile, broad, scan)
+
+
+def test_kerr_guards_reject_nan():
+    profile = _default_profile()
+    with pytest.raises(ValueError, match="signal_wavelength"):
+        nonlinear_phase_profile(_pump(), _fiber(), default_time_grid(), math.nan)
+    with pytest.raises(ValueError, match="signal_wavelength"):
+        calibrated_mode_area(_pump(), 0.10, 10e-12, 2.6e-20, math.nan)
+    delays = np.linspace(-3.5e-12, 4.5e-12, 64)
+    delays[10] = math.nan
+    with pytest.raises(ValueError, match="strictly increasing"):
+        switching_trace(profile, _signal(), delays)
 
 
 def test_filtered_trace_narrower_than_plain():

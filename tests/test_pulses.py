@@ -79,6 +79,12 @@ def test_frequency_bandwidth_rejects_nonpositive():
         frequency_bandwidth(800e-9, 0.0)
 
 
+@pytest.mark.parametrize("center, fwhm", [(math.nan, 1e-9), (800e-9, math.nan), (math.nan, math.nan)])
+def test_frequency_bandwidth_rejects_nan(center, fwhm):
+    with pytest.raises(ValueError, match="positive"):
+        frequency_bandwidth(center, fwhm)
+
+
 def test_pulse_defaults_to_transform_limit():
     pulse = GaussianPulse(800e-9, 2.1e-9, 1e-9)
     assert pulse.fwhm_duration == pytest.approx(TL_PUMP, rel=1e-12, abs=0)
@@ -96,6 +102,12 @@ def test_default_time_grid_shape():
     assert grid[0] == -20e-12 and grid[-1] == 20e-12
     with pytest.raises(ValueError):
         default_time_grid(40e-12, 1)
+
+
+@pytest.mark.parametrize("span, samples", [(math.nan, 16), (-40e-12, 16), (0.0, 16), (40e-12, math.nan)])
+def test_default_time_grid_rejects_nan_and_nonpositive(span, samples):
+    with pytest.raises(ValueError, match="span must be positive"):
+        default_time_grid(span, samples)
 
 
 def test_spectral_filter_half_power_points():
