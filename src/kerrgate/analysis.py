@@ -8,12 +8,13 @@ comparison, and the pulse-broadening (temporal fluctuation) study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ThresholdNotFoundError
-from .kerr import SwitchProfile, _trace
+from .kerr import SwitchProfile, _gaussian_sums, _trace_weights
 from .pulses import (
     FWHM_TO_SIGMA,
     SPEED_OF_LIGHT,
@@ -656,7 +657,12 @@ def fluctuation_study(
     kinds = np.array(ARMS)
     electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
     center = np.array([gate.centroid])
-    optical = np.array([_trace(gate.time_grid, gate.efficiency, d * FWHM_TO_SIGMA, center)[0] for d in durations])
+    # the plain trace at the gate's centroid per duration, on one support
+    points, weights = _trace_weights(gate.time_grid, gate.efficiency)
+    sigmas = durations * FWHM_TO_SIGMA
+    optical = np.array(
+        [_gaussian_sums(points, weights, center, 2.0 * s**2)[0] / (s * math.sqrt(2.0 * math.pi)) for s in sigmas]
+    )
     transmission = np.where(kinds == ULTRAFAST, optical[:, None], electronic[:, None])[:, :, None]
     scenario = ChannelScenario(
         channel_loss_db=0.0,

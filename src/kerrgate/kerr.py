@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResolutionError
 from .pulses import (
@@ -23,15 +22,15 @@ from .pulses import (
     SpectralFilter,
     _check_grid,
     _check_uniform,
-    _gaussian_kernel,
     _support,
     sampled_fwhm,
 )
 
-# Bytes of one block that a trace evaluates at once: rows of delays (with
-# their factors, table and products) in the Gaussian sums, lags x samples in
-# the filtered trace's pair sums.  Caps a trace's working set whatever the
-# number of delays or the gate's support, as long as one row of delays fits.
+# Bytes of one block of the Gaussian sums: rows of delays with their
+# factors, table and products.  Caps their working set whatever the number
+# of delays, as long as one row of delays fits; on fine grids it does not
+# (one plain-trace-sized call peaks at 1.5 MiB on a 2^18-sample grid and
+# 5.6 MiB on 2^20).
 _BLOCK_BYTES = 1 << 19
 
 # Largest |2 d g / var| that the Gaussian sums take to first order: there
@@ -40,6 +39,18 @@ _FIRST_ORDER = 2.0**-27
 
 # Cap on the Gaussian sums' anchor exponent 2 (P - C) g / var.
 _ANCHOR_CAP = 300.0
+
+# Largest exponent of the pair sums' block factors near the diagonal.
+_PAIR_EXPONENT = 16.0
+
+# Exponent past which exp(-x) is 0.0 in float64 (the smallest subnormal is
+# exp(-744.4)): the pair sums skip block pairs whose lags all lie beyond it.
+_PAIR_CUTOFF = 760.0
+
+# Longest pair-sum block.  np.convolve's dot products go through BLAS, and
+# OpenBLAS splits a dot product over 10000 elements across its threads,
+# which makes its bits depend on the thread count.
+_PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -414,59 +425,66 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     return out
 
 
-def _pair_sums(kernel: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """H[S] = sum over i + j = S of amp_i amp_j kernel[|i - j|], S = 0 ... 2 size - 2.
+def _pair_sums(amp: np.ndarray, scale: float, beta: float, omega: float) -> np.ndarray:
+    """H[S] = scale sum over i + j = S of amp_i amp_j exp(-beta (i - j)^2) cos(omega (i - j)).
 
-    The lag-0 terms kernel[0] amp_n^2 start the even sums; a lag L = 2q + p
-    then adds (2 kernel[L] amp[n + q + p]) amp[n - q] to P_p[n] = H[p + 2n].
-    Per parity p, a block of rows q0 ... q1 - 1 over the columns
-    n in [q0, size - q0 - p) stacks the running slice of P_p on those lags'
-    products and adds the rows one after another (``np.add.reduce`` along
-    axis 0), so every sum takes its terms in increasing lag, with the same
-    roundings as one addition per lag.  The amplitude is zero-padded by
-    ``size`` on both sides, so a product outside a lag's columns is +-0.0,
-    which leaves a running sum unchanged as long as it is not -0.0; so
-    kernel[0], the filter kernel's scale, must be positive or +0.0.  A block
-    holds at most ``_BLOCK_BYTES`` of float64, or two rows.
+    S runs over 0 ... 2 size - 2.  The Gaussian of i - j factors over
+    i + j (Bluestein's chirp identity, run in reverse): with the support
+    cut into blocks of m samples, i in block a and j in block a + k, and
+    u, v their offsets from their blocks' centres,
+
+        exp(-beta (i - j)^2)
+            = exp(-2 beta (u - k m / 2)^2) exp(-2 beta (v + k m / 2)^2) exp(beta (u + v)^2),
+
+    and cos(omega (i - j)) splits the same way into a cos cos plus a
+    sin sin product.  The first two factors are one vector each per block
+    offset k, the last depends on u + v alone, so each block pair is one
+    direct convolution (``np.convolve``, two off the filter centre) times
+    one shared vector, and the pairs of one k land 2 m apart without
+    overlap.  Pairs with k > 0 stand for both orders.  m is
+    sqrt(``_PAIR_EXPONENT`` / beta), so every exponent stays within
+    ``_PAIR_EXPONENT`` near the diagonal, and at most ``_PAIR_BLOCK``.
+    Offsets k whose smallest lag L has beta L^2 over ``_PAIR_CUTOFF`` are
+    skipped: there exp underflows to 0.0 and a sampled kernel holds only
+    +-0.0.  Each sum errs by a few ulp of the sum of its terms' magnitudes
+    without the cosine, plus about eps omega |i - j| of each term's for
+    the cosine of a rounded phase, as a sampled kernel does; the round-off
+    of an FFT would scale with a block's largest value instead.
     """
     size = amp.size
-    sums = (kernel[0] * amp**2, np.zeros(size - 1))
-    coef = 2.0 * kernel
-    padded = np.zeros(3 * size)
-    padded[size : 2 * size] = amp
-    rows = max(1, _BLOCK_BYTES // (8 * size) - 1)
-    buffer = np.empty((rows + 1) * size)
-    windows = sliding_window_view(padded, size)
-    for parity, running in enumerate(sums):
-        # lags 2q + p below size; the even sums already hold lag 0
-        end = (size + 1 - parity) // 2
-        for q0 in range(1 - parity, end, rows):
-            q1 = min(q0 + rows, end)
-            width = size - 2 * q0 - parity
-            block = buffer[: (q1 - q0 + 1) * width].reshape(q1 - q0 + 1, width)
-            columns = running[q0 : q0 + width]
-            block[0] = columns
-            # amp[n + q + p] and amp[n - q] for row q, column n
-            up = windows[size + 2 * q0 + parity : size + q0 + q1 + parity, :width]
-            down = windows[size - (q1 - q0) + 1 : size + 1][::-1, :width]
-            np.multiply(coef[2 * q0 + parity : 2 * q1 + parity : 2, None], up, out=block[1:])
-            block[1:] *= down
-            np.add.reduce(block, axis=0, out=columns)
-    pairs = np.empty(2 * size - 1)
-    pairs[::2], pairs[1::2] = sums
-    return pairs
+    width = max(1, min(size, _PAIR_BLOCK, int(math.sqrt(_PAIR_EXPONENT / beta))))
+    blocks = -(-size // width)
+    padded = np.zeros(blocks * width)
+    padded[:size] = amp
+    padded = padded.reshape(blocks, width)
+    centred = np.arange(width) - (width - 1) / 2.0
+    # exp(beta (u + v)^2) for u + v = s - (m - 1), s = 0 ... 2 m - 2
+    shared = np.exp(beta * (np.arange(2 * width - 1) - (width - 1.0)) ** 2)
+    pairs = np.zeros(2 * blocks * width)
+    # one row of 2 m per block pair, its last entry 0
+    out = np.zeros((blocks, 2 * width))
+    for k in range(blocks):
+        if k > 0 and beta * ((k - 1) * width + 1) ** 2 > _PAIR_CUTOFF:
+            break
+        # i - j = p - q for i in block a, j in block a + k
+        p, q = centred - k * width / 2.0, centred + k * width / 2.0
+        lo = padded[: blocks - k] * np.exp(-2.0 * beta * p**2)
+        hi = padded[k:] * np.exp(-2.0 * beta * q**2)
+        if omega != 0.0:
+            lo_sin, hi_sin = lo * np.sin(omega * p), hi * np.sin(omega * q)
+            lo, hi = lo * np.cos(omega * p), hi * np.cos(omega * q)
+        terms = out[: blocks - k]
+        for a in range(blocks - k):
+            terms[a, :-1] = np.convolve(lo[a], hi[a])
+            if omega != 0.0:
+                terms[a, :-1] += np.convolve(lo_sin[a], hi_sin[a])
+        terms[:, :-1] *= shared if k == 0 else 2.0 * shared
+        pairs[k * width : k * width + terms.size] += terms.ravel()
+    return scale * pairs[: 2 * size - 1]
 
 
-def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) -> np.ndarray:
-    """Gated fraction of a unit-energy Gaussian signal at each delay.
-
-    The trapezoid over eta's support (``_support``) of eta times the signal
-    intensity exp(-(T - delay)^2 / 2 sigma^2) / (sigma sqrt(2 pi)), with eta
-    and the trapezoid weights folded into one vector, summed for all delays
-    by ``_gaussian_sums``: one exp per support sample and row of delays
-    rather than one per sample and delay.  The grid need not be uniform;
-    off a uniform grid the sums cost about one exp per sample and delay.
-    """
+def _trace_weights(grid: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eta's support on ``grid`` (``_support``) and eta times the trapezoid weights there."""
     window = _support(eta)
     grid = grid[window]
     half_steps = (grid[1:] - grid[:-1]) / 2.0
@@ -474,7 +492,22 @@ def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) 
     weights[:-1] = half_steps
     weights[1:] += half_steps
     weights *= eta[window]
-    return _gaussian_sums(grid, weights, delays, 2.0 * sigma**2) / (sigma * math.sqrt(2.0 * math.pi))
+    return grid, weights
+
+
+def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) -> np.ndarray:
+    """Gated fraction of a unit-energy Gaussian signal at each delay.
+
+    The trapezoid over eta's support of eta times the signal intensity
+    exp(-(T - delay)^2 / 2 sigma^2) / (sigma sqrt(2 pi)), with eta and the
+    trapezoid weights folded into one vector (``_trace_weights``), summed
+    for all delays by ``_gaussian_sums``: one exp per support sample and
+    row of delays rather than one per sample and delay.  The grid need not
+    be uniform; off a uniform grid the sums cost about one exp per sample
+    and delay.
+    """
+    points, weights = _trace_weights(grid, eta)
+    return _gaussian_sums(points, weights, delays, 2.0 * sigma**2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def _filtered_trace(
@@ -504,39 +537,48 @@ def _filtered_trace(
     form, so a unit-efficiency gate gives exactly 1.  Raises ValueError on a
     non-uniform grid.
 
-    ``_pair_sums`` builds H in blocks of lags, a few numpy calls per block
-    rather than one per lag.  Each sum still takes its terms in increasing
-    lag, one addition at a time, and each term is (2 k_L g_{j+L}) g_j, so H
-    and the trace keep the bits of the one-lag-at-a-time sum.  The sums
-    S dt are uniform, so ``_gaussian_sums`` takes them with one table per
-    row of delays.  The lag blocks and the delay rows share one byte
-    budget, ``_BLOCK_BYTES``.
+    ``_pair_sums`` builds H with beta = b dt^2 and omega = 2 pi off dt, b
+    the kernel's Gaussian coefficient with the signal's envelope folded in,
+    as one direct convolution per block pair near the diagonal, so no lag
+    kernel is sampled.  Each H[S] errs by a few ulp of its terms'
+    magnitudes without the cosine, the same sum at omega = 0 (taken again
+    only off the filter centre), and each delay weighs H by at most 1.  So
+    eps dt^2 sum_S |H|[S] over the baseline bounds the trace's round-off;
+    where it exceeds 1e-9 of the trace's peak, far enough off the filter
+    centre that the cosine cancels the sums down to round-off, this raises
+    ResolutionError naming ``signal.center_wavelength_nm``.  The sums S dt
+    are uniform, so ``_gaussian_sums`` takes them with one table per row of
+    delays.
     """
     grid, dt = _check_uniform(profile.time_grid)
     window = _support(profile.efficiency)
     amp = np.sqrt(profile.efficiency[window])
-    size = amp.size
     var = 8.0 * signal.sigma**2
     offset = SPEED_OF_LIGHT / signal.center_wavelength - SPEED_OF_LIGHT / spectral_filter.center_wavelength
     a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
     b = 1.0 / var + np.pi**2 / a
     scale = spectral_filter.peak_transmission * np.sqrt(np.pi / a)
-    # k(tau) exp(-tau^2 / 8 sigma^2) at every lag of the support
-    kernel = _gaussian_kernel(np.arange(size) * dt, scale, b, offset)
-    pairs = _pair_sums(kernel, amp)
+    beta, omega = b * dt**2, 2.0 * np.pi * offset * dt
+    pairs = _pair_sums(amp, scale, beta, omega)
     sums = 2.0 * grid[window.start] + np.arange(pairs.size) * dt
     energy = dt**2 * _gaussian_sums(sums, pairs, 2.0 * delays, var)
     # the same energy for an open gate (eta = 1) at zero delay, in closed form
     baseline = (
         np.sqrt(2.0 * np.pi) * signal.sigma * scale * np.sqrt(np.pi / b) * np.exp(-np.pi**2 * offset**2 / b)
     )
+    detuning = "the signal carrier (signal.center_wavelength_nm = %.6g) lies %.3g filter FWHMs from the filter center"
+    detuning %= (signal.center_wavelength * 1e9, abs(offset) / spectral_filter.frequency_fwhm)
     if baseline == 0.0:
+        raise ResolutionError("the filtered trace's open-gate energy underflows to 0: " + detuning)
+    trace = energy / baseline
+    magnitude = pairs if omega == 0.0 else _pair_sums(amp, scale, beta, 0.0)
+    roundoff = np.finfo(float).eps * dt**2 * magnitude.sum() / baseline
+    if not roundoff <= 1e-9 * trace.max():
         raise ResolutionError(
-            "the filtered trace's open-gate energy underflows to 0: the signal carrier "
-            "(signal.center_wavelength_nm = %.6g) lies %.3g filter FWHMs from the filter center"
-            % (signal.center_wavelength * 1e9, abs(offset) / spectral_filter.frequency_fwhm)
+            "the filtered trace's round-off bound %.3g exceeds 1e-9 of its peak %.3g: %s"
+            % (roundoff, trace.max(), detuning)
         )
-    return energy / baseline
+    return trace
 
 
 def switching_trace(

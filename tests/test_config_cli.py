@@ -268,6 +268,24 @@ def test_cli_trace_baseline_underflow_exits_4(tmp_path, capsys):
     assert "signal.center_wavelength_nm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center_nm", [700.0, 730.0])
+def test_cli_trace_below_its_round_off_exits_4(tmp_path, capsys, center_nm):
+    # 12.6 and 5.3 filter FWHMs off centre the cosine cancels the filtered
+    # trace's pair sums down to round-off (700 nm once printed peaks near
+    # 1e50): the bound exceeds 1e-9 of the peak
+    path = _write(tmp_path, {"signal": {"center_wavelength_nm": center_nm}})
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 4
+    err = capsys.readouterr().err
+    assert "round-off" in err and "signal.center_wavelength_nm" in err
+
+
+@pytest.mark.parametrize("center_nm", [721.3, 722.0, 724.0, 726.0])
+def test_cli_trace_off_the_filter_centre_above_its_round_off(tmp_path, center_nm):
+    # round-off bounds of 8e-16 (722 nm) to 3e-12 (726 nm) of the peak
+    path = _write(tmp_path, {"signal": {"center_wavelength_nm": center_nm}})
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 0
+
+
 @pytest.mark.parametrize("bandwidth_nm", [1000.0, 200.0])
 def test_cli_trace_of_an_unresolved_signal_exits_4(tmp_path, capsys, bandwidth_nm):
     # a signal FWHM under 16 grid steps (0.76 and 3.8 fs against 2.4-fs

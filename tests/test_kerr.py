@@ -1,6 +1,9 @@
 """Kerr gate: phase accumulation, switching profile, traces."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -244,53 +247,89 @@ def _one_lag_at_a_time(kernel, amp):
     return pairs
 
 
-@st.composite
-def _lag_sum_inputs(draw):
-    """(kernel, amp, rows): a signed kernel whose lag-0 value, like the
-    filter kernel's scale, is not negative; non-negative amplitudes with
-    zeros; and a block of ``rows`` lags."""
-    size = draw(st.integers(1, 400))
-    lag0 = draw(st.floats(0.0, 2.0))
-    lags = draw(arrays(float, size - 1, elements=st.floats(-2.0, 2.0)))
-    amp = draw(arrays(float, size, elements=st.floats(0.0, 1.0) | st.just(0.0)))
-    # a parity holds (size - 1) // 2 or size // 2 lags: draw blocks just
-    # below, at and just above that count as well as small ones
-    rows = draw(st.integers(1, 8) | st.integers(max(1, size // 2 - 1), size // 2 + 1))
-    return np.r_[lag0, lags], amp, rows
-
-
-def _assert_pair_sums_match_loop(kernel, amp, budget):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kerr, "_BLOCK_BYTES", budget)
-        blocked = _pair_sums(kernel, amp)
+def _assert_pair_sums_match_loop(amp, scale, beta, omega):
+    """Each H[S] within 1e-13 of the sum of its terms' magnitudes without the
+    cosine, plus eps omega L of each term's for the cosine of a rounded
+    phase omega L (the helper's cos cos + sin sin errs by a few ulp of 1,
+    not of the cosine), plus 1e-300.  The reference kernel is sampled in
+    extended precision, so that its own exp and cos do not take the margin."""
+    lags = np.arange(amp.size)
+    wide = lags.astype(np.longdouble)
+    envelope = np.longdouble(scale) * np.exp(-np.longdouble(beta) * wide**2)
+    kernel = (envelope * np.cos(np.longdouble(omega) * wide)).astype(float)
     reference = _one_lag_at_a_time(kernel, amp)
-    assert np.array_equal(blocked, reference)
-    # the sign of zero too
-    assert blocked.tobytes() == reference.tobytes()
+    allowance = envelope.astype(float) * (1e-13 + np.finfo(float).eps * omega * lags)
+    error = np.abs(_pair_sums(amp, scale, beta, omega) - reference)
+    assert np.all(error <= _one_lag_at_a_time(allowance, np.abs(amp)) + 1e-300)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(inputs=_lag_sum_inputs())
-@example(inputs=(np.array([0.7]), np.array([0.0]), 1))
-@example(inputs=(np.array([0.7]), np.array([0.4]), 1))
-@example(inputs=(np.array([0.7, -1.3]), np.array([0.4, 0.9]), 1))
-@example(inputs=(np.array([0.0, -1.3]), np.array([0.0, 0.9]), 1))
-def test_pair_sums_match_one_lag_at_a_time(inputs):
-    kernel, amp, rows = inputs
-    # a block of ``rows`` lags under the running sums' row
-    _assert_pair_sums_match_loop(kernel, amp, 8 * amp.size * (rows + 1))
+@given(
+    amp=st.integers(1, 400).flatmap(
+        lambda size: arrays(float, size, elements=st.floats(0.0, 1.0) | st.just(0.0))
+    ),
+    scale=st.floats(1e-3, 2.0),
+    beta=st.floats(-6.0, 1.0).map(lambda power: 10.0**power),
+    omega=st.just(0.0) | st.floats(0.0, np.pi),
+)
+@example(amp=np.array([0.0]), scale=0.7, beta=1e-3, omega=0.0)
+@example(amp=np.array([0.4]), scale=0.7, beta=10.0, omega=np.pi)
+@example(amp=np.array([0.4, 0.9]), scale=0.7, beta=10.0, omega=np.pi / 2)
+# single-sample blocks, and a pair 8 apart alone in its sum: exp(-640) is
+# 3e-278, so the block pair skip must not reach it
+@example(amp=np.r_[1.0, np.zeros(7), 1.0], scale=1.0, beta=10.0, omega=0.0)
+def test_pair_sums_match_one_lag_at_a_time(amp, scale, beta, omega):
+    # supports of 1 to 400 samples with zeros; blocks of 1 sample (beta
+    # over 16) to the whole support (beta under 16 / size^2)
+    _assert_pair_sums_match_loop(amp, scale, beta, omega)
 
 
-@pytest.mark.parametrize("samples", [8192, 16384, 16385, 32768])
-@pytest.mark.parametrize("budget", [8, kerr._BLOCK_BYTES])
-def test_pair_sums_match_one_lag_at_a_time_on_gate_supports(samples, budget):
-    # eta's support of 829 to 3313 samples, and about the 721.3-nm filter's
-    # kernel, whose cos factor changes sign across the support
+# eta's support of 829 to 6627 samples with the 721.3-nm signal, whose
+# cosine changes sign across the support, and the 20-nm filter's short
+# kernel (blocks of 74 samples, most block pairs skipped)
+@pytest.mark.parametrize(
+    "samples, signal_nm, filter_nm",
+    [
+        (8192, 721.3, 1.7),
+        (16384, 721.3, 1.7),
+        (16385, 721.3, 1.7),
+        (32768, 721.3, 1.7),
+        (65536, 721.3, 1.7),
+        (16384, 720.8, 20.0),
+    ],
+)
+def test_pair_sums_match_one_lag_at_a_time_on_gate_supports(samples, signal_nm, filter_nm, monkeypatch):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _pair_sums(*args)
+
+    monkeypatch.setattr(kerr, "_pair_sums", record)
     profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
-    amp = np.sqrt(profile.efficiency[kerr._support(profile.efficiency)])
-    dt = profile.time_grid[1] - profile.time_grid[0]
-    kernel = kerr._gaussian_kernel(np.arange(amp.size) * dt, 0.93, 6.9e24, 2.88e11)
-    _assert_pair_sums_match_loop(kernel, amp, budget)
+    filt = SpectralFilter(720.8e-9, filter_nm * 1e-9, peak_transmission=0.93)
+    signal = GaussianPulse(signal_nm * 1e-9, 1.7e-9, 0.0)
+    switching_trace(profile, signal, np.linspace(-3.5e-12, 4.5e-12, 41), filt)
+    # off the filter centre, the sums and then their cosine-free bound
+    assert [args[3] == 0.0 for args in calls] == ([True] if signal_nm == 720.8 else [False, True])
+    for amp, scale, beta, omega in calls:
+        _assert_pair_sums_match_loop(amp, scale, beta, omega)
+
+
+def test_pair_sums_do_not_depend_on_the_blas_thread_count():
+    # blocks of _PAIR_BLOCK samples keep np.convolve's dot products under
+    # OpenBLAS's threading threshold, whose split sums change the bits
+    code = (
+        "import hashlib, numpy as np; from kerrgate.kerr import _pair_sums; "
+        "amp = np.sin(np.linspace(0.0, 3.0, 12000)) ** 2; "
+        "print(hashlib.sha256(_pair_sums(amp, 0.9, 1e-9, 0.0).tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        digests.add(result.stdout)
+    assert len(digests) == 1
 
 
 def test_gaussian_sums_do_not_depend_on_the_budget():
@@ -308,15 +347,16 @@ def test_gaussian_sums_do_not_depend_on_the_budget():
 
 
 def test_trace_blocks_stay_within_the_byte_budget():
-    # one 1-MiB block of lags or of delays at a time; the support's vectors
-    # and numpy's iteration buffers add about 150 KiB
+    # one 1-MiB block of delays at a time, and pair sums that hold a few
+    # vectors of the support; the support's vectors and numpy's iteration
+    # buffers add about 150 KiB
     rng = np.random.default_rng(1)
     size, budget = 400, 1 << 20
-    kernel, amp = rng.random(size), rng.random(size)
+    weights, amp = rng.random(size), rng.random(size)
     centers = np.linspace(0.0, 1.0, 3000)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kerr, "_BLOCK_BYTES", budget)
-        for call in (lambda: _pair_sums(kernel, amp), lambda: _gaussian_sums(amp, kernel, centers, 0.1)):
+        for call in (lambda: _pair_sums(amp, 0.9, 1e-3, 0.3), lambda: _gaussian_sums(amp, weights, centers, 0.1)):
             tracemalloc.start()
             try:
                 call()
