@@ -600,7 +600,9 @@ def switching_trace(
     ``delays`` must be strictly increasing and span the gate (where eta
     exceeds 1e-3 of its peak): a scan that never sees the gate edges, or
     an unsorted one, would report a meaningless width.  Raises
-    ResolutionError if the signal's FWHM spans fewer than 16 grid steps.
+    ResolutionError if the signal's FWHM spans fewer than 16 grid steps,
+    or if the filtered trace's round-off bound exceeds 1e-9 of its peak
+    (a signal carrier far off the filter centre).
     """
     _check_signal_sampling(signal, profile.time_grid)
     delays = np.asarray(delays, dtype=float)

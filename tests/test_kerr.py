@@ -280,13 +280,13 @@ def _assert_pair_sums_match_loop(amp, scale, beta, omega):
 @example(amp=np.r_[1.0, np.zeros(7), 1.0], scale=1.0, beta=10.0, omega=0.0)
 def test_pair_sums_match_one_lag_at_a_time(amp, scale, beta, omega):
     # supports of 1 to 400 samples with zeros; blocks of 1 sample (beta
-    # over 16) to the whole support (beta under 16 / size^2)
+    # over 4) to the whole support (beta under 16 / size^2)
     _assert_pair_sums_match_loop(amp, scale, beta, omega)
 
 
 # eta's support of 829 to 6627 samples with the 721.3-nm signal, whose
 # cosine changes sign across the support, and the 20-nm filter's short
-# kernel (blocks of 74 samples, most block pairs skipped)
+# kernel (blocks of 74 samples, block offsets past 7 skipped)
 @pytest.mark.parametrize(
     "samples, signal_nm, filter_nm",
     [
