@@ -284,21 +284,7 @@ def test_pair_sums_match_one_lag_at_a_time(amp, scale, beta, omega):
     _assert_pair_sums_match_loop(amp, scale, beta, omega)
 
 
-# eta's support of 829 to 6627 samples with the 721.3-nm signal, whose
-# cosine changes sign across the support, and the 20-nm filter's short
-# kernel (blocks of 74 samples, block offsets past 7 skipped)
-@pytest.mark.parametrize(
-    "samples, signal_nm, filter_nm",
-    [
-        (8192, 721.3, 1.7),
-        (16384, 721.3, 1.7),
-        (16385, 721.3, 1.7),
-        (32768, 721.3, 1.7),
-        (65536, 721.3, 1.7),
-        (16384, 720.8, 20.0),
-    ],
-)
-def test_pair_sums_match_one_lag_at_a_time_on_gate_supports(samples, signal_nm, filter_nm, monkeypatch):
+def _assert_trace_pair_sums_match_loop(samples, signal_nm, filter_nm, monkeypatch):
     calls = []
 
     def record(*args):
@@ -314,6 +300,29 @@ def test_pair_sums_match_one_lag_at_a_time_on_gate_supports(samples, signal_nm, 
     assert [args[3] == 0.0 for args in calls] == ([True] if signal_nm == 720.8 else [False, True])
     for amp, scale, beta, omega in calls:
         _assert_pair_sums_match_loop(amp, scale, beta, omega)
+
+
+# eta's support of 829 to 3313 samples with the 721.3-nm signal, whose
+# cosine changes sign across the support; blocks capped at 8 samples (104
+# to 415 blocks, every offset inside the cutoff), or uncapped (313 to 1252)
+@pytest.mark.parametrize("samples", [8192, 16384, 16385, 32768])
+@pytest.mark.parametrize("block", [8, 1 << 19])
+def test_pair_sums_match_one_lag_at_a_time_on_gate_supports(samples, block, monkeypatch):
+    monkeypatch.setattr(kerr, "_PAIR_BLOCK", block)
+    _assert_trace_pair_sums_match_loop(samples, 721.3, 1.7, monkeypatch)
+
+
+# a support of 6627 samples, and the 20-nm filter's short kernel (blocks of
+# 74 samples, block offsets past 7 skipped)
+@pytest.mark.parametrize(
+    "samples, signal_nm, filter_nm",
+    [
+        (65536, 721.3, 1.7),
+        (16384, 720.8, 20.0),
+    ],
+)
+def test_pair_sums_match_one_lag_at_a_time_on_wider_supports(samples, signal_nm, filter_nm, monkeypatch):
+    _assert_trace_pair_sums_match_loop(samples, signal_nm, filter_nm, monkeypatch)
 
 
 def test_pair_sums_do_not_depend_on_the_blas_thread_count():
