@@ -21,10 +21,8 @@ from .pulses import (
     GaussianPulse,
     SpectralFilter,
     TemporalMode,
-    _check_uniform,
     _lag_energy,
     _mode_transmissions,
-    _support,
 )
 from .qkd import (
     ARMS,
@@ -125,10 +123,10 @@ def spectral_overlap_factor(
     over that of K, with w(f) = exp(-alpha [(f + off)^2 - off^2]) and
     alpha = 4 ln2 / (w_f^2 + w_l^2).  By Parseval the numerator is the lag
     sum of sqrt(eta)'s autocorrelation against w's closed-form time kernel
-    (``_lag_energy``), on eta's support; the denominator is the energy of
-    sqrt(eta).  A zero linewidth is the monochromatic limit of the same
-    expression.  The value does not depend on grid parity, but the grid
-    must be uniform.
+    (``_lag_energy``), on eta's support (``profile.window``) at the
+    profile's uniform step; the denominator is the energy of sqrt(eta).  A
+    zero linewidth is the monochromatic limit of the same expression.  The
+    value does not depend on grid parity.
 
     ``noise_linewidth`` of None selects the broadband bookkeeping (factor
     1.0: for noise much wider than the filter the gate kernel does not
@@ -155,8 +153,8 @@ def spectral_overlap_factor(
     )
     alpha = 4.0 * np.log(2.0) / widths_sq
 
-    _, dt = _check_uniform(profile.time_grid)
-    gate = np.sqrt(profile.efficiency[_support(profile.efficiency)])
+    dt = profile.step
+    gate = np.sqrt(profile.efficiency[profile.window])
     area = dt * np.dot(gate, gate)
     if area <= 0:
         raise ValueError("switch profile has no spectral content")
@@ -658,7 +656,7 @@ def fluctuation_study(
     electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
     center = np.array([gate.centroid])
     # the plain trace at the gate's centroid per duration, on one support
-    points, weights = _trace_weights(gate.time_grid, gate.efficiency)
+    points, weights = _trace_weights(gate)
     sigmas = durations * FWHM_TO_SIGMA
     optical = np.array(
         [_gaussian_sums(points, weights, center, 2.0 * s**2)[0] / (s * math.sqrt(2.0 * math.pi)) for s in sigmas]

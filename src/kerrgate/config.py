@@ -385,7 +385,7 @@ def _resolve(config: dict) -> RunConfig:
     switch_cfg = effective["switch"]
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
     switch = switch_profile(pump, fiber, time_grid, signal.center_wavelength, theta=theta)
-    _check_signal_sampling(signal, time_grid)
+    _check_signal_sampling(signal, switch)
 
     if noise_cfg["spectral_overlap"] is not None:
         overlap = float(noise_cfg["spectral_overlap"])

@@ -34,7 +34,8 @@ from .pulses import (
 _BLOCK_BYTES = 1 << 19
 
 # Largest |2 d g / var| that the Gaussian sums take to first order: there
-# exp(x) and 1 + x differ by under 2^-55.
+# exp(x) and 1 + x differ by under 2^-55.  Every profile's grid keeps it
+# (``pulses._UNIFORM``).
 _FIRST_ORDER = 2.0**-27
 
 # Cap on the Gaussian sums' anchor exponent 2 (P - C) g / var.
@@ -173,15 +174,15 @@ def nonlinear_phase_profile(
     return _walkoff_phase(pump, fiber, grid, signal_wavelength)
 
 
-def _check_signal_sampling(signal: GaussianPulse, time_grid: np.ndarray) -> None:
-    """ResolutionError unless the signal's intensity FWHM spans 16 grid steps.
+def _check_signal_sampling(signal: GaussianPulse, profile: SwitchProfile) -> None:
+    """ResolutionError unless the signal's intensity FWHM spans 16 steps of the profile's grid.
 
     The pump's rule (``nonlinear_phase_profile``) for the signal: a
     narrower signal falls between the samples of the gate it is traced
     through.  It also keeps the point rows of the trace's Gaussian sums,
     sqrt(var) / 2 wide, at four samples or more.
     """
-    step = float(np.max(np.diff(time_grid)))
+    step = profile.step
     if not signal.fwhm_duration >= 16.0 * step:
         raise ResolutionError(
             "signal FWHM %.3g s spans fewer than 16 grid steps of %.3g s: lower signal.bandwidth_fwhm_nm, "
@@ -198,16 +199,24 @@ def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:
 class SwitchProfile:
     """Sampled time-dependent switching efficiency eta(T).
 
-    ``fwhm``, ``effective_width`` and ``centroid`` are derived from the
-    samples on construction; ``effective_width`` is the plain integral of eta
-    over time, which is the quantity that scales cw noise transmission, and
-    ``centroid`` is eta's first moment (s), the optimal signal arrival time
-    (0 for a dark gate).  Arrays are frozen, so a profile is immutable.
+    The time grid must be uniform (``pulses._check_uniform``); every
+    spectral quantity and trace relies on it.  ``step`` is its mean step
+    (s) and ``window`` the slice of samples where eta exceeds 1e-30 of its
+    peak (``pulses._support``, empty for a dark gate), the only samples the
+    traces and spectral energies sum over.  ``fwhm``, ``effective_width``
+    and ``centroid`` are derived from the samples on construction;
+    ``effective_width`` is the plain integral of eta over time, which is
+    the quantity that scales cw noise transmission, and ``centroid`` is
+    eta's first moment (s), the optimal signal arrival time (0 for a dark
+    gate).  Arrays are frozen, so a profile is immutable; the grid is
+    frozen in place, not copied.
     """
 
     time_grid: np.ndarray
     efficiency: np.ndarray
     phase: np.ndarray | None = None
+    step: float = field(init=False)
+    window: slice = field(init=False)
     fwhm: float = field(init=False, default=0.0)
     effective_width: float = field(init=False, default=0.0)
     centroid: float = field(init=False, default=0.0)
@@ -217,6 +226,7 @@ class SwitchProfile:
         eta = np.asarray(self.efficiency, dtype=float)
         if grid.shape != eta.shape or grid.ndim != 1:
             raise ValueError("time_grid and efficiency must be matching 1-d arrays")
+        grid, step = _check_uniform(grid)
         if np.any(eta < -1e-12) or np.any(eta > 1.0 + 1e-12):
             raise ValueError("efficiency samples must lie in [0, 1]")
         eta = np.clip(eta, 0.0, 1.0)
@@ -224,6 +234,8 @@ class SwitchProfile:
         eta.flags.writeable = False
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "efficiency", eta)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "window", _support(eta))
         if self.phase is not None:
             phase = np.asarray(self.phase, dtype=float)
             phase.flags.writeable = False
@@ -255,7 +267,10 @@ def switch_profile(
     signal_wavelength: float,
     theta: float = np.pi / 4.0,
 ) -> SwitchProfile:
-    """Build the switching-efficiency profile for the given pump and fiber."""
+    """Build the switching-efficiency profile for the given pump and fiber.
+
+    The grid must be uniform, as ``SwitchProfile`` requires.
+    """
     phase = nonlinear_phase_profile(pump, fiber, time_grid, signal_wavelength)
     eta = switching_efficiency(theta, phase)
     return SwitchProfile(time_grid=np.asarray(time_grid, dtype=float), efficiency=eta, phase=phase)
@@ -271,55 +286,50 @@ class SwitchingTrace:
     peak_value: float
 
 
-def _rows(values: np.ndarray, width: float) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """``values`` sorted into rows of consecutive members, their mean step, and the sorting order.
+def _rows(values: np.ndarray, width: float) -> tuple[np.ndarray, float]:
+    """Increasing ``values`` in rows of consecutive members, and their mean step.
 
     A row holds floor(width / largest step) members, at least one, so it
     spans less than ``width``; the last row is filled by continuing the
-    values in mean steps.  The order is None for values already sorted.
-    An infinite width makes one row of the values as they are.  The rows
-    depend on the values and the width only, not on ``_BLOCK_BYTES``.
+    values in mean steps.  An infinite width makes one row of the values
+    as they are.  The rows depend on the values and the width only, not on
+    ``_BLOCK_BYTES``.
     """
     if values.size == 1 or width == math.inf:
-        return values.reshape(1, -1), 0.0, None
+        return values.reshape(1, -1), 0.0
     steps = values[1:] - values[:-1]
-    order = None
-    if steps.min() < 0.0:
-        order = values.argsort(kind="stable")
-        values = values[order]
-        steps = values[1:] - values[:-1]
     mean = (values[-1] - values[0]) / (values.size - 1)
     largest = steps.max()
     count = values.size if largest * values.size <= width else max(1, int(width // largest))
     extra = -values.size % count
     if extra:
         values = np.concatenate([values, values[-1] + mean * np.arange(1.0, extra + 1.0)])
-    return values.reshape(-1, count), mean, order
+    return values.reshape(-1, count), mean
 
 
 def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
     """sum_i weights_i exp(-(points_i - c)^2 / var) for each of the ``centers``.
 
-    Centres c = C + g are taken in rows of consecutive ones spanning less
-    than 2 sqrt(var), points p = P + b in rows spanning less than
-    sqrt(var) / 2 (``_rows``), C and P the first member of a row.  Each term
-    then splits exactly (the fast Gauss transform's blocks, without its
-    series):
+    Points lie on a uniform grid (``SwitchProfile``'s contract) and both
+    points and centres increase.  Centres c = C + g are taken in rows of
+    consecutive ones spanning less than 2 sqrt(var), points p = P + b in
+    rows spanning less than sqrt(var) / 2 (``_rows``), C and P the first
+    member of a row.  Each term then splits exactly (the fast Gauss
+    transform's blocks, without its series):
 
         exp(-(p - c)^2 / var)
             = exp(-(p - C)^2 / var) exp(2 (P - C) g / var) exp((2 b - g) g / var).
 
     The first factor takes one exp per point and centre row, the second one
-    per point row and centre, and the sum over each point row's b is one
-    matrix product per centre row with a table of the third.  On a uniform
-    grid of step h, b = k h + d with |2 d g / var| under ``_FIRST_ORDER``,
-    so the third factor is exp((2 k h - g) g / var) (1 + 2 d g / var) to
-    round-off: one table serves every point row, and the d term is a
-    second half of the product.  On any other grid the table is taken per
-    point row, one exp per term.  Narrow point rows balance the table's
-    exps against the second factor's; wide centre rows save first factors
-    until the exponents' round-off shows.  Where no centre row has a second
-    member, g = 0 makes the last two factors 1 and the points one row.
+    per point row and centre.  With h the points' mean step, b = k h + d
+    with |2 d g / var| under ``_FIRST_ORDER``, so the third factor is
+    exp((2 k h - g) g / var) (1 + 2 d g / var) to round-off: one table of
+    it serves every point row, and the sum over each row's b is one matrix
+    product per centre row, the d term a second half of it.  Narrow point
+    rows balance the table's exps against the second factor's; wide centre
+    rows save first factors until the exponents' round-off shows.  Where
+    no centre row has a second member, g = 0 makes the last two factors 1
+    and the points one row.
 
     The third factor's exponent lies in [-4, 1/4] and the second's is
     capped at ``_ANCHOR_CAP``: where the cap binds, the row's points lie
@@ -328,101 +338,78 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     unit of its exponents, as the direct sum does.
 
     Centre rows are evaluated a few at a time, under ``_BLOCK_BYTES`` of
-    float64 where one row fits, and so are the point rows of a per-row
-    table.  The rows do not depend on that budget, and each sum takes its
-    point rows in order, so neither do the bits.  Raises ValueError unless
-    ``var`` is positive.
+    float64 where one row fits.  The rows do not depend on that budget,
+    and each sum takes its point rows in order, so neither do the bits.
+    Raises ValueError unless ``var`` is positive, or if the points stray
+    from their grid past the first-order bound.
     """
     if not var > 0:
         raise ValueError("var must be positive, got %r" % var)
     if points.size == 0 or centers.size == 0:
         return np.zeros(centers.size)
     width = math.sqrt(var)
-    crows, _, corder = _rows(centers, 2.0 * width)
+    crows, _ = _rows(centers, 2.0 * width)
     anchor_c = crows[:, :1, None]
     gamma = crows - crows[:, :1]
     reach = gamma[:, -1].max()
-    pts, step, order = _rows(points, width / 2.0 if reach > 0.0 else math.inf)
-    if order is not None:
-        weights = weights[order]
+    pts, step = _rows(points, width / 2.0 if reach > 0.0 else math.inf)
     blocks, size = pts.shape
     if pts.size > weights.size:
         weights = np.concatenate([weights, np.zeros(pts.size - weights.size)])
     wts = weights.reshape(blocks, size)
-    shared = True
     if reach > 0.0:
         anchor_p = pts[:, :1]
-        offsets = pts - anchor_p
         nominal = np.arange(size) * step
-        deviation = offsets - nominal
-        shared = abs(deviation).max() * 2.0 * reach / var <= _FIRST_ORDER
-        offsets = nominal[:, None] if shared else offsets[:, :, None]
+        deviation = pts - anchor_p - nominal
+        if not abs(deviation).max() * 2.0 * reach / var <= _FIRST_ORDER:
+            raise ValueError("points stray from a uniform grid past the first-order bound")
+        offsets = nominal[:, None]
 
-    # float64 of the first factors (and their products with d), the table
-    # of third factors, the products and the stacked terms: per centre row
-    # where one table serves all, else per point row
+    # float64 of the first factors and their products with d, the table of
+    # third factors, the products and the stacked terms, per centre row
     span = gamma.shape[1]
-    if shared:
-        group = blocks
-        rows = max(1, _BLOCK_BYTES // (8 * (2 * blocks * size + size * span + 3 * blocks * span + 3 * span)))
-    else:
-        pair = size * span + size + 2 * span
-        group = min(blocks, max(1, _BLOCK_BYTES // (8 * pair)))
-        rows = max(1, _BLOCK_BYTES // (8 * pair * blocks))
+    rows = max(1, _BLOCK_BYTES // (8 * (2 * blocks * size + size * span + 3 * blocks * span + 3 * span)))
     rows = min(rows, gamma.shape[0])
-    factors = np.empty((rows, 2 * group if shared else group, size))
-    table = np.empty((rows, 1 if shared else group, size, span))
-    products = np.empty((rows, 2 * group if shared else group, span))
-    stack = np.empty((rows, group + 1, span))
-    sums = np.zeros(gamma.shape)
+    factors = np.empty((rows, 2 * blocks, size))
+    table = np.empty((rows, size, span))
+    products = np.empty((rows, 2 * blocks, span))
+    # each sum starts from +0.0 and adds its point rows in order
+    stack = np.zeros((rows, blocks + 1, span))
+    sums = np.empty(gamma.shape)
     for n0 in range(0, gamma.shape[0], rows):
         n1 = min(n0 + rows, gamma.shape[0])
         c, g = anchor_c[n0:n1], gamma[n0:n1, None, :]
-        if reach > 0.0:
+        first = factors[: n1 - n0, :blocks]
+        np.subtract(pts, c, out=first)
+        first *= first
+        first /= -var
+        np.exp(first, out=first)
+        first *= wts
+        part = stack[: n1 - n0, 1:]
+        if reach == 0.0:
+            first.sum(axis=-1, out=part[..., 0])
+        else:
             scaled = g / var
             twice = scaled + scaled
-        for m0 in range(0, blocks, group):
-            m1 = min(m0 + group, blocks)
-            first = factors[: n1 - n0, : m1 - m0]
-            np.subtract(pts[m0:m1], c, out=first)
-            first *= first
-            first /= -var
-            np.exp(first, out=first)
-            first *= wts[m0:m1]
-            # the running sums, then this group's terms, added in order
-            terms = stack[: n1 - n0, : m1 - m0 + 1]
-            terms[:, 0] = sums[n0:n1]
-            part = terms[:, 1:]
-            if reach == 0.0:
-                first.sum(axis=-1, out=part[..., 0])
-            else:
-                # exp((2 b - g) g / var), b the nominal offsets or each row's own
-                third = table[: n1 - n0, : 1 if shared else m1 - m0]
-                np.multiply(offsets if shared else offsets[m0:m1], 2.0, out=third)
-                third -= g[:, :, None, :]
-                third *= scaled[:, :, None, :]
-                np.exp(third, out=third)
-                if shared:
-                    np.multiply(first, deviation, out=factors[: n1 - n0, blocks:])
-                    both = np.matmul(factors[: n1 - n0], third[:, 0], out=products[: n1 - n0])
-                    np.multiply(twice, both[:, blocks:], out=part)
-                    part += both[:, :blocks]
-                else:
-                    np.matmul(first[:, :, None, :], third, out=part[:, :, None, :])
-                # exp(2 (P - C) g / var), capped
-                middle = products[: n1 - n0, : m1 - m0]
-                np.subtract(anchor_p[m0:m1], c, out=middle)
-                middle *= twice
-                np.minimum(middle, _ANCHOR_CAP, out=middle)
-                np.exp(middle, out=middle)
-                part *= middle
-            np.add.reduce(terms, axis=1, out=sums[n0:n1])
-    sums = sums.ravel()[: centers.size]
-    if corder is None:
-        return sums
-    out = np.empty(centers.size)
-    out[corder] = sums
-    return out
+            # exp((2 k h - g) g / var)
+            third = table[: n1 - n0]
+            np.multiply(offsets, 2.0, out=third)
+            third -= g
+            third *= scaled
+            np.exp(third, out=third)
+            np.multiply(first, deviation, out=factors[: n1 - n0, blocks:])
+            both = np.matmul(factors[: n1 - n0], third, out=products[: n1 - n0])
+            np.multiply(twice, both[:, blocks:], out=part)
+            part += both[:, :blocks]
+            # exp(2 (P - C) g / var), capped
+            middle = products[: n1 - n0, :blocks]
+            np.subtract(anchor_p, c, out=middle)
+            middle *= twice
+            np.minimum(middle, _ANCHOR_CAP, out=middle)
+            np.exp(middle, out=middle)
+            part *= middle
+        np.add.reduce(stack[: n1 - n0], axis=1, out=sums[n0:n1])
+    return sums.ravel()[: centers.size]
 
 
 def _pair_sums(amp: np.ndarray, scale: float, beta: float, omega: float) -> np.ndarray:
@@ -483,30 +470,27 @@ def _pair_sums(amp: np.ndarray, scale: float, beta: float, omega: float) -> np.n
     return scale * pairs[: 2 * size - 1]
 
 
-def _trace_weights(grid: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eta's support on ``grid`` (``_support``) and eta times the trapezoid weights there."""
-    window = _support(eta)
-    grid = grid[window]
+def _trace_weights(profile: SwitchProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The grid on eta's support (``profile.window``) and eta times the trapezoid weights there."""
+    grid = profile.time_grid[profile.window]
     half_steps = (grid[1:] - grid[:-1]) / 2.0
     weights = np.zeros(grid.size)
     weights[:-1] = half_steps
     weights[1:] += half_steps
-    weights *= eta[window]
+    weights *= profile.efficiency[profile.window]
     return grid, weights
 
 
-def _trace(grid: np.ndarray, eta: np.ndarray, sigma: float, delays: np.ndarray) -> np.ndarray:
-    """Gated fraction of a unit-energy Gaussian signal at each delay.
+def _trace(profile: SwitchProfile, sigma: float, delays: np.ndarray) -> np.ndarray:
+    """Gated fraction of a unit-energy Gaussian signal at each of the increasing ``delays``.
 
     The trapezoid over eta's support of eta times the signal intensity
     exp(-(T - delay)^2 / 2 sigma^2) / (sigma sqrt(2 pi)), with eta and the
     trapezoid weights folded into one vector (``_trace_weights``), summed
     for all delays by ``_gaussian_sums``: one exp per support sample and
-    row of delays rather than one per sample and delay.  The grid need not
-    be uniform; off a uniform grid the sums cost about one exp per sample
-    and delay.
+    row of delays rather than one per sample and delay.
     """
-    points, weights = _trace_weights(grid, eta)
+    points, weights = _trace_weights(profile)
     return _gaussian_sums(points, weights, delays, 2.0 * sigma**2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
@@ -534,8 +518,8 @@ def _filtered_trace(
     and each delay costs one Gaussian-weighted sum,
     E(d) = dt^2 sum_S H[S] exp(-(2 t_0 + S dt - 2 d)^2 / 8 sigma^2).  The
     trace is E(d) over the open-gate energy at zero delay, which is closed
-    form, so a unit-efficiency gate gives exactly 1.  Raises ValueError on a
-    non-uniform grid.
+    form, so a unit-efficiency gate gives exactly 1.  dt is the profile's
+    step and the support its window.
 
     ``_pair_sums`` builds H with beta = b dt^2 and omega = 2 pi off dt, b
     the kernel's Gaussian coefficient with the signal's envelope folded in,
@@ -546,12 +530,9 @@ def _filtered_trace(
     eps dt^2 sum_S |H|[S] over the baseline bounds the trace's round-off;
     where it exceeds 1e-9 of the trace's peak, far enough off the filter
     centre that the cosine cancels the sums down to round-off, this raises
-    ResolutionError naming ``signal.center_wavelength_nm``.  The sums S dt
-    are uniform, so ``_gaussian_sums`` takes them with one table per row of
-    delays.
+    ResolutionError naming ``signal.center_wavelength_nm``.
     """
-    grid, dt = _check_uniform(profile.time_grid)
-    window = _support(profile.efficiency)
+    window, dt = profile.window, profile.step
     amp = np.sqrt(profile.efficiency[window])
     var = 8.0 * signal.sigma**2
     offset = SPEED_OF_LIGHT / signal.center_wavelength - SPEED_OF_LIGHT / spectral_filter.center_wavelength
@@ -560,7 +541,7 @@ def _filtered_trace(
     scale = spectral_filter.peak_transmission * np.sqrt(np.pi / a)
     beta, omega = b * dt**2, 2.0 * np.pi * offset * dt
     pairs = _pair_sums(amp, scale, beta, omega)
-    sums = 2.0 * grid[window.start] + np.arange(pairs.size) * dt
+    sums = 2.0 * profile.time_grid[window.start] + np.arange(pairs.size) * dt
     energy = dt**2 * _gaussian_sums(sums, pairs, 2.0 * delays, var)
     # the same energy for an open gate (eta = 1) at zero delay, in closed form
     baseline = (
@@ -593,9 +574,10 @@ def switching_trace(
     unit-normalized signal intensity (``_trace``).  With a filter the trace
     is the detected energy fraction after the receiver bandpass
     (``_filtered_trace``), which narrows the apparent width because gating
-    a pulse in time spreads its spectrum; it needs a uniform grid.  Both
-    sum only over the samples where eta exceeds 1e-30 of its peak, so their
-    cost follows the gate's width, not the grid's span.
+    a pulse in time spreads its spectrum.  Both take the profile's uniform
+    step and sum only over its window, the samples where eta exceeds 1e-30
+    of its peak, so their cost follows the gate's width, not the grid's
+    span.
 
     ``delays`` must be strictly increasing and span the gate (where eta
     exceeds 1e-3 of its peak): a scan that never sees the gate edges, or
@@ -604,7 +586,7 @@ def switching_trace(
     or if the filtered trace's round-off bound exceeds 1e-9 of its peak
     (a signal carrier far off the filter centre).
     """
-    _check_signal_sampling(signal, profile.time_grid)
+    _check_signal_sampling(signal, profile)
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 3:
         raise ValueError("delays must be a 1-d array of at least 3 samples")
@@ -618,7 +600,7 @@ def switching_trace(
                 % (delays[0], delays[-1], lo, hi)
             )
         trace = (
-            _trace(profile.time_grid, profile.efficiency, signal.sigma, delays)
+            _trace(profile, signal.sigma, delays)
             if spectral_filter is None
             else _filtered_trace(profile, signal, delays, spectral_filter)
         )

@@ -93,20 +93,30 @@ def _check_grid(time_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+# Largest deviation of any step of a time grid from its mean, in units of
+# the mean.  Within a row of points sqrt(var) / 2 wide the offsets then stray
+# from k steps by at most 2^-29 sqrt(var), so the Gaussian sums' first-order
+# term |2 d g / var| stays under 2^-27 (``kerr._FIRST_ORDER``) for any signal.
+# np.linspace grids of up to 2^22 samples stray by 5.0e-10 at most.
+_UNIFORM = 2.0**-29
+
+
 def _check_uniform(time_grid: np.ndarray) -> tuple[np.ndarray, float]:
     """The grid as a float array and its step; ValueError unless it is uniform.
 
-    Every spectral quantity (the overlap, the combined mode transmission
-    and the filtered trace) assumes a uniform grid, checks it here and
-    takes this step.  The step is the mean (t_N - t_1) / (N - 1):
-    ``grid[1] - grid[0]`` of a linspace loses digits to cancellation
-    (1.25e-12 of dt at 32768 samples), which would scale every energy and
-    stretch every lag of the time kernel.
+    Called once, by ``SwitchProfile``: the overlap, the mode transmissions
+    and both traces read the step it stores.  Uniform means increasing,
+    with every step within ``_UNIFORM`` of the mean (t_N - t_1) / (N - 1).
+    The step is that mean: ``grid[1] - grid[0]`` of a linspace loses digits
+    to cancellation (1.25e-12 of dt at 32768 samples), which would scale
+    every energy and stretch every lag of the time kernel.
     """
-    grid = _check_grid(time_grid)
+    grid = np.asarray(time_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("time grid must be a 1-d array of at least 2 samples")
     dt = (grid[-1] - grid[0]) / (grid.size - 1)
-    if np.max(np.abs(np.diff(grid) - dt)) > 1e-6 * dt:
-        raise ValueError("spectral quantities need a uniform time grid")
+    if not (dt > 0.0 and np.max(np.abs(np.diff(grid) - dt)) <= _UNIFORM * dt):
+        raise ValueError("time grid must be uniform: increasing, every step within 2^-29 of the mean")
     return grid, dt
 
 
@@ -228,10 +238,14 @@ def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, 
     """``mode_transmission`` of orders 0 ... ``max_order`` of duration ``tau``, one order at a time."""
     if time_gate is None and spectral_filter is None:
         raise ValueError("at least one of time_gate and spectral_filter is required")
-    if spectral_filter is None:
-        grid, eta = time_gate.time_grid, time_gate.efficiency
-        phis = _hermite_functions(max_order, (grid - center) / tau)
-        return np.array([np.trapezoid(eta * phi**2, grid) / np.trapezoid(phi**2, grid) for phi in phis])
+    if time_gate is not None:
+        window, dt = time_gate.window, time_gate.step
+        if window.start == window.stop:
+            return np.zeros(max_order + 1)
+        eta = time_gate.efficiency[window]
+        phis = _hermite_functions(max_order, (time_gate.time_grid[window] - center) / tau)
+        if spectral_filter is None:
+            return np.array([np.trapezoid(eta * phi**2, dx=dt) / tau for phi in phis])
     a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
     peak = spectral_filter.peak_transmission
     if time_gate is None:
@@ -241,12 +255,7 @@ def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, 
         for n in range(1, max_order):
             q.append(((2 * n + 1) * q[n] / s2 - n * r * q[n - 1]) / (n + 1))
         return peak / np.sqrt(s2) * np.array(q[: max_order + 1])
-    grid, dt = _check_uniform(time_gate.time_grid)
-    window = _support(time_gate.efficiency)
-    if window.start == window.stop:
-        return np.zeros(max_order + 1)
-    gate, scale, b = np.sqrt(time_gate.efficiency[window]), peak * np.sqrt(np.pi / a), np.pi**2 / a
-    phis = _hermite_functions(max_order, (grid[window] - center) / tau)
+    gate, scale, b = np.sqrt(eta), peak * np.sqrt(np.pi / a), np.pi**2 / a
     return np.array([_lag_energy(gate * phi, dt, scale, b, 0.0) / tau for phi in phis])
 
 
@@ -260,16 +269,19 @@ def mode_transmission(
     fraction is returned.  Either mask may be omitted; at least one must be
     present.  The mode carrier is taken at the filter's center wavelength.
 
-    - Gate only: the trapezoid of eta phi_n^2 over that of phi_n^2 on the
-      grid, with phi_n((t - center) / tau) from ``_hermite_functions``.
+    - Gate only: the trapezoid of eta phi_n^2 on eta's support
+      (``SwitchProfile.window``) over the mode's energy tau, with
+      phi_n((t - center) / tau) from ``_hermite_functions``.
     - Filter only: closed form, no grid.  The mode's spectrum is again
       Hermite-Gauss, so for a filter T0 exp(-a f^2) the fraction is T0 Q_n / s
       with s^2 = 1 + a / (2 pi tau)^2, r = 2 / s^2 - 1, Q_0 = 1, Q_1 = (1 + r) / 2
       and (n + 1) Q_{n+1} = (2n + 1) (1 + r) / 2 Q_n - n r Q_{n-1}; by
       Mehler's formula Q_n = r^{n/2} P_n((1 + r) / (2 sqrt r)), P_n Legendre.
-    - Gate and filter: the gated mode on eta's support (``_support``)
-      through the filter's time kernel (``_lag_energy``), over the mode's
-      energy tau; a dark gate transmits 0.  Needs a uniform grid.
+    - Gate and filter: the gated mode on eta's support through the
+      filter's time kernel (``_lag_energy``), over the mode's energy tau.
+
+    With a gate, a dark one transmits 0, and the sums take the profile's
+    uniform step (``SwitchProfile.step``).
 
     ``time_gate`` is a SwitchProfile; ``center`` is the mode's arrival time,
     normally the gate center.  This is the last order of ``_mode_transmissions``.

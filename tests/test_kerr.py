@@ -19,13 +19,10 @@ from kerrgate import (
     ResolutionError,
     SpectralFilter,
     SwitchProfile,
-    TemporalMode,
     calibrated_mode_area,
     default_time_grid,
-    mode_transmission,
     nonlinear_phase_profile,
     sampled_fwhm,
-    spectral_overlap_factor,
     switch_profile,
     switching_efficiency,
     switching_trace,
@@ -343,7 +340,7 @@ def test_pair_sums_do_not_depend_on_the_blas_thread_count():
 
 def test_gaussian_sums_do_not_depend_on_the_budget():
     profile = _default_profile()
-    window = kerr._support(profile.efficiency)
+    window = profile.window
     points, weights = profile.time_grid[window], profile.efficiency[window]
     # 801 delays: 7 rows per block leave a partial block of 3
     centers = np.linspace(-3.5e-12, 4.5e-12, 801)
@@ -356,16 +353,16 @@ def test_gaussian_sums_do_not_depend_on_the_budget():
 
 
 def test_trace_blocks_stay_within_the_byte_budget():
-    # one 1-MiB block of delays at a time, and pair sums that hold a few
-    # vectors of the support; the support's vectors and numpy's iteration
-    # buffers add about 150 KiB
+    # one 1-MiB block of delays at a time (here 2 of the 6 rows of delays,
+    # each 0.41 MiB), and pair sums that hold a few vectors of the support;
+    # the support's vectors and numpy's iteration buffers add about 150 KiB
     rng = np.random.default_rng(1)
     size, budget = 400, 1 << 20
     weights, amp = rng.random(size), rng.random(size)
-    centers = np.linspace(0.0, 1.0, 3000)
+    points, centers = np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, 3000)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kerr, "_BLOCK_BYTES", budget)
-        for call in (lambda: _pair_sums(amp, 0.9, 1e-3, 0.3), lambda: _gaussian_sums(amp, weights, centers, 0.1)):
+        for call in (lambda: _pair_sums(amp, 0.9, 1e-3, 0.3), lambda: _gaussian_sums(points, weights, centers, 0.01)):
             tracemalloc.start()
             try:
                 call()
@@ -382,25 +379,14 @@ def _direct_sums(points, weights, centers, var):
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-def _two_spacing_grid():
-    """The grid of ``test_spectral_quantities_reject_nonuniform_grid``."""
-    return np.concatenate(
-        [np.linspace(-20e-12, -5e-12, 3072, endpoint=False), np.linspace(-5e-12, 20e-12, 10240)]
-    )
-
-
 @st.composite
 def _sum_inputs(draw):
     """(points, weights, centers, var): a stretch of up to 2000 points of a
-    linspace grid of 8192 to 32768 samples or of the two-spacing grid, in
-    order or shuffled; weights of one sign or both; 1, 3, 41 or 5001
-    centres over the points and a few sqrt(var) beyond, in order or
-    shuffled; and var from 3 grid steps squared to the grid's span squared."""
+    linspace grid of 8192 to 32768 samples; weights of one sign or both; 1,
+    3, 41 or 5001 centres over the points and a few sqrt(var) beyond; and
+    var from 3 grid steps squared to the grid's span squared."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        grid = default_time_grid(40e-12, draw(st.integers(8192, 32768)))
-    else:
-        grid = _two_spacing_grid()
+    grid = default_time_grid(40e-12, draw(st.integers(8192, 32768)))
     count = draw(st.integers(1, 2000))
     start = draw(st.integers(0, grid.size - count))
     points = grid[start : start + count].copy()
@@ -409,10 +395,6 @@ def _sum_inputs(draw):
     weights = rng.random(count) - (0.5 if draw(st.booleans()) else 0.0)
     reach = 3.0 * np.sqrt(var)
     centers = np.linspace(points[0] - reach, points[-1] + reach, draw(st.sampled_from([1, 3, 41, 5001])))
-    if draw(st.booleans()):
-        rng.shuffle(points)
-    if draw(st.booleans()):
-        rng.shuffle(centers)
     return points, weights, centers, var
 
 
@@ -420,7 +402,6 @@ def _sum_inputs(draw):
 @given(inputs=_sum_inputs())
 def test_gaussian_sums_match_the_direct_sum(inputs):
     points, weights, centers, var = inputs
-    # the same points and weights in their order, as the reference takes them
     reference, magnitude = _direct_sums(points, weights, centers, var)
     assert np.all(np.abs(_gaussian_sums(points, weights, centers, var) - reference) <= 1e-13 * magnitude)
 
@@ -441,24 +422,6 @@ def test_gaussian_sums_match_the_direct_sum_on_filtered_trace_sums(center_nm, mo
     (sums, pairs, centers, var), = calls
     reference, magnitude = _direct_sums(sums, pairs, centers, var)
     assert np.all(np.abs(_gaussian_sums(sums, pairs, centers, var) - reference) <= 1e-13 * magnitude)
-
-
-@pytest.mark.parametrize("budget", [8, 1 << 12])
-@pytest.mark.parametrize("grid", ["two-spacing", "shuffled"])
-def test_gaussian_sums_off_a_uniform_grid_do_not_depend_on_the_budget(budget, grid):
-    # one table per point row: the rows' products are added in order,
-    # however many point rows a chunk holds
-    rng = np.random.default_rng(3)
-    points = _two_spacing_grid()[2800:3600].copy()
-    if grid == "shuffled":
-        rng.shuffle(points)
-    weights = rng.random(points.size)
-    centers = np.linspace(-6e-12, -4e-12, 401)
-    var = 2.0 * _signal().sigma ** 2
-    default = _gaussian_sums(points, weights, centers, var)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kerr, "_BLOCK_BYTES", budget)
-        assert _gaussian_sums(points, weights, centers, var).tobytes() == default.tobytes()
 
 
 @pytest.mark.parametrize("var", [0.0, -1e-24, math.nan])
@@ -495,7 +458,7 @@ def test_trace_factors_do_not_overflow(signal, delays):
     # sqrt(var) of the gate to 1e-13 of the terms' magnitudes; further out
     # both sums lose digits with the size of the exponents, and terms under
     # 2.2e-308 keep few of them
-    window = kerr._support(profile.efficiency)
+    window = profile.window
     points = profile.time_grid[window]
     var = 2.0 * pulse.sigma**2
     wide = np.linspace(-20e-12, 20e-12, 4001)
@@ -538,23 +501,49 @@ def test_filtered_trace_narrower_than_plain():
     assert filtered.fwhm < plain.fwhm
 
 
-def test_spectral_quantities_reject_nonuniform_grid():
-    # twice as coarse below -5 ps: fine enough for the gate, but not one FFT grid
-    grid = np.concatenate(
+def _two_spacing_grid():
+    """Twice as coarse below -5 ps: fine enough for the gate, but not uniform."""
+    return np.concatenate(
         [np.linspace(-20e-12, -5e-12, 3072, endpoint=False), np.linspace(-5e-12, 20e-12, 10240)]
     )
-    profile = switch_profile(_pump(), _fiber(), grid, SIGNAL_WL)
-    delays = np.linspace(-3.5e-12, 4.5e-12, 161)
-    assert profile.fwhm == pytest.approx(PROFILE_FWHM, rel=1e-4, abs=0)
-    plain = switching_trace(profile, _signal(), delays)
-    assert plain.peak_value == pytest.approx(PLAIN_PEAK, rel=1e-4, abs=0)
-    filt = SpectralFilter(720.8e-9, 1.7e-9, peak_transmission=0.93)
+
+
+def test_spectral_quantities_reject_nonuniform_grid():
+    # the overlap, the modes and both traces take the profile's one step, so
+    # the profile refuses a grid that has none
+    grid = _two_spacing_grid()
+    nonlinear_phase_profile(_pump(), _fiber(), grid, SIGNAL_WL)
     with pytest.raises(ValueError, match="uniform"):
-        switching_trace(profile, _signal(), delays, filt)
+        switch_profile(_pump(), _fiber(), grid, SIGNAL_WL)
+
+
+def _moved_sample_grid():
+    """A default linspace grid with one sample moved by 1e-8 of a step."""
+    grid = default_time_grid()
+    grid[5000] += 1e-8 * (grid[1] - grid[0])
+    return grid
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [_two_spacing_grid, lambda: default_time_grid()[::-1], _moved_sample_grid],
+    ids=["two-spacing", "decreasing", "moved-sample"],
+)
+def test_switch_profile_refuses_a_nonuniform_grid(grid):
+    grid = grid()
     with pytest.raises(ValueError, match="uniform"):
-        mode_transmission(TemporalMode(0, 0.27e-12), profile, filt, center=profile.centroid)
-    with pytest.raises(ValueError, match="uniform"):
-        spectral_overlap_factor(profile, filt, 0.83e-9)
+        SwitchProfile(time_grid=grid, efficiency=np.zeros(grid.size))
+
+
+@pytest.mark.parametrize("span", [40e-12, 640e-12, 10e-9])
+def test_switch_profile_accepts_the_finest_linspace_grids(span):
+    # 2^22 samples, the grid.samples cap, where linspace steps stray most
+    # from their mean (5.0e-10 of it, against the contract's 2^-29)
+    grid = default_time_grid(span, 1 << 22)
+    profile = SwitchProfile(time_grid=grid, efficiency=np.zeros(grid.size))
+    assert profile.time_grid is grid
+    assert profile.step == (grid[-1] - grid[0]) / (grid.size - 1)
+    assert profile.window == slice(0, 0)
 
 
 def _full_grid_plain_trace(profile, signal, delays):
@@ -679,15 +668,17 @@ def test_gate_center_follows_sine_squared_in_energy():
     # the signal-averaged efficiency at the gate centroid equals the trace
     # peak and sits below the center value (the wings see the gate edges)
     profile = _default_profile()
-    at_centroid = _trace(grid, profile.efficiency, _signal().sigma, np.array([profile.centroid]))[0]
+    at_centroid = _trace(profile, _signal().sigma, np.array([profile.centroid]))[0]
     assert at_centroid == pytest.approx(PLAIN_PEAK, rel=1e-9)
     assert at_centroid < profile.peak_efficiency
 
 
 def test_open_gate_trace_is_unit_area():
-    # a unit-efficiency gate passes the whole unit-energy signal
+    # a unit-efficiency gate passes the whole unit-energy signal; the
+    # outermost samples stay shut, so the gate has a width
     grid = default_time_grid(40e-12, 8192)
-    trace = _trace(grid, np.ones_like(grid), 1e-12 * FWHM_TO_SIGMA, np.array([0.0]))
+    profile = SwitchProfile(time_grid=grid, efficiency=np.where(np.abs(grid) < 19e-12, 1.0, 0.0))
+    trace = _trace(profile, 1e-12 * FWHM_TO_SIGMA, np.array([0.0]))
     assert trace[0] == pytest.approx(1.0, rel=1e-9)
 
 

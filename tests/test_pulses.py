@@ -212,6 +212,16 @@ def test_mode_transmission_requires_some_mask():
         mode_transmission(TemporalMode(0, 0.27e-12))
 
 
+def test_gate_only_modes_keep_falling_past_the_seed_underflow(default_run):
+    # the recurrence's seed underflows past |x| = 38.6, so above order ~740
+    # phi_n reads 0 far out on the grid; on eta's support (|x| < 8) it does
+    # not, and high orders, ever wider, pass ever less of the gate
+    gate = default_run.switch
+    tau = TemporalMode.matched_to(default_run.signal).characteristic_duration
+    transmissions = _mode_transmissions(1000, tau, gate, None, gate.centroid)
+    assert transmissions[1000] < transmissions[740]
+
+
 def _gate_on(run, samples):
     grid = default_time_grid(40e-12, samples)
     return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, run.theta)
