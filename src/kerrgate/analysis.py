@@ -284,81 +284,105 @@ class ThresholdResult:
     iterations: int
 
 
-# bisection steps settled by one ``rate_fn`` call: it rates all 2**_LEVELS - 1
-# midpoints the next steps can reach, and numpy's fixed cost per chain call
-# dwarfs the extra points (4 to 6 levels timed alike on a 2-vCPU machine)
-_LEVELS = 4
-_NODES = 2**_LEVELS - 1
+# bisection steps settled by one ``rate_fn`` call: it rates all 2**levels - 1
+# midpoints the next ``levels`` steps can reach.  numpy's fixed cost per chain
+# call dwarfs the extra points up to about _NODE_BUDGET candidates, so a
+# bisection of n elements takes floor(log2(_NODE_BUDGET / n)) levels, clamped
+# to [_MIN_LEVELS, _MAX_LEVELS]: 7 up to 8 elements, 4 from 33 on.  Deep trees
+# pay only for few elements: on wide bisections 4 to 6 levels timed alike on
+# a 2-vCPU machine
+_NODE_BUDGET = 1024
+_MIN_LEVELS, _MAX_LEVELS = 4, 7
 
 # the midpoint tree: node j of level l sits at 2**l - 1 + j and splits into
 # bracket j (rate <= 0) and bracket j + 2**l (rate > 0) of level l + 1, so the
 # bracket a round ends in, leaf j, took sign bit l of j at level l.
-# _PATH[l, j] is the node of level l on the way to leaf j (row _LEVELS holds
-# the leaves themselves, numbered after the nodes) and _SIGNS[l, j] that bit.
+# _PATH[l, j] is the node of level l on the way to leaf j and _SIGNS[l, j]
+# that bit.  A tree of L levels is the corner _PATH[:L + 1, :2**L], whose row
+# L holds its leaves, numbered after its nodes, and _SIGNS[:L, :2**L].
 # Both come from flat lists of Python values: numpy ufuncs or nested lists at
 # import would map more of numpy's code into every process, 0.15-0.3 MiB
-_LEAVES = range(2**_LEVELS)
-_PATH = np.array([2**level - 1 + leaf % 2**level for level in range(_LEVELS + 1) for leaf in _LEAVES])
-_PATH = _PATH.reshape(_LEVELS + 1, -1)
-_SIGNS = np.array([leaf >> level & 1 == 1 for level in range(_LEVELS) for leaf in _LEAVES]).reshape(_LEVELS, -1, 1)
+_LEAVES = range(2**_MAX_LEVELS)
+_PATH = np.array([2**level - 1 + leaf % 2**level for level in range(_MAX_LEVELS + 1) for leaf in _LEAVES])
+_PATH = _PATH.reshape(_MAX_LEVELS + 1, -1)
+_SIGNS = np.array([leaf >> level & 1 == 1 for level in range(_MAX_LEVELS) for leaf in _LEAVES])
+_SIGNS = _SIGNS.reshape(_MAX_LEVELS, -1, 1)
 
 # narrowest relative stopping width: below about 2.2e-16 the width is less
 # than one double step, so a bisection would never stop
 MIN_RELATIVE_WIDTH = 1e-15
 
 
-def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tuple:
+def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric) -> tuple:
     """Per element, the largest argument with positive rate, assuming rate decreases.
 
     ``rate_fn`` maps arguments shaped like the bracket arrays ``lo`` and
     ``hi``, with one more leading axis of candidates, to rates of the same
-    shape; it must be elementwise.  Each round builds the tree of the
-    2**_LEVELS - 1 midpoints that the next _LEVELS steps can reach, computed
-    as those steps compute them, and one call rates them: the first call
-    rates both bracket ends with them, so at most n steps take
-    max(1, ceil(n / _LEVELS)) calls, and a round whose elements all stop at
-    its first midpoint makes none.  The round then replays every level at
-    once: the stopping test runs on each node's own bracket, the node signs
-    pick the leaf each element reaches, and the first node on that path that
+    shape; it must be elementwise.  ``geometric`` is one flag or one per
+    element: those elements bisect at geometric midpoints, the others at
+    linear ones.  Each round builds the tree of the 2**L - 1 midpoints that
+    the next L steps can reach, computed as those steps compute them, and
+    one call rates them; L is floor(log2(1024 / elements)) clamped to
+    [4, 7]: few elements take deep trees, up to about a thousand
+    candidates a call, and 33 or more take 4 levels.  The
+    first call rates both bracket ends with them, so at most n steps take
+    max(1, ceil(n / L)) calls, and a round whose elements all stop at its
+    first midpoint makes none.  The round then replays every level at once:
+    the stopping test runs on each node's own bracket, the node signs pick
+    the leaf each element reaches, and the first node on that path that
     stops ends the element's steps.  The elements thus bisect in lockstep,
     each taking the midpoints and iteration count it would take alone, one
     step at a time.  Returns the arrays ``(threshold, lo, hi, iterations,
     side)``; ``side`` is "low" or "high" where that bracket end already
     fails (threshold NaN), else "".  ValueError unless ``lo < hi``
-    everywhere, ``lo > 0`` when geometric, and ``rel_width`` is at least
-    ``MIN_RELATIVE_WIDTH``: otherwise the loop would never stop.
+    everywhere, ``lo > 0`` at every geometric element, and ``rel_width`` is
+    at least ``MIN_RELATIVE_WIDTH``: otherwise the loop would never stop.
     """
     if not rel_width >= MIN_RELATIVE_WIDTH:
         raise ValueError("rel_width must be at least %g, the width of a few double steps" % MIN_RELATIVE_WIDTH)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    if not np.all(lo < hi):
+    lo, hi, geometric = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(geometric)
+    if not (lo < hi).all():
         raise ValueError("bisection bracket must be strictly increasing")
-    if geometric and not np.all(lo > 0.0):
+    if not ((lo > 0.0) | ~geometric).all():
         raise ValueError("geometric bisection needs a positive lower bracket end")
     # the elements run along one axis; ``rate_fn`` sees them in their shape
     shape = lo.shape
     lo, hi = lo.reshape(-1), hi.reshape(-1)
+    # one flag where every element agrees: masked ufuncs cost twice the plain ones
+    if geometric.all() or not geometric.any():
+        geometric = bool(geometric.all())
+    else:
+        geometric = np.broadcast_to(geometric, shape).reshape(-1)
     elements = np.arange(lo.size)
-    leaves_stop = np.ones((2**_LEVELS, lo.size), dtype=bool)
+    levels = min(max((_NODE_BUDGET // max(lo.size, 1)).bit_length() - 1, _MIN_LEVELS), _MAX_LEVELS)
+    nodes = 2**levels - 1
+    tree, signs = _PATH[: levels + 1, : nodes + 1], _SIGNS[:levels, : nodes + 1]
+    # the first call's candidates: both bracket ends, then the node midpoints
+    candidates = np.empty((2 + nodes, lo.size))
+    candidates[0], candidates[1] = lo, hi
+    mids = candidates[2:]
+    leaves_stop = np.ones((nodes + 1, lo.size), dtype=bool)
     iterations = np.zeros(lo.size, dtype=int)
     side = positive = None
     while True:
-        # every node's bracket and midpoint, then the leaves' brackets
-        lows, highs, node_lows, node_highs, mids = lo[None], hi[None], [], [], []
-        for _ in range(_LEVELS):
-            mid = np.sqrt(lows * highs) if geometric else 0.5 * (lows + highs)
+        # every node's bracket and midpoint, then the leaves' brackets: the
+        # children of level l's 2**l brackets are their lower halves, then
+        # their upper ones
+        lows, highs, node_lows, node_highs = lo[None], hi[None], [lo[None]], [hi[None]]
+        for level in range(levels):
+            width = 2**level
+            mid = mids[width - 1 : 2 * width - 1]
+            _midpoints(lows, highs, mid, geometric)
+            brackets = np.concatenate([lows, mid, highs])
+            lows, highs = brackets[: 2 * width], brackets[width:]
             node_lows.append(lows)
             node_highs.append(highs)
-            mids.append(mid)
-            lows, highs = np.concatenate([lows, mid]), np.concatenate([mid, highs])
-        node_lows, node_highs = np.concatenate(node_lows + [lows]), np.concatenate(node_highs + [highs])
-        mids = np.concatenate(mids)
+        node_lows, node_highs = np.concatenate(node_lows), np.concatenate(node_highs)
         # a stopped element's bracket is its stopping node's, so it stops at
         # the root of every later tree; a round ends unstopped at its leaf
-        stops = np.concatenate([node_highs[:_NODES] - node_lows[:_NODES] <= rel_width * mids, leaves_stop])
+        stops = np.concatenate([node_highs[:nodes] - node_lows[:nodes] <= rel_width * mids, leaves_stop])
         if side is None:
-            rates = rate_fn(np.concatenate([lo[None], hi[None], mids]).reshape((2 + _NODES,) + shape))
-            rates = rates.reshape(2 + _NODES, -1)
+            rates = rate_fn(candidates.reshape((2 + nodes,) + shape)).reshape(2 + nodes, -1)
             side = np.where(rates[0] <= 0.0, "low", np.where(rates[1] > 0.0, "high", ""))
             failed = side != ""
             positive = rates[2:] > 0.0
@@ -366,10 +390,10 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tupl
         if stops[0].all():
             break
         if positive is None:
-            positive = rate_fn(mids.reshape((_NODES,) + shape)).reshape(_NODES, -1) > 0.0
+            positive = rate_fn(mids.reshape((nodes,) + shape)).reshape(nodes, -1) > 0.0
         # the node signs pick each element's leaf; its first stop on the way ends its steps
-        leaf = (positive[_PATH[:-1]] == _SIGNS).all(axis=0).argmax(axis=0)
-        path = _PATH[:, leaf]
+        leaf = (positive[tree[:-1]] == signs).all(axis=0).argmax(axis=0)
+        path = tree[:, leaf]
         steps = stops[path, elements].argmax(axis=0)
         end = path[steps, elements]
         iterations += steps
@@ -377,6 +401,18 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric: bool) -> tupl
         positive = None
     threshold = np.where(failed, np.nan, mids[0])
     return tuple(a.reshape(shape) for a in (threshold, lo, hi, iterations, side))
+
+
+def _midpoints(lows, highs, out, geometric):
+    """Bisection midpoints into ``out``: geometric where ``geometric`` (a flag or a mask), else linear.
+
+    The product and its root run only where geometric: a linear bracket
+    may have a negative end.
+    """
+    if geometric is not True:
+        np.multiply(np.add(lows, highs, out=out), 0.5, out=out)
+    if geometric is not False:
+        np.sqrt(np.multiply(lows, highs, out=out, where=geometric), out=out, where=geometric)
 
 
 def _threshold_columns(result: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,24 +429,32 @@ def _threshold_columns(result: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def _chain_bisection(scenario: ChannelScenario, variable: str, gate: tuple, bracket, rel_width: float) -> tuple:
-    """Lockstep bisection of the key rate in ``variable`` at every element.
+def _chain_bisection(scenario: ChannelScenario, noise, gate: tuple, lo, hi, rel_width: float) -> tuple:
+    """Lockstep bisection of the key rate at every element of the brackets ``lo`` and ``hi``.
 
-    The elements are those of the broadcast of the scenario's other array
-    field and its ``filter_kind``; ``gate`` is the rest of
-    ``evaluate_scenario``'s arguments.  Noise rates bisect geometrically,
-    losses linearly.  Each chain call rates a leading axis of candidates,
-    which broadcasts against every scenario field, so it settles
-    ``_LEVELS`` bisection steps of every element.
+    ``noise`` flags the elements, one flag or one per element, that bisect
+    the noise rate, geometrically; the others bisect the channel loss,
+    linearly.  Each element keeps its other variable at the scenario's
+    value, and the scenario's array fields broadcast against the brackets;
+    ``gate`` is the rest of ``evaluate_scenario``'s arguments.  Each chain
+    call rates a leading axis of candidates, put into the bisected field
+    of each element, so it settles one round of ``_bisect_positive``'s
+    steps of every element.
     """
-    other = scenario.channel_loss_db if variable == "noise_rate" else scenario.noise_rate
 
     def rate(values):
-        return evaluate_scenario(scenario.with_(**{variable: values}), *gate).rate_per_pulse
+        if np.ndim(noise) == 0:
+            # one bisected field: the other keeps its scalar value, which
+            # makes a chain call about 15% cheaper than a filled array does
+            trial = scenario.with_(**{"noise_rate" if noise else "channel_loss_db": values})
+        else:
+            trial = scenario.with_(
+                noise_rate=np.where(noise, values, scenario.noise_rate),
+                channel_loss_db=np.where(noise, scenario.channel_loss_db, values),
+            )
+        return evaluate_scenario(trial, *gate).rate_per_pulse
 
-    shape = np.broadcast_shapes(np.shape(other), np.shape(scenario.filter_kind))
-    lo, hi = (np.full(shape, end) for end in bracket)
-    return _bisect_positive(rate, lo, hi, rel_width, geometric=variable == "noise_rate")
+    return _bisect_positive(rate, lo, hi, rel_width, geometric=noise)
 
 
 def _threshold(scenario, variable, gate, filter_kind, bracket, rel_width) -> ThresholdResult:
@@ -424,8 +468,10 @@ def _threshold(scenario, variable, gate, filter_kind, bracket, rel_width) -> Thr
     for name, value in (("filter_kind", kind), ("scenario." + other, getattr(scenario, other))):
         if np.ndim(value):
             raise ValueError("%s must be a scalar: a single threshold bisects one point" % name)
-    result = _chain_bisection(scenario.with_(filter_kind=kind), variable, gate, bracket, rel_width)
-    threshold, lo, hi, iterations, side = result
+    noise = variable == "noise_rate"
+    threshold, lo, hi, iterations, side = _chain_bisection(
+        scenario.with_(filter_kind=kind), noise, gate, bracket[0], bracket[1], rel_width
+    )
     if side == "low":
         raise ThresholdNotFoundError("rate is non-positive at the lower bracket end %.6g" % bracket[0], "low")
     if side == "high":
@@ -501,15 +547,25 @@ def improvement_factors(
     noise_bracket: tuple[float, float] = (1.0, 1e12),
     rel_width: float = 0.005,
 ) -> ImprovementFactors:
-    """UTF-over-ETF threshold ratios across the two grids."""
+    """UTF-over-ETF threshold ratios across the two grids.
+
+    Both tables come from one lockstep bisection: the noise rate at every
+    (loss value, arm), then the channel loss at every (noise value, arm).
+    The rounds of both thus share their chain calls: 124 elements in 4
+    calls on the default config.
+    """
     gate = (detector, decoy, switch, spectral_overlap)
     loss_grid = np.asarray(loss_grid, dtype=float)
     noise_grid = np.asarray(noise_grid, dtype=float)
-
-    def thresholds(fixed: str, values: np.ndarray, variable: str, bracket) -> tuple:
-        """The bisection of ``variable`` at every (value of ``fixed``, arm)."""
-        trial = scenario.with_(**{fixed: values[:, None]}, filter_kind=np.array(ARMS))
-        return _chain_bisection(trial, variable, gate, bracket, rel_width)
+    # each element's fixed value sits in both variables, and the candidates
+    # replace the bisected one; rows run over grid values, then arms
+    fixed = np.repeat(np.concatenate([loss_grid, noise_grid]), len(ARMS))
+    noise = np.arange(fixed.size) < loss_grid.size * len(ARMS)
+    arms = np.array(ARMS * (loss_grid.size + noise_grid.size))
+    trial = scenario.with_(channel_loss_db=fixed, noise_rate=fixed, filter_kind=arms)
+    lo, hi = (np.where(noise, noise_end, loss_end) for noise_end, loss_end in zip(noise_bracket, loss_bracket))
+    result = _chain_bisection(trial, noise, gate, lo, hi, rel_width)
+    by_loss, by_noise = (tuple(a[part].reshape(-1, len(ARMS)) for a in result) for part in (noise, ~noise))
 
     def ratios(result: tuple) -> tuple:
         """ETF and UTF threshold columns, their UTF/ETF ratio and the pair's status."""
@@ -523,8 +579,6 @@ def improvement_factors(
         )
         return etf, utf, ratio, status
 
-    by_loss = thresholds("channel_loss_db", loss_grid, "noise_rate", noise_bracket)
-    # rows run over loss values, then arms
     value, iterations, status = _threshold_columns(by_loss)
     noise_thresholds = Table.of(
         channel_loss_db=np.repeat(loss_grid, len(ARMS)),
@@ -537,7 +591,6 @@ def improvement_factors(
     noise_ratio = Table.of(
         channel_loss_db=loss_grid, etf_threshold_hz=etf, utf_threshold_hz=utf, ratio=ratio, status=status
     )
-    by_noise = thresholds("noise_rate", noise_grid, "channel_loss_db", loss_bracket)
     etf, utf, improvement, status = ratios(by_noise)
     distance = Table.of(
         noise_rate_hz=noise_grid, etf_threshold_db=etf, utf_threshold_db=utf, improvement=improvement, status=status

@@ -294,7 +294,9 @@ def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:
 
     Crossing points of y = max/2 are located by linear interpolation between
     the bracketing samples; the curve must rise above half max on a single
-    contiguous region wide enough to bracket both crossings.
+    contiguous region wide enough to bracket both crossings.  Only the
+    outermost crossings are found: a dip below half max between them is
+    not seen here (``resolve`` refuses a gate that has one).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

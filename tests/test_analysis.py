@@ -291,14 +291,18 @@ def _reference_cells(rate_fn, bracket, geometric, rel_width=0.005):
 
 
 def _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geometric):
-    """``_bisect_positive`` of ``rate = threshold - x`` equals ``_scalar_bisect`` to the bit."""
+    """``_bisect_positive`` of ``rate = threshold - x`` equals ``_scalar_bisect`` to the bit.
+
+    ``geometric`` is one flag or one per element, as ``_bisect_positive`` takes it.
+    """
     thresholds = np.array(thresholds)
+    flags = np.broadcast_to(geometric, thresholds.shape).tolist()
     threshold, lo, hi, iterations, side = _bisect_positive(
         lambda x: thresholds - x, lows, highs, rel_width, geometric
     )
     for i, t in enumerate(thresholds.tolist()):
         try:
-            alone = _scalar_bisect(lambda x: t - x, lows[i], highs[i], rel_width, geometric)
+            alone = _scalar_bisect(lambda x: t - x, lows[i], highs[i], rel_width, flags[i])
         except ThresholdNotFoundError as exc:
             assert (side[i], np.isnan(threshold[i]), iterations[i]) == (exc.side, True, 0)
             assert (lo[i], hi[i]) == (lows[i], highs[i])
@@ -312,6 +316,17 @@ def _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geome
     return iterations
 
 
+def _brackets(elements):
+    """Lower and upper ends, thresholds and flags of drawn (low, excess, place, geometric) elements."""
+    lows = [low for low, _, _, _ in elements]
+    highs = [low * (1.0 + excess) for low, excess, _, _ in elements]
+    thresholds = [
+        lo * (hi / lo) ** place if geometric else lo + place * (hi - lo)
+        for lo, hi, (_, _, place, geometric) in zip(lows, highs, elements)
+    ]
+    return thresholds, lows, highs, [geometric for _, _, _, geometric in elements]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     elements=st.lists(
@@ -319,28 +334,60 @@ def _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geome
             st.floats(1e-3, 1e3),  # lower bracket end
             st.floats(1e-6, 1e6),  # upper end over lower end, minus 1
             st.floats(-0.25, 1.25),  # threshold's place in the bracket: outside below 0 and above 1
+            st.booleans(),  # geometric
         ),
         min_size=1,
-        max_size=6,
+        max_size=150,
     ),
     rel_width=st.floats(1e-15, 0.5),
-    geometric=st.booleans(),
 )
-def test_bisection_blocks_match_one_step_reference(elements, rel_width, geometric):
-    # each chain call settles several steps; every element still takes the
-    # midpoints, bracket and iteration count of the one-step loop
-    lows = [low for low, _, _ in elements]
-    highs = [low * (1.0 + excess) for low, excess, _ in elements]
-    if geometric:
-        thresholds = [lo * (hi / lo) ** place for lo, hi, (_, _, place) in zip(lows, highs, elements)]
-    else:
-        thresholds = [lo + place * (hi - lo) for lo, hi, (_, _, place) in zip(lows, highs, elements)]
+def test_bisection_blocks_match_one_step_reference(elements, rel_width):
+    # each chain call settles several steps, geometric and linear elements
+    # mixed; every element still takes the midpoints, bracket and iteration
+    # count of the one-step loop
+    thresholds, lows, highs, geometric = _brackets(elements)
     _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geometric)
+
+
+@pytest.mark.parametrize("size, levels", [(1, 7), (8, 7), (9, 6), (16, 6), (17, 5), (32, 5), (33, 4), (150, 4)])
+def test_bisection_depth_follows_element_count(size, levels):
+    # a round rates a tree of floor(log2(1024 / elements)) levels, clamped to
+    # [4, 7]; at every depth each element matches the one-step loop bit for
+    # bit, geometric and linear elements and failing ends mixed
+    rng = np.random.default_rng(size)
+    elements = [
+        (10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-6, 6), rng.uniform(-0.25, 1.25), rng.random() < 0.5)
+        for _ in range(size)
+    ]
+    thresholds, lows, highs, geometric = _brackets(elements)
+    calls = []
+
+    def rate(x):
+        calls.append(np.shape(x))
+        return np.array(thresholds) - x
+
+    for rel_width in (1e-15, 0.005, 0.3):
+        calls.clear()
+        iterations = _assert_matches_one_step_reference(thresholds, lows, highs, rel_width, geometric)
+        _bisect_positive(rate, lows, highs, rel_width, geometric)
+        assert calls[0] == (2**levels + 1, size)
+        assert calls[1:] == [(2**levels - 1, size)] * (len(calls) - 1)
+        assert len(calls) == max(1, -(-iterations.max() // levels))
+
+
+def test_mixed_bisection_roots_only_geometric_brackets():
+    # a linear bracket with a negative end next to a geometric one: its
+    # product is negative, and no square root of it may run where the
+    # command line raises on an invalid operation
+    with np.errstate(invalid="raise"):
+        _assert_matches_one_step_reference([2.5, 1e5], [-10.0, 1.0], [10.0, 1e12], 0.005, [False, True])
+    with pytest.raises(ValueError, match="positive lower bracket end"):
+        _bisect_positive(lambda x: 1.0 - x, [-10.0, 0.0], [10.0, 1e12], 0.005, [False, True])
 
 
 def test_bisection_call_count(default_run, monkeypatch):
     # brackets of span 0.02 * 2**j around the same threshold stop after
-    # j + 1 steps: inside a block of four and on its boundaries
+    # j + 1 steps: inside the first round of seven, on its boundary and past it
     lows, highs = [1.0] * 8, (1.0 + 0.02 * 2.0 ** np.arange(8)).tolist()
     calls = []
 
@@ -351,23 +398,34 @@ def test_bisection_call_count(default_run, monkeypatch):
     iterations = _assert_matches_one_step_reference([1.005] * 8, lows, highs, 0.01, geometric=False)
     assert iterations.tolist() == list(range(1, 9))
     iterations = _bisect_positive(rate, lows, highs, 0.01, geometric=False)[3]
-    # both ends ride the first block of four steps, then one call per block
-    assert calls == [(17, 8), (15, 8)]
-    assert len(calls) == max(1, -(-iterations.max() // 4))
+    # both ends ride the first round of seven steps, then one call per round
+    assert calls == [(129, 8), (127, 8)]
+    assert len(calls) == max(1, -(-iterations.max() // 7))
 
     run = default_run
+    gate = (_detector(), run.decoy, run.switch, run.spectral_overlap)
     evaluations = []
 
     def counting(*args, **kwargs):
-        evaluations.append(args[0].noise_rate.shape)
+        evaluations.append(np.broadcast_shapes(np.shape(args[0].noise_rate), np.shape(args[0].channel_loss_db)))
         return evaluate_scenario(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "evaluate_scenario", counting)
-    result = noise_threshold(run.scenario, _detector(), run.decoy, run.switch, run.spectral_overlap)
-    # one step per call would take 2 + 13 calls
+    result = noise_threshold(run.scenario, *gate)
+    # one step per call would take 2 + 13 calls, four steps per call 4
     assert result.iterations == 13
-    assert evaluations == [(17,)] + [(15,)] * 3
-    assert len(evaluations) == max(1, -(-result.iterations // 4))
+    assert evaluations == [(129,), (127,)]
+    evaluations.clear()
+    result = loss_threshold(run.scenario.with_(noise_rate=0.0), *gate, ULTRAFAST)
+    assert result.iterations == 9
+    assert evaluations == [(129,), (127,)]
+    # both tables' 124 elements in one bisection of four levels: one table
+    # per bisection took 4 + 3 calls
+    evaluations.clear()
+    improvement_factors(run.loss_grid(), run.noise_grid(), run.scenario, *gate, run.loss_bracket(), run.noise_bracket())
+    elements = 2 * (run.loss_grid().size + run.noise_grid().size)
+    assert elements == 124
+    assert evaluations == [(17, elements)] + [(15, elements)] * 3
 
 
 def test_bisection_with_failing_ends_makes_one_call():
@@ -380,7 +438,7 @@ def test_bisection_with_failing_ends_makes_one_call():
         return 1.005 - x
 
     threshold, lo, hi, iterations, side = _bisect_positive(rate, [2.0, 0.1], [3.0, 0.5], 0.01, geometric=False)
-    assert calls == [(17, 2)]
+    assert calls == [(129, 2)]
     assert side.tolist() == ["low", "high"]
     assert np.isnan(threshold).all() and iterations.tolist() == [0, 0]
     assert (lo.tolist(), hi.tolist()) == ([2.0, 0.1], [3.0, 0.5])
@@ -388,19 +446,22 @@ def test_bisection_with_failing_ends_makes_one_call():
 
 
 def test_bisection_stopping_at_a_rounds_first_midpoint_makes_no_call():
-    # a bracket of span 0.16 stops after exactly four steps, at the first
-    # midpoint of the second round: that midpoint needs no rate
+    # a bracket of span 0.01 * 2**levels stops after exactly one round of
+    # steps, at the first midpoint of the second round: that midpoint needs
+    # no rate, at every depth; the last element fails at its lower end
     calls = []
 
     def rate(x):
         calls.append(np.shape(x))
         return 1.005 - x
 
-    lows, highs = [1.0, 2.0], [1.16, 3.0]
-    iterations = _bisect_positive(rate, lows, highs, 0.01, geometric=False)[3]
-    assert iterations.tolist() == [4, 0]
-    assert calls == [(17, 2)]
-    _assert_matches_one_step_reference([1.005] * 2, lows, highs, 0.01, geometric=False)
+    for size, levels in [(2, 7), (9, 6), (17, 5), (33, 4)]:
+        calls.clear()
+        lows, highs = [1.0] * (size - 1) + [2.0], [1.0 + 0.01 * 2**levels] * (size - 1) + [3.0]
+        iterations = _bisect_positive(rate, lows, highs, 0.01, geometric=False)[3]
+        assert iterations.tolist() == [levels] * (size - 1) + [0]
+        assert calls == [(2**levels + 1, size)]
+        _assert_matches_one_step_reference([1.005] * size, lows, highs, 0.01, geometric=False)
 
 
 def test_bisection_refuses_inputs_that_never_stop():
@@ -442,12 +503,12 @@ def test_lockstep_thresholds_match_scalar_reference(default_run, monkeypatch, da
     imp = improvement_factors(
         run.loss_grid(), run.noise_grid(), scenario, *gate, run.loss_bracket(), run.noise_bracket()
     )
-    # one lockstep call per table over (grid value, arm), noise thresholds first
-    assert [result[0].shape for result in results] == [
-        (run.loss_grid().size, len(ARMS)),
-        (run.noise_grid().size, len(ARMS)),
-    ]
-    by_loss, by_noise = (_threshold_cells(result) for result in results)
+    # one lockstep bisection of both tables over (grid value, arm), noise
+    # thresholds first
+    noise_elements = run.loss_grid().size * len(ARMS)
+    assert [result[0].shape for result in results] == [(noise_elements + run.noise_grid().size * len(ARMS),)]
+    cells = _threshold_cells(results[0])
+    by_loss, by_noise = cells[:noise_elements], cells[noise_elements:]
 
     def reference(fixed, value, variable, kind, bracket):
         def rate(x):

@@ -249,6 +249,19 @@ def test_cli_zero_pump_needs_explicit_mode_area(tmp_path, capsys):
     assert main(["--config", path, "--no-banner", "--out", str(tmp_path / "dark"), "modes"]) == 0
 
 
+@pytest.mark.parametrize("factor", [2.0, 3.0])
+def test_cli_split_gate_exits_2(tmp_path, capsys, factor):
+    # with the mode area pinned, twice the pump energy leaves the gate dark at
+    # its centre (a 2 pi phase) and three times splits it into two lobes (3
+    # pi): the half-maximum width spanning them used to be printed as the FWHM
+    energy = round(DEFAULTS["pump"]["pulse_energy_nj"] * factor, 4)
+    path = _write(tmp_path, {"pump": {"pulse_energy_nj": energy}, "fiber": {"mode_area_um2": AREA_UM2}})
+    assert main(["--config", path, "switch-profile"]) == 2
+    err = capsys.readouterr().err
+    assert "pump.pulse_energy_nj = %s" % energy in err and "fiber.mode_area_um2" in err
+    assert "splits the gate" in err
+
+
 def test_cli_unknown_key_exits_2(tmp_path):
     path = _write(tmp_path, {"tipo": 1})
     assert main(["--config", path, "switch-profile"]) == 2
