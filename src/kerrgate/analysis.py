@@ -8,13 +8,12 @@ comparison, and the pulse-broadening (temporal fluctuation) study.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ThresholdNotFoundError
-from .kerr import SwitchProfile, _gaussian_sums, _trace_weights
+from .kerr import SwitchProfile, _trace
 from .pulses import (
     FWHM_TO_SIGMA,
     SPEED_OF_LIGHT,
@@ -154,7 +153,7 @@ def spectral_overlap_factor(
     alpha = 4.0 * np.log(2.0) / widths_sq
 
     dt = profile.step
-    gate = np.sqrt(profile.efficiency[profile.window])
+    gate = profile.amplitude
     area = dt * np.dot(gate, gate)
     if area <= 0:
         raise ValueError("switch profile has no spectral content")
@@ -708,12 +707,8 @@ def fluctuation_study(
     kinds = np.array(ARMS)
     electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
     center = np.array([gate.centroid])
-    # the plain trace at the gate's centroid per duration, on one support
-    points, weights = _trace_weights(gate)
-    sigmas = durations * FWHM_TO_SIGMA
-    optical = np.array(
-        [_gaussian_sums(points, weights, center, 2.0 * s**2)[0] / (s * math.sqrt(2.0 * math.pi)) for s in sigmas]
-    )
+    # the plain trace at the gate's centroid per duration
+    optical = np.array([_trace(gate, s, center)[0] for s in durations * FWHM_TO_SIGMA])
     transmission = np.where(kinds == ULTRAFAST, optical[:, None], electronic[:, None])[:, :, None]
     scenario = ChannelScenario(
         channel_loss_db=0.0,

@@ -203,7 +203,9 @@ class SwitchProfile:
     spectral quantity and trace relies on it.  ``step`` is its mean step
     (s) and ``window`` the slice of samples where eta exceeds 1e-30 of its
     peak (``pulses._support``, empty for a dark gate), the only samples the
-    traces and spectral energies sum over.  ``fwhm``, ``effective_width``
+    traces and spectral energies sum over.  On the window, ``amplitude`` is
+    sqrt(eta), the gate on a field, and ``weights`` is eta times the
+    trapezoid weights, the gate on an intensity.  ``fwhm``, ``effective_width``
     and ``centroid`` are derived from the samples on construction;
     ``effective_width`` is the plain integral of eta over time, which is
     the quantity that scales cw noise transmission, and ``centroid`` is
@@ -217,6 +219,8 @@ class SwitchProfile:
     phase: np.ndarray | None = None
     step: float = field(init=False)
     window: slice = field(init=False)
+    amplitude: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
     fwhm: float = field(init=False, default=0.0)
     effective_width: float = field(init=False, default=0.0)
     centroid: float = field(init=False, default=0.0)
@@ -235,7 +239,14 @@ class SwitchProfile:
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "efficiency", eta)
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "window", _support(eta))
+        window = _support(eta)
+        object.__setattr__(self, "window", window)
+        # half a step on each side of every sample, none past the window's ends
+        half_steps = np.diff(grid[window]) / 2.0
+        weights = (np.pad(half_steps, (1, 0)) + np.pad(half_steps, (0, 1))) * eta[window]
+        for name, values in (("amplitude", np.sqrt(eta[window])), ("weights", weights)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.phase is not None:
             phase = np.asarray(self.phase, dtype=float)
             phase.flags.writeable = False
@@ -470,28 +481,17 @@ def _pair_sums(amp: np.ndarray, scale: float, beta: float, omega: float) -> np.n
     return scale * pairs[: 2 * size - 1]
 
 
-def _trace_weights(profile: SwitchProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The grid on eta's support (``profile.window``) and eta times the trapezoid weights there."""
-    grid = profile.time_grid[profile.window]
-    half_steps = (grid[1:] - grid[:-1]) / 2.0
-    weights = np.zeros(grid.size)
-    weights[:-1] = half_steps
-    weights[1:] += half_steps
-    weights *= profile.efficiency[profile.window]
-    return grid, weights
-
-
 def _trace(profile: SwitchProfile, sigma: float, delays: np.ndarray) -> np.ndarray:
     """Gated fraction of a unit-energy Gaussian signal at each of the increasing ``delays``.
 
     The trapezoid over eta's support of eta times the signal intensity
     exp(-(T - delay)^2 / 2 sigma^2) / (sigma sqrt(2 pi)), with eta and the
-    trapezoid weights folded into one vector (``_trace_weights``), summed
+    trapezoid weights folded into one vector (``profile.weights``), summed
     for all delays by ``_gaussian_sums``: one exp per support sample and
     row of delays rather than one per sample and delay.
     """
-    points, weights = _trace_weights(profile)
-    return _gaussian_sums(points, weights, delays, 2.0 * sigma**2) / (sigma * math.sqrt(2.0 * math.pi))
+    points = profile.time_grid[profile.window]
+    return _gaussian_sums(points, profile.weights, delays, 2.0 * sigma**2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def _filtered_trace(
@@ -519,7 +519,7 @@ def _filtered_trace(
     E(d) = dt^2 sum_S H[S] exp(-(2 t_0 + S dt - 2 d)^2 / 8 sigma^2).  The
     trace is E(d) over the open-gate energy at zero delay, which is closed
     form, so a unit-efficiency gate gives exactly 1.  dt is the profile's
-    step and the support its window.
+    step, the support its window and g its amplitude.
 
     ``_pair_sums`` builds H with beta = b dt^2 and omega = 2 pi off dt, b
     the kernel's Gaussian coefficient with the signal's envelope folded in,
@@ -533,14 +533,13 @@ def _filtered_trace(
     ResolutionError naming ``signal.center_wavelength_nm``.
     """
     window, dt = profile.window, profile.step
-    amp = np.sqrt(profile.efficiency[window])
     var = 8.0 * signal.sigma**2
     offset = SPEED_OF_LIGHT / signal.center_wavelength - SPEED_OF_LIGHT / spectral_filter.center_wavelength
     a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
     b = 1.0 / var + np.pi**2 / a
     scale = spectral_filter.peak_transmission * np.sqrt(np.pi / a)
     beta, omega = b * dt**2, 2.0 * np.pi * offset * dt
-    pairs = _pair_sums(amp, scale, beta, omega)
+    pairs = _pair_sums(profile.amplitude, scale, beta, omega)
     sums = 2.0 * profile.time_grid[window.start] + np.arange(pairs.size) * dt
     energy = dt**2 * _gaussian_sums(sums, pairs, 2.0 * delays, var)
     # the same energy for an open gate (eta = 1) at zero delay, in closed form
@@ -552,7 +551,7 @@ def _filtered_trace(
     if baseline == 0.0:
         raise ResolutionError("the filtered trace's open-gate energy underflows to 0: " + detuning)
     trace = energy / baseline
-    magnitude = pairs if omega == 0.0 else _pair_sums(amp, scale, beta, 0.0)
+    magnitude = pairs if omega == 0.0 else _pair_sums(profile.amplitude, scale, beta, 0.0)
     roundoff = np.finfo(float).eps * dt**2 * magnitude.sum() / baseline
     if not roundoff <= 1e-9 * trace.max():
         raise ResolutionError(

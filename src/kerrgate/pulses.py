@@ -140,32 +140,26 @@ def _support(eta: np.ndarray) -> slice:
     return slice(above[0], above[-1] + 1) if above.size else slice(0, 0)
 
 
-def _gaussian_kernel(lags: np.ndarray, scale: float, b: float, offset: float) -> np.ndarray:
-    """scale exp(-b tau^2) cos(2 pi offset tau) at each of the ``lags`` tau.
-
-    The inverse Fourier transform of a Gaussian power weight
-    w(f) = exp(-a (f + offset)^2), taken with scale = sqrt(pi / a) and
-    b = pi^2 / a, is this kernel times exp(-2 pi i offset tau); against the
-    even autocorrelation of a real field only its cosine part survives.
-    """
-    return scale * np.exp(-b * lags**2) * np.cos(2.0 * np.pi * offset * lags)
-
-
 def _lag_energy(field: np.ndarray, dt: float, scale: float, b: float, offset: float) -> float:
     """dt^2 sum_L k(L dt) R(L) of a real ``field`` sampled at step ``dt``.
 
-    By Parseval (Wiener-Khinchin) this is the field's energy after the
-    Gaussian power weight whose time kernel k is ``_gaussian_kernel``.  R is
-    the linear autocorrelation sum_i f_{i+L} f_i, from one FFT zero-padded
-    to a power of two of at least 2n - 1 samples so that no lag wraps
-    around.  Its cost follows the field's length, so callers pass a gated
-    field on the gate's support only.
+    By Parseval (Wiener-Khinchin) this is the field's energy after a
+    Gaussian power weight w(f) = exp(-a (f + offset)^2): taken with
+    scale = sqrt(pi / a) and b = pi^2 / a, its time kernel is
+    k(tau) = scale exp(-b tau^2) cos(2 pi offset tau) times
+    exp(-2 pi i offset tau), and against the even autocorrelation of a real
+    field only the cosine part survives.  R is the linear autocorrelation
+    sum_i f_{i+L} f_i, from one FFT zero-padded to a power of two of at
+    least 2n - 1 samples so that no lag wraps around.  Its cost follows the
+    field's length, so callers pass a gated field on the gate's support
+    only.
     """
     size = field.size
     length = 1 << (2 * size - 2).bit_length()
     spectrum = np.fft.rfft(field, length)
     autocorr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, length)[:size]
-    kernel = _gaussian_kernel(np.arange(size) * dt, scale, b, offset)
+    lags = np.arange(size) * dt
+    kernel = scale * np.exp(-b * lags**2) * np.cos(2.0 * np.pi * offset * lags)
     return float(dt**2 * (2.0 * np.dot(kernel, autocorr) - kernel[0] * autocorr[0]))
 
 
@@ -242,9 +236,9 @@ def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, 
         window, dt = time_gate.window, time_gate.step
         if window.start == window.stop:
             return np.zeros(max_order + 1)
-        eta = time_gate.efficiency[window]
         phis = _hermite_functions(max_order, (time_gate.time_grid[window] - center) / tau)
         if spectral_filter is None:
+            eta = time_gate.efficiency[window]
             return np.array([np.trapezoid(eta * phi**2, dx=dt) / tau for phi in phis])
     a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
     peak = spectral_filter.peak_transmission
@@ -255,8 +249,8 @@ def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, 
         for n in range(1, max_order):
             q.append(((2 * n + 1) * q[n] / s2 - n * r * q[n - 1]) / (n + 1))
         return peak / np.sqrt(s2) * np.array(q[: max_order + 1])
-    gate, scale, b = np.sqrt(eta), peak * np.sqrt(np.pi / a), np.pi**2 / a
-    return np.array([_lag_energy(gate * phi, dt, scale, b, 0.0) / tau for phi in phis])
+    scale, b = peak * np.sqrt(np.pi / a), np.pi**2 / a
+    return np.array([_lag_energy(time_gate.amplitude * phi, dt, scale, b, 0.0) / tau for phi in phis])
 
 
 def mode_transmission(

@@ -615,6 +615,18 @@ def test_rate_sign_changes_at_most_once(
         assert np.all(np.diff(positive.astype(int)) <= 0)
 
 
+@pytest.mark.parametrize("dark_rate", [0.0, 100.0, 1e4])
+def test_fluctuation_rate_sign_changes_at_most_once(default_run, dark_rate):
+    # the broadening study bisects its loss thresholds with _bisect_positive too
+    durations = [1e-12, 10e-12, 100e-12, 500e-12]
+    noise_levels = [0.0, 920.0, 2.5e4, 8.0e6, 1e10]
+    loss = np.linspace(0.0, 80.0, 321)
+    study = fluctuation_study(durations, noise_levels, loss, default_run.switch, dark_rate=dark_rate)
+    rates = np.reshape(study.rates.column("rate_per_pulse"), (len(noise_levels), len(durations), len(ARMS), loss.size))
+    # along loss in every (noise, duration, arm) row: positive first, and no way back
+    assert np.all(np.diff((rates > 0.0).astype(int), axis=-1) <= 0)
+
+
 def test_noise_threshold_frozen(default_run):
     run = default_run
     scenario = run.scenario.with_(channel_loss_db=10.0)
