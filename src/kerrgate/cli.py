@@ -115,7 +115,8 @@ def _cmd_trace(args, run: RunConfig) -> int:
     delays = run.trace_delays()
     trace = switching_trace(run.switch, run.signal, delays, run.spectral_filter)
     table = Table.of(delay_ps=trace.delays / _PS, switched_efficiency=trace.efficiency)
-    footer = "# fwhm_ps = %.10g\tpeak = %.10g\n" % (trace.fwhm / _PS, trace.peak_value)
+    split = "\tsplit = true" if trace.split else ""
+    footer = "# fwhm_ps = %.10g\tpeak = %.10g%s\n" % (trace.fwhm / _PS, trace.peak_value, split)
     _emit(args, {"trace.tsv": table.format_tsv() + footer})
     return 0
 

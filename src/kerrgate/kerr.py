@@ -20,8 +20,8 @@ from .pulses import (
     SPEED_OF_LIGHT,
     GaussianPulse,
     SpectralFilter,
-    _check_grid,
     _check_uniform,
+    _split,
     _support,
     sampled_fwhm,
 )
@@ -147,16 +147,15 @@ def nonlinear_phase_profile(
     T = d_w L / 2.
 
     The grid guards protect the sampled eta that widths and traces are
-    measured on: raises ResolutionError if the time step is coarser than
-    min(pump FWHM, total walkoff) / 16, and ValueError if the grid does not
-    cover the gate support.
+    measured on: raises ValueError unless the grid is uniform
+    (``pulses._check_uniform``) and covers the gate support, and
+    ResolutionError if its step is coarser than min(pump FWHM, walkoff) / 16.
     """
     if not signal_wavelength > 0:
         raise ValueError("signal_wavelength must be positive")
-    grid = _check_grid(time_grid)
+    grid, step = _check_uniform(time_grid)
     walk = fiber.total_walkoff
     fwhm = pump.fwhm_duration
-    step = float(np.max(np.diff(grid)))
     scale = min(fwhm, walk)
     if step > scale / 16.0:
         raise ResolutionError(
@@ -169,8 +168,6 @@ def nonlinear_phase_profile(
             "time grid does not cover the gate support: widen grid.time_span_ps, or shorten fiber.length_cm, "
             "fiber.walkoff_ps_per_m or the pump (pump.center_wavelength_nm, pump.bandwidth_fwhm_nm)"
         )
-    if pump.pulse_energy == 0.0:
-        return np.zeros_like(grid)
     return _walkoff_phase(pump, fiber, grid, signal_wavelength)
 
 
@@ -199,19 +196,18 @@ def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:
 class SwitchProfile:
     """Sampled time-dependent switching efficiency eta(T).
 
-    The time grid must be uniform (``pulses._check_uniform``); every
-    spectral quantity and trace relies on it.  ``step`` is its mean step
-    (s) and ``window`` the slice of samples where eta exceeds 1e-30 of its
-    peak (``pulses._support``, empty for a dark gate), the only samples the
-    traces and spectral energies sum over.  On the window, ``amplitude`` is
-    sqrt(eta), the gate on a field, and ``weights`` is eta times the
-    trapezoid weights, the gate on an intensity.  ``fwhm``, ``effective_width``
-    and ``centroid`` are derived from the samples on construction;
-    ``effective_width`` is the plain integral of eta over time, which is
-    the quantity that scales cw noise transmission, and ``centroid`` is
-    eta's first moment (s), the optimal signal arrival time (0 for a dark
-    gate).  Arrays are frozen, so a profile is immutable; the grid is
-    frozen in place, not copied.
+    The time grid must be uniform (``pulses._check_uniform``, as for the
+    phase).  ``step`` is its mean step (s) and ``window`` the slice of
+    samples where eta exceeds 1e-30 of its peak (``pulses._support``,
+    empty for a dark gate), the only samples traces and energies sum over.
+    On the window, ``amplitude`` is sqrt(eta), the gate on a field, and
+    ``weights`` is eta times the trapezoid weights, the gate on an
+    intensity and every integral of eta: ``effective_width`` is their sum,
+    which scales cw noise transmission, and ``centroid`` eta's first
+    moment (s), the optimal signal arrival time (0 for a dark gate).
+    ``split`` says eta dips below half maximum between its crossings
+    (``pulses._split``), so ``fwhm`` spans lobes.  Arrays are frozen, so a
+    profile is immutable; the grid is frozen in place, not copied.
     """
 
     time_grid: np.ndarray
@@ -222,6 +218,7 @@ class SwitchProfile:
     amplitude: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
     fwhm: float = field(init=False, default=0.0)
+    split: bool = field(init=False, default=False)
     effective_width: float = field(init=False, default=0.0)
     centroid: float = field(init=False, default=0.0)
 
@@ -251,12 +248,13 @@ class SwitchProfile:
             phase = np.asarray(self.phase, dtype=float)
             phase.flags.writeable = False
             object.__setattr__(self, "phase", phase)
-        width = float(np.trapezoid(eta, grid))
+        width = float(weights.sum())
         object.__setattr__(self, "effective_width", width)
         if width != 0.0:
-            object.__setattr__(self, "centroid", float(np.trapezoid(eta * grid, grid) / width))
+            object.__setattr__(self, "centroid", float(weights @ grid[window] / width))
         fwhm = sampled_fwhm(grid, eta) if eta.max() > 0 else 0.0
         object.__setattr__(self, "fwhm", fwhm)
+        object.__setattr__(self, "split", _split(eta))
 
     @property
     def peak_efficiency(self) -> float:
@@ -289,12 +287,13 @@ def switch_profile(
 
 @dataclass(frozen=True)
 class SwitchingTrace:
-    """Switched efficiency versus pump-to-signal delay."""
+    """Switched efficiency versus pump-to-signal delay; ``split`` as ``SwitchProfile``'s."""
 
     delays: np.ndarray
     efficiency: np.ndarray
     fwhm: float
     peak_value: float
+    split: bool
 
 
 def _rows(values: np.ndarray, width: float) -> tuple[np.ndarray, float]:
@@ -611,4 +610,5 @@ def switching_trace(
         efficiency=trace,
         fwhm=fwhm,
         peak_value=float(trace.max()),
+        split=_split(trace),
     )

@@ -84,15 +84,6 @@ def default_time_grid(span: float = 40e-12, samples: int = 16384) -> np.ndarray:
     return np.linspace(-span / 2.0, span / 2.0, samples)
 
 
-def _check_grid(time_grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("time grid must be a 1-d array of at least 2 samples")
-    if not np.all(np.diff(grid) > 0):
-        raise ValueError("time grid must be strictly increasing")
-    return grid
-
-
 # Largest deviation of any step of a time grid from its mean, in units of
 # the mean.  Within a row of points sqrt(var) / 2 wide the offsets then stray
 # from k steps by at most 2^-29 sqrt(var), so the Gaussian sums' first-order
@@ -104,19 +95,19 @@ _UNIFORM = 2.0**-29
 def _check_uniform(time_grid: np.ndarray) -> tuple[np.ndarray, float]:
     """The grid as a float array and its step; ValueError unless it is uniform.
 
-    Called once, by ``SwitchProfile``: the overlap, the mode transmissions
-    and both traces read the step it stores.  Uniform means increasing,
-    with every step within ``_UNIFORM`` of the mean (t_N - t_1) / (N - 1).
-    The step is that mean: ``grid[1] - grid[0]`` of a linspace loses digits
-    to cancellation (1.25e-12 of dt at 32768 samples), which would scale
-    every energy and stretch every lag of the time kernel.
+    The one grid rule, for the phase and ``SwitchProfile``: both resolution
+    guards, the overlap, the modes and both traces read this step.  Uniform
+    means strictly increasing, with every step within ``_UNIFORM`` of the
+    mean (t_N - t_1) / (N - 1).  The step is that mean: ``grid[1] - grid[0]``
+    of a linspace loses digits to cancellation (1.25e-12 of dt at 32768
+    samples), which would scale every energy and stretch every lag.
     """
     grid = np.asarray(time_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("time grid must be a 1-d array of at least 2 samples")
     dt = (grid[-1] - grid[0]) / (grid.size - 1)
     if not (dt > 0.0 and np.max(np.abs(np.diff(grid) - dt)) <= _UNIFORM * dt):
-        raise ValueError("time grid must be uniform: increasing, every step within 2^-29 of the mean")
+        raise ValueError("time grid must be uniform: strictly increasing, every step within 2^-29 of the mean")
     return grid, dt
 
 
@@ -238,8 +229,7 @@ def _mode_transmissions(max_order: int, tau: float, time_gate, spectral_filter, 
             return np.zeros(max_order + 1)
         phis = _hermite_functions(max_order, (time_gate.time_grid[window] - center) / tau)
         if spectral_filter is None:
-            eta = time_gate.efficiency[window]
-            return np.array([np.trapezoid(eta * phi**2, dx=dt) / tau for phi in phis])
+            return np.array([time_gate.weights @ phi**2 / tau for phi in phis])
     a = 4.0 * np.log(2.0) / spectral_filter.frequency_fwhm**2
     peak = spectral_filter.peak_transmission
     if time_gate is None:
@@ -263,8 +253,8 @@ def mode_transmission(
     fraction is returned.  Either mask may be omitted; at least one must be
     present.  The mode carrier is taken at the filter's center wavelength.
 
-    - Gate only: the trapezoid of eta phi_n^2 on eta's support
-      (``SwitchProfile.window``) over the mode's energy tau, with
+    - Gate only: the window's trapezoid weights (``SwitchProfile.weights``)
+      against phi_n^2 over the mode's energy tau, with
       phi_n((t - center) / tau) from ``_hermite_functions``.
     - Filter only: closed form, no grid.  The mode's spectrum is again
       Hermite-Gauss, so for a filter T0 exp(-a f^2) the fraction is T0 Q_n / s
@@ -290,7 +280,7 @@ def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     the bracketing samples; the curve must rise above half max on a single
     contiguous region wide enough to bracket both crossings.  Only the
     outermost crossings are found: a dip below half max between them is
-    not seen here (``resolve`` refuses a gate that has one).
+    not seen here (``_split`` sees it).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -309,3 +299,9 @@ def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     # right edge: y falls through half max between last and last+1
     right = np.interp(half, [y[last + 1], y[last]], [x[last + 1], x[last]])
     return float(right - left)
+
+
+def _split(y: np.ndarray) -> bool:
+    """Whether y dips below half maximum between its crossings: lobes with no one width."""
+    opened = np.flatnonzero(y >= 0.5 * y.max())
+    return bool(opened[-1] - opened[0] >= opened.size)

@@ -1,5 +1,6 @@
 """Kerr gate: phase accumulation, switching profile, traces."""
 
+import json
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from kerrgate import (
     switching_trace,
 )
 from kerrgate import kerr
+from kerrgate.cli import main
 from kerrgate.kerr import _gaussian_sums, _pair_sums, _trace
 from kerrgate.pulses import FWHM_TO_SIGMA, GAUSSIAN_TBP
 from test_pulses import spectral_energy
@@ -151,6 +153,24 @@ def test_double_energy_opens_twin_peaks():
     center_idx = np.argmin(np.abs(profile.time_grid - 0.5e-12))
     assert profile.efficiency[center_idx] < 1e-6
     assert profile.peak_efficiency > 0.9999
+
+
+def test_lobed_gates_and_traces_are_flagged_split(tmp_path):
+    # 726 nm off the 720.8-nm filter the filtered trace dips to 4.5% of its
+    # peak between two lobes, so its printed width spans both; at 721.3 nm
+    # it has one lobe
+    footers = {}
+    for center_nm in (726, 721.3):
+        config = tmp_path / ("%s.json" % center_nm)
+        config.write_text(json.dumps({"signal": {"center_wavelength_nm": center_nm}}))
+        out = tmp_path / str(center_nm)
+        assert main(["--config", str(config), "--no-banner", "--out", str(out), "trace"]) == 0
+        footers[center_nm] = (out / "trace.tsv").read_text().splitlines()[-1]
+    assert footers[726] == "# fwhm_ps = 1.539554078\tpeak = 67.70562674\tsplit = true"
+    assert "split" not in footers[721.3] and footers[721.3].startswith("# fwhm_ps = ")
+    # the library builds the 2 pi gate that resolve refuses, and flags it
+    assert switch_profile(_pump(2 * 2.47e-9), _fiber(), default_time_grid(), SIGNAL_WL).split
+    assert not _default_profile().split
 
 
 def test_phase_profile_guards():
@@ -509,10 +529,11 @@ def _two_spacing_grid():
 
 
 def test_spectral_quantities_reject_nonuniform_grid():
-    # the overlap, the modes and both traces take the profile's one step, so
-    # the profile refuses a grid that has none
+    # the phase, the overlap, the modes and both traces take one step, so
+    # the phase and the profile refuse a grid that has none
     grid = _two_spacing_grid()
-    nonlinear_phase_profile(_pump(), _fiber(), grid, SIGNAL_WL)
+    with pytest.raises(ValueError, match="uniform"):
+        nonlinear_phase_profile(_pump(), _fiber(), grid, SIGNAL_WL)
     with pytest.raises(ValueError, match="uniform"):
         switch_profile(_pump(), _fiber(), grid, SIGNAL_WL)
 

@@ -1,10 +1,11 @@
 """The printed tables check each other.
 
-Each case runs ``keyrate`` and ``thresholds`` through the command line and
-checks relations that hold by the physics, however each table is computed:
-the key rate is positive exactly below its threshold, the improvement
-tables are ratios of the threshold tables, and the gains table repeats the
-noise sweep's cells.
+Each case runs ``keyrate``, ``thresholds`` and ``modes`` through the
+command line and checks relations that hold however each table is
+computed: the key rate is positive exactly below its threshold, the
+improvement tables are ratios of the threshold tables, the gains table
+repeats the noise sweep's cells, and no mode passes gate and filter
+better than the filter alone.
 """
 
 import json
@@ -152,3 +153,18 @@ def test_gains_table_repeats_the_noise_sweep(files):
     gains, sweep = files["gains_qber.tsv"], files["keyrate_vs_noise.tsv"]
     assert len(gains) == len(sweep) > 0
     assert [tuple(row[name] for name in key) for row in gains] == [tuple(row[name] for name in key) for row in sweep]
+
+
+@pytest.mark.parametrize("document", [*_CASES.values(), {"modes": {"max_order": 200}}], ids=[*_CASES, "orders-200"])
+def test_no_mode_passes_gate_and_filter_better_than_the_filter_alone(document, tmp_path):
+    # the gate removes light, and the spectrum it broadens does not bring
+    # back more than it removed: at every order t_combined <= t_spectral_only,
+    # by at least 0.0048 (c2) on these cases and 0.026 at 200 orders
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert main(["--config", str(config), "--no-banner", "--out", str(tmp_path), "modes"]) == 0
+    rows = _read(tmp_path / "modes.tsv")
+    orders = document.get("modes", DEFAULTS["modes"])["max_order"]
+    assert [int(row["order"]) for row in rows] == list(range(orders + 1))
+    for row in rows:
+        assert float(row["t_combined"]) <= float(row["t_spectral_only"]), row
