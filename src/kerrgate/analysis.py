@@ -146,11 +146,7 @@ def spectral_overlap_factor(
             SPEED_OF_LIGHT / noise_center_wavelength
             - SPEED_OF_LIGHT / spectral_filter.center_wavelength
         )
-    # line and passband widths share the filter's wavelength-to-frequency scale
-    widths_sq = spectral_filter.frequency_fwhm**2 * (
-        1.0 + (noise_linewidth / spectral_filter.fwhm_bandwidth) ** 2
-    )
-    alpha = 4.0 * np.log(2.0) / widths_sq
+    alpha = 4.0 * np.log(2.0) / _line_passband_fwhm_sq(spectral_filter, noise_linewidth)
 
     dt = profile.step
     gate = profile.amplitude
@@ -160,6 +156,14 @@ def spectral_overlap_factor(
     # the weight's peak exp(alpha off^2) rides in the kernel's scale
     scale = np.exp(alpha * line_offset**2) * np.sqrt(np.pi / alpha)
     return float(_lag_energy(gate, dt, scale, np.pi**2 / alpha, line_offset) / area)
+
+
+def _line_passband_fwhm_sq(spectral_filter: SpectralFilter, noise_linewidth: float) -> float:
+    """Squared FWHM (Hz^2) of a Gaussian line's cross-correlation with the passband.
+
+    Line and passband widths share the filter's wavelength-to-frequency scale.
+    """
+    return spectral_filter.frequency_fwhm**2 * (1.0 + (noise_linewidth / spectral_filter.fwhm_bandwidth) ** 2)
 
 
 def noise_reduction_factor(
@@ -175,7 +179,10 @@ def noise_reduction_factor(
     overlap factor.  The ratio is the noise-reduction factor.
     """
     if electronic_window <= profile.effective_width:
-        raise ValueError("electronic window must exceed the gate's effective width")
+        raise ValueError(
+            "the electronic window set by detector.coincidence_window_ns, %.10g ps, must exceed the gate's "
+            "effective width, %.10g ps" % (electronic_window * 1e12, profile.effective_width * 1e12)
+        )
     overlap = spectral_overlap_factor(profile, spectral_filter, noise_linewidth)
     return float(electronic_window / (profile.effective_width * overlap))
 
@@ -283,29 +290,15 @@ class ThresholdResult:
     iterations: int
 
 
-# bisection steps settled by one ``rate_fn`` call: it rates all 2**levels - 1
+# bisection steps settled by one ``rate_fn`` call: it rates the 2**levels - 1
 # midpoints the next ``levels`` steps can reach.  numpy's fixed cost per chain
 # call dwarfs the extra points up to about _NODE_BUDGET candidates, so a
 # bisection of n elements takes floor(log2(_NODE_BUDGET / n)) levels, clamped
-# to [_MIN_LEVELS, _MAX_LEVELS]: 7 up to 8 elements, 4 from 33 on.  Deep trees
-# pay only for few elements: on wide bisections 4 to 6 levels timed alike on
-# a 2-vCPU machine
+# to [_MIN_LEVELS, _MAX_LEVELS]: 7 up to 8 elements, 4 from 33 on.  Fine
+# grids pay only for few elements: on wide bisections 4 to 6 levels timed
+# alike on a 2-vCPU machine
 _NODE_BUDGET = 1024
 _MIN_LEVELS, _MAX_LEVELS = 4, 7
-
-# the midpoint tree: node j of level l sits at 2**l - 1 + j and splits into
-# bracket j (rate <= 0) and bracket j + 2**l (rate > 0) of level l + 1, so the
-# bracket a round ends in, leaf j, took sign bit l of j at level l.
-# _PATH[l, j] is the node of level l on the way to leaf j and _SIGNS[l, j]
-# that bit.  A tree of L levels is the corner _PATH[:L + 1, :2**L], whose row
-# L holds its leaves, numbered after its nodes, and _SIGNS[:L, :2**L].
-# Both come from flat lists of Python values: numpy ufuncs or nested lists at
-# import would map more of numpy's code into every process, 0.15-0.3 MiB
-_LEAVES = range(2**_MAX_LEVELS)
-_PATH = np.array([2**level - 1 + leaf % 2**level for level in range(_MAX_LEVELS + 1) for leaf in _LEAVES])
-_PATH = _PATH.reshape(_MAX_LEVELS + 1, -1)
-_SIGNS = np.array([leaf >> level & 1 == 1 for level in range(_MAX_LEVELS) for leaf in _LEAVES])
-_SIGNS = _SIGNS.reshape(_MAX_LEVELS, -1, 1)
 
 # narrowest relative stopping width: below about 2.2e-16 the width is less
 # than one double step, so a bisection would never stop
@@ -317,25 +310,30 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric) -> tuple:
 
     ``rate_fn`` maps arguments shaped like the bracket arrays ``lo`` and
     ``hi``, with one more leading axis of candidates, to rates of the same
-    shape; it must be elementwise.  ``geometric`` is one flag or one per
-    element: those elements bisect at geometric midpoints, the others at
-    linear ones.  Each round builds the tree of the 2**L - 1 midpoints that
-    the next L steps can reach, computed as those steps compute them, and
-    one call rates them; L is floor(log2(1024 / elements)) clamped to
-    [4, 7]: few elements take deep trees, up to about a thousand
-    candidates a call, and 33 or more take 4 levels.  The
-    first call rates both bracket ends with them, so at most n steps take
+    shape; it must be elementwise, and inside each element's bracket its
+    sign must change at most once, from positive to non-positive.
+    ``geometric`` is one flag or one per element: those elements bisect at
+    geometric midpoints, the others at linear ones.  Each round fills one
+    sorted grid of 2**L + 1 rows per element: the bracket ends in its first
+    and last rows, and level l's midpoints in rows (2k + 1) 2**(L - l - 1),
+    each computed from the two rows of its own bracket as the one-step loop
+    computes it.  L is floor(log2(1024 / elements)) clamped to [4, 7]: few
+    elements take fine grids, up to about a thousand candidates a call, and
+    33 or more take 4 levels.  One call rates the grid's interior; the first
+    rates both bracket ends with it, so at most n steps take
     max(1, ceil(n / L)) calls, and a round whose elements all stop at its
-    first midpoint makes none.  The round then replays every level at once:
-    the stopping test runs on each node's own bracket, the node signs pick
-    the leaf each element reaches, and the first node on that path that
-    stops ends the element's steps.  The elements thus bisect in lockstep,
-    each taking the midpoints and iteration count it would take alone, one
-    step at a time.  Returns the arrays ``(threshold, lo, hi, iterations,
-    side)``; ``side`` is "low" or "high" where that bracket end already
-    fails (threshold NaN), else "".  ValueError unless ``lo < hi``
-    everywhere, ``lo > 0`` at every geometric element, and ``rel_width`` is
-    at least ``MIN_RELATIVE_WIDTH``: otherwise the loop would never stop.
+    first midpoint makes none.  As the sign changes once, the count c of
+    positive interior rates names the leaf bracket [c, c + 1] each element
+    reaches.  The level-l bracket on the way to it starts at c rounded down
+    to a multiple of 2**(L - l); the stopping test runs on each of those
+    brackets, and the first that stops ends the element's steps.  The
+    elements thus bisect in lockstep, each taking the midpoints and
+    iteration count it would take alone, one step at a time.  Returns the
+    arrays ``(threshold, lo, hi, iterations, side)``; ``side`` is "low" or
+    "high" where that bracket end already fails (threshold NaN), else "".
+    ValueError unless ``lo < hi`` everywhere, ``lo > 0`` at every geometric
+    element, and ``rel_width`` is at least ``MIN_RELATIVE_WIDTH``: otherwise
+    the loop would never stop.
     """
     if not rel_width >= MIN_RELATIVE_WIDTH:
         raise ValueError("rel_width must be at least %g, the width of a few double steps" % MIN_RELATIVE_WIDTH)
@@ -354,51 +352,38 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric) -> tuple:
         geometric = np.broadcast_to(geometric, shape).reshape(-1)
     elements = np.arange(lo.size)
     levels = min(max((_NODE_BUDGET // max(lo.size, 1)).bit_length() - 1, _MIN_LEVELS), _MAX_LEVELS)
-    nodes = 2**levels - 1
-    tree, signs = _PATH[: levels + 1, : nodes + 1], _SIGNS[:levels, : nodes + 1]
-    # the first call's candidates: both bracket ends, then the node midpoints
-    candidates = np.empty((2 + nodes, lo.size))
-    candidates[0], candidates[1] = lo, hi
-    mids = candidates[2:]
-    leaves_stop = np.ones((nodes + 1, lo.size), dtype=bool)
+    leaves = 2**levels
+    # the rows each level's brackets span, the leaves' last
+    spans = 2 ** np.arange(levels, -1, -1)[:, None]
+    grid = np.empty((leaves + 1, lo.size))
     iterations = np.zeros(lo.size, dtype=int)
     side = positive = None
     while True:
-        # every node's bracket and midpoint, then the leaves' brackets: the
-        # children of level l's 2**l brackets are their lower halves, then
-        # their upper ones
-        lows, highs, node_lows, node_highs = lo[None], hi[None], [lo[None]], [hi[None]]
-        for level in range(levels):
-            width = 2**level
-            mid = mids[width - 1 : 2 * width - 1]
-            _midpoints(lows, highs, mid, geometric)
-            brackets = np.concatenate([lows, mid, highs])
-            lows, highs = brackets[: 2 * width], brackets[width:]
-            node_lows.append(lows)
-            node_highs.append(highs)
-        node_lows, node_highs = np.concatenate(node_lows), np.concatenate(node_highs)
-        # a stopped element's bracket is its stopping node's, so it stops at
-        # the root of every later tree; a round ends unstopped at its leaf
-        stops = np.concatenate([node_highs[:nodes] - node_lows[:nodes] <= rel_width * mids, leaves_stop])
+        grid[0], grid[-1] = lo, hi
+        for span in spans[:-1, 0].tolist():
+            _midpoints(grid[:-1:span], grid[span::span], grid[span // 2 :: span], geometric)
         if side is None:
-            rates = rate_fn(candidates.reshape((2 + nodes,) + shape)).reshape(2 + nodes, -1)
-            side = np.where(rates[0] <= 0.0, "low", np.where(rates[1] > 0.0, "high", ""))
+            rates = rate_fn(grid.reshape((leaves + 1,) + shape)).reshape(leaves + 1, -1)
+            side = np.where(rates[0] <= 0.0, "low", np.where(rates[-1] > 0.0, "high", ""))
             failed = side != ""
-            positive = rates[2:] > 0.0
-        stops[0] |= failed  # a failing bracket end keeps its bracket
-        if stops[0].all():
+            positive = rates[1:-1] > 0.0
+        # a stopped element keeps its stopping bracket, so it stops at the first
+        # midpoint of every later round, as does a failing end's
+        stop = (hi - lo <= rel_width * grid[leaves // 2]) | failed
+        if stop.all():
             break
         if positive is None:
-            positive = rate_fn(mids.reshape((nodes,) + shape)).reshape(nodes, -1) > 0.0
-        # the node signs pick each element's leaf; its first stop on the way ends its steps
-        leaf = (positive[tree[:-1]] == signs).all(axis=0).argmax(axis=0)
-        path = tree[:, leaf]
-        steps = stops[path, elements].argmax(axis=0)
-        end = path[steps, elements]
+            positive = rate_fn(grid[1:-1].reshape((leaves - 1,) + shape)).reshape(leaves - 1, -1) > 0.0
+        # each level's bracket on the way to the leaf; a round ends unstopped at its leaf
+        starts = positive.sum(axis=0) // spans * spans
+        ends = starts + spans
+        stops = grid[ends, elements] - grid[starts, elements] <= rel_width * grid[starts + spans // 2, elements]
+        stops[0], stops[-1] = stop, True
+        steps = stops.argmax(axis=0)
         iterations += steps
-        lo, hi = node_lows[end, elements], node_highs[end, elements]
+        lo, hi = grid[starts[steps, elements], elements], grid[ends[steps, elements], elements]
         positive = None
-    threshold = np.where(failed, np.nan, mids[0])
+    threshold = np.where(failed, np.nan, grid[leaves // 2])
     return tuple(a.reshape(shape) for a in (threshold, lo, hi, iterations, side))
 
 
@@ -702,6 +687,8 @@ def fluctuation_study(
     loss_grid = np.array(loss_grid, dtype=float)
     if not np.all(durations > 0):
         raise ValueError("durations must be positive")
+    if not np.all(loss_grid >= 0):
+        raise ValueError("losses must be non-negative")
 
     # elements on the axes (noise, duration, arm, loss)
     kinds = np.array(ARMS)

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MIN_RELATIVE_WIDTH, SweepSpec, spectral_overlap_factor
+from .analysis import MIN_RELATIVE_WIDTH, SweepSpec, _line_passband_fwhm_sq, spectral_overlap_factor
 from .errors import ConfigError, ResolutionError
 from .kerr import (
     FiberSpec,
     SwitchProfile,
+    _check_kernel_sampling,
     _check_signal_sampling,
     calibrated_mode_area,
     switch_profile,
@@ -129,8 +130,8 @@ _TABLE = {
     "fluctuation": {
         "pulse_fwhm_ps": ([1.0, 10.0, 100.0, 500.0], _each(_POSITIVE)),
         "noise_levels_hz": ([920.0, 2.5e4, 8.0e6], _each(_NON_NEGATIVE)),
-        "loss_min_db": (0.0, _FINITE),
-        "loss_max_db": (70.0, _FINITE),
+        "loss_min_db": (0.0, _NON_NEGATIVE),
+        "loss_max_db": (70.0, _NON_NEGATIVE),
         "loss_samples": (71, _count(1)),
         "visibility": (0.99, _FRACTION),
         "detector_efficiency": (0.8, _FRACTION),
@@ -392,6 +393,9 @@ def _resolve(config: dict) -> RunConfig:
             "half maximum between its half-maximum crossings" % (pump_cfg["pulse_energy_nj"], mode_area / _UM2)
         )
     _check_signal_sampling(signal, switch)
+    _check_kernel_sampling(spectral_filter.frequency_fwhm**2, switch, "spectral_filter.bandwidth_fwhm_nm")
+    if noise_cfg["spectral_overlap"] is None and linewidth is not None:
+        _check_kernel_sampling(_line_passband_fwhm_sq(spectral_filter, linewidth), switch, "noise.linewidth_nm")
 
     if noise_cfg["spectral_overlap"] is not None:
         overlap = float(noise_cfg["spectral_overlap"])

@@ -187,6 +187,26 @@ def _check_signal_sampling(signal: GaussianPulse, profile: SwitchProfile) -> Non
         )
 
 
+def _check_kernel_sampling(fwhm_sq: float, profile: SwitchProfile, key: str) -> None:
+    """ResolutionError unless the profile's grid resolves a Gaussian spectral weight's time kernel.
+
+    A weight exp(-a f^2) of squared FWHM ``fwhm_sq`` (Hz^2), so
+    a = 4 ln2 / fwhm_sq, has the time kernel exp(-pi^2 tau^2 / a), a
+    Gaussian of sigma = sqrt(a / 2) / pi.  By Poisson summation its sums at
+    step dt err by 2 exp(-2 pi^2 sigma^2 / dt^2) of their value, under
+    1e-16 from sigma = 1.4 dt on; a coarser kernel aliases, and the
+    filtered trace's peak and the derived overlap rise past 1.  ``key``
+    names the config key that sets the weight's width.
+    """
+    step = profile.step
+    sigma = math.sqrt(2.0 * math.log(2.0) / fwhm_sq) / math.pi
+    if not sigma >= 1.4 * step:
+        raise ResolutionError(
+            "the spectral weight set by %s has a time kernel of sigma %.3g s, under 1.4 grid steps of %.3g s: "
+            "lower %s, raise grid.samples or shorten grid.time_span_ps" % (key, sigma, step, key)
+        )
+
+
 def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:
     """Crossed-polarizer transmission sin^2(2 theta) sin^2(delta_phi / 2)."""
     return np.sin(2.0 * theta) ** 2 * np.sin(np.asarray(delta_phi) / 2.0) ** 2

@@ -351,9 +351,9 @@ def test_bisection_blocks_match_one_step_reference(elements, rel_width):
 
 @pytest.mark.parametrize("size, levels", [(1, 7), (8, 7), (9, 6), (16, 6), (17, 5), (32, 5), (33, 4), (150, 4)])
 def test_bisection_depth_follows_element_count(size, levels):
-    # a round rates a tree of floor(log2(1024 / elements)) levels, clamped to
-    # [4, 7]; at every depth each element matches the one-step loop bit for
-    # bit, geometric and linear elements and failing ends mixed
+    # a round rates a sorted grid of floor(log2(1024 / elements)) levels,
+    # clamped to [4, 7]; at every depth each element matches the one-step
+    # loop bit for bit, geometric and linear elements and failing ends mixed
     rng = np.random.default_rng(size)
     elements = [
         (10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-6, 6), rng.uniform(-0.25, 1.25), rng.random() < 0.5)
@@ -885,6 +885,9 @@ def test_fluctuation_study_validation(default_run):
         fluctuation_study([1e-12], [920.0], [0.0, 10.0], default_run.switch, visibility=0.0)
     with pytest.raises(ValueError):
         fluctuation_study([-1e-12], [920.0], [0.0, 10.0], default_run.switch)
+    # a negative loss is a gain: its rows once showed transmittances above 1
+    with pytest.raises(ValueError, match="losses must be non-negative"):
+        fluctuation_study([1e-12], [920.0], [-20.0, 10.0], default_run.switch)
 
 
 @pytest.mark.parametrize("durations", [[math.nan], [1e-12, math.nan], [0.0]])

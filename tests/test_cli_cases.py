@@ -63,10 +63,16 @@ CASES = {
     "filter-6nm": ({"spectral_filter": {"bandwidth_fwhm_nm": 6}}, {}),
     "filter-20nm": ({"spectral_filter": {"bandwidth_fwhm_nm": 20}}, {}),
     "filter-20nm-30cm": ({"spectral_filter": {"bandwidth_fwhm_nm": 20}, "fiber": {"length_cm": 30}}, {}),
+    # spectral weights whose time kernels the grid resolves (2.7 steps) and
+    # ones it does not (0.27 and 0.67 steps)
+    "filter-100nm": ({"spectral_filter": {"bandwidth_fwhm_nm": 100}}, {}),
+    "filter-1000nm": ({"spectral_filter": {"bandwidth_fwhm_nm": 1000}}, dict.fromkeys(COMMANDS, 4)),
+    "linewidth-100nm": ({"noise": {"linewidth_nm": 100}}, {}),
+    "linewidth-400nm": ({"noise": {"linewidth_nm": 400}}, dict.fromkeys(COMMANDS, 4)),
     # high mode orders, and a count over its cap (it used to run without end)
     "orders-200": ({"modes": {"max_order": 200}}, {}),
     "orders-1e300": ({"modes": {"max_order": 1e300}}, dict.fromkeys(COMMANDS, 2)),
-    # many rounds of a bisection's tree, or a stop inside its first round
+    # many rounds of a bisection's grid, or a stop inside its first round
     "width-1e-12": ({"thresholds": {"relative_width": 1e-12}}, {}),
     "width-1e-15": ({"thresholds": {"relative_width": 1e-15}}, {}),
     "width-0.3": ({"thresholds": {"relative_width": 0.3}}, {}),
@@ -74,9 +80,11 @@ CASES = {
     # go on, and a bracket from 0 Hz (it used to hang)
     "noise-from-1e11": ({"thresholds": {"noise_bracket_hz": [1e11, 1e12]}}, {}),
     "noise-from-zero": ({"thresholds": {"noise_bracket_hz": [0, 1e12]}}, dict.fromkeys(COMMANDS, 2)),
-    # the other branches of background_yield and of the bisections' replay
+    # the other branches of background_yield and of the rate signs the bisections count
     "dark-optical": ({"scenario": {"dark_count_mode": "optical"}}, {}),
     "dark-ungated": ({"scenario": {"dark_count_mode": "ungated"}}, {}),
+    # a broadening loss below 0 dB, a gain: every leaf's rule runs in resolve
+    "fluct-loss-negative": ({"fluctuation": {"loss_min_db": -20}}, dict.fromkeys(COMMANDS, 2)),
     # JSON's NaN token, which loads as a float (it used to print nan key rates)
     "nan-error-correction": ({"decoy": {"error_correction_f": float("nan")}}, dict.fromkeys(COMMANDS, 2)),
 }

@@ -310,6 +310,36 @@ def test_cli_trace_of_an_unresolved_signal_exits_4(tmp_path, capsys, bandwidth_n
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        # 0.27 and 0.67 steps of 2.44 fs: the filter's kernel once lifted the
+        # trace's peak to 1.46, the line's the derived overlap to 1.00032
+        (
+            {"spectral_filter": {"bandwidth_fwhm_nm": 1000}, "noise": {"spectral_overlap": 0.9}},
+            "spectral_filter.bandwidth_fwhm_nm",
+        ),
+        ({"noise": {"linewidth_nm": 400}}, "noise.linewidth_nm"),
+    ],
+)
+def test_cli_unresolved_spectral_kernel_exits_4(tmp_path, capsys, document, key):
+    path = _write(tmp_path, document)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 4
+    err = capsys.readouterr().err
+    assert "lower %s" % key in err and "grid.samples" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_electronic_window_inside_the_gate_is_refused_by_name(tmp_path, capsys):
+    # the noise-reduction factor needs a window wider than the gate; the
+    # subcommands that do not print it still run
+    path = _write(tmp_path, {"detector": {"coincidence_window_ns": 0.0005}})
+    assert main(["--config", path, "--out", str(tmp_path / "thresholds"), "thresholds"]) == 2
+    err = capsys.readouterr().err
+    assert "detector.coincidence_window_ns, 0.5 ps" in err and "1.005332894 ps" in err
+    assert main(["--config", path, "--out", str(tmp_path / "keyrate"), "keyrate"]) == 0
+
+
 def test_cli_out_collision_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -657,6 +687,8 @@ def test_increasing_pairs_are_refused_by_name(section, lower, upper):
         ),
         ("scenario", "dark_count_mode", "thermal", "scenario.dark_count_mode must be one of electronic, optical, ungated"),
         ("thresholds", "relative_width", math.inf, "thresholds.relative_width must be finite and >= 1e-15"),
+        # a gain: the broadening study once printed transmittances above 1
+        ("fluctuation", "loss_min_db", -20.0, "fluctuation.loss_min_db must be non-negative and finite"),
     ],
 )
 def test_documents_passed_straight_to_resolve_are_checked(section, key, value, message):
@@ -695,7 +727,6 @@ _UNNAMED = {
     "signal.center_wavelength_nm",
     "fiber.nonlinear_index_m2_per_w",
     "spectral_filter.center_wavelength_nm",
-    "spectral_filter.bandwidth_fwhm_nm",
     "noise.linewidth_nm",
     "noise.center_wavelength_nm",
 }
