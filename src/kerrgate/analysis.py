@@ -176,12 +176,15 @@ def noise_reduction_factor(
 
     The electronic gate passes noise over its full window; the optical gate
     passes it over the profile's effective width scaled by the spectral
-    overlap factor.  The ratio is the noise-reduction factor.
+    overlap factor.  The ratio is the noise-reduction factor, so the
+    effective width must lie above 0 (a dark gate passes no noise) and
+    below the electronic window.
     """
-    if electronic_window <= profile.effective_width:
+    if not 0.0 < profile.effective_width < electronic_window:
         raise ValueError(
-            "the electronic window set by detector.coincidence_window_ns, %.10g ps, must exceed the gate's "
-            "effective width, %.10g ps" % (electronic_window * 1e12, profile.effective_width * 1e12)
+            "the gate's effective width, %.10g ps, must lie above 0 and below the electronic window set by "
+            "detector.coincidence_window_ns, %.10g ps; a dark gate (switch.polarization_angle_deg, "
+            "pump.pulse_energy_nj) has width 0" % (profile.effective_width * 1e12, electronic_window * 1e12)
         )
     overlap = spectral_overlap_factor(profile, spectral_filter, noise_linewidth)
     return float(electronic_window / (profile.effective_width * overlap))

@@ -16,20 +16,14 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import MIN_RELATIVE_WIDTH, SweepSpec, _line_passband_fwhm_sq, spectral_overlap_factor
 from .errors import ConfigError, ResolutionError
-from .kerr import (
-    FiberSpec,
-    SwitchProfile,
-    _check_kernel_sampling,
-    _check_signal_sampling,
-    calibrated_mode_area,
-    switch_profile,
-)
+from .kerr import FiberSpec, SwitchProfile, _check_steps, calibrated_mode_area, switch_profile
 from .pulses import GaussianPulse, SpectralFilter, default_time_grid
 from .qkd import _DARK_MODES, ChannelScenario, DecoyParams, DetectorParams
 
@@ -311,6 +305,12 @@ def resolve(config: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_kernel(fwhm_sq: float, step: float, key: str):
+    """``_check_steps`` on the time kernel of a Gaussian spectral weight of squared FWHM ``fwhm_sq`` (Hz^2)."""
+    sigma = math.sqrt(2.0 * math.log(2.0) / fwhm_sq) / math.pi
+    _check_steps("the time kernel sigma of the weight set by " + key, sigma, 1.4, step, "lower " + key)
+
+
 def _resolve(config: dict) -> RunConfig:
     effective = copy.deepcopy(config)
     _check_values(effective)
@@ -392,10 +392,10 @@ def _resolve(config: dict) -> RunConfig:
             "pump.pulse_energy_nj = %s with fiber.mode_area_um2 = %.6g splits the gate: its efficiency falls below "
             "half maximum between its half-maximum crossings" % (pump_cfg["pulse_energy_nj"], mode_area / _UM2)
         )
-    _check_signal_sampling(signal, switch)
-    _check_kernel_sampling(spectral_filter.frequency_fwhm**2, switch, "spectral_filter.bandwidth_fwhm_nm")
+    _check_steps("signal FWHM", signal.fwhm_duration, 16, switch.step, "lower signal.bandwidth_fwhm_nm")
+    _check_kernel(spectral_filter.frequency_fwhm**2, switch.step, "spectral_filter.bandwidth_fwhm_nm")
     if noise_cfg["spectral_overlap"] is None and linewidth is not None:
-        _check_kernel_sampling(_line_passband_fwhm_sq(spectral_filter, linewidth), switch, "noise.linewidth_nm")
+        _check_kernel(_line_passband_fwhm_sq(spectral_filter, linewidth), switch.step, "noise.linewidth_nm")
 
     if noise_cfg["spectral_overlap"] is not None:
         overlap = float(noise_cfg["spectral_overlap"])

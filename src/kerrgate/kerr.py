@@ -147,21 +147,19 @@ def nonlinear_phase_profile(
     T = d_w L / 2.
 
     The grid guards protect the sampled eta that widths and traces are
-    measured on: raises ValueError unless the grid is uniform
-    (``pulses._check_uniform``) and covers the gate support, and
-    ResolutionError if its step is coarser than min(pump FWHM, walkoff) / 16.
+    measured on: raises ResolutionError (``_check_steps``) unless the pump
+    FWHM, then the walkoff d_w L, spans 16 grid steps, naming
+    ``pump.bandwidth_fwhm_nm`` or ``fiber.walkoff_ps_per_m``, and
+    ValueError unless the grid is uniform (``pulses._check_uniform``) and
+    covers the gate support.
     """
     if not signal_wavelength > 0:
         raise ValueError("signal_wavelength must be positive")
     grid, step = _check_uniform(time_grid)
     walk = fiber.total_walkoff
     fwhm = pump.fwhm_duration
-    scale = min(fwhm, walk)
-    if step > scale / 16.0:
-        raise ResolutionError(
-            "grid step %.3g s exceeds min(pump FWHM, walkoff)/16 = %.3g s: raise grid.samples "
-            "or shorten grid.time_span_ps" % (step, scale / 16.0)
-        )
+    _check_steps("pump FWHM", fwhm, 16, step, "lower pump.bandwidth_fwhm_nm")
+    _check_steps("walkoff", walk, 16, step, "raise fiber.walkoff_ps_per_m or fiber.length_cm")
     margin = 3.0 * fwhm
     if grid[0] > -margin or grid[-1] < walk + margin:
         raise ValueError(
@@ -171,39 +169,25 @@ def nonlinear_phase_profile(
     return _walkoff_phase(pump, fiber, grid, signal_wavelength)
 
 
-def _check_signal_sampling(signal: GaussianPulse, profile: SwitchProfile) -> None:
-    """ResolutionError unless the signal's intensity FWHM spans 16 steps of the profile's grid.
+def _check_steps(name: str, width: float, steps: float, step: float, advice: str) -> None:
+    """ResolutionError unless ``width`` (s) spans ``steps`` grid steps of ``step`` (s).
 
-    The pump's rule (``nonlinear_phase_profile``) for the signal: a
-    narrower signal falls between the samples of the gate it is traced
-    through.  It also keeps the point rows of the trace's Gaussian sums,
-    sqrt(var) / 2 wide, at four samples or more.
+    The one grid-resolution rule; ``name`` says which width, and
+    ``advice`` which key widens it.  The pump FWHM, the walkoff and the
+    signal FWHM must span 16 steps: a narrower feature falls between the
+    samples of the gate, and 16 keep the point rows of the trace's
+    Gaussian sums, sqrt(var) / 2 wide, at four samples or more.  A
+    Gaussian spectral weight exp(-a f^2) has the time kernel
+    exp(-pi^2 tau^2 / a), of sigma = sqrt(a / 2) / pi, which must span
+    1.4 steps: by Poisson summation its sums at step dt err by
+    2 exp(-2 pi^2 sigma^2 / dt^2) of their value, under 1e-16 from
+    sigma = 1.4 dt on, and a coarser kernel aliases, so the filtered
+    trace's peak and the derived overlap rise past 1.
     """
-    step = profile.step
-    if not signal.fwhm_duration >= 16.0 * step:
+    if not width >= steps * step:
         raise ResolutionError(
-            "signal FWHM %.3g s spans fewer than 16 grid steps of %.3g s: lower signal.bandwidth_fwhm_nm, "
-            "raise grid.samples or shorten grid.time_span_ps" % (signal.fwhm_duration, step)
-        )
-
-
-def _check_kernel_sampling(fwhm_sq: float, profile: SwitchProfile, key: str) -> None:
-    """ResolutionError unless the profile's grid resolves a Gaussian spectral weight's time kernel.
-
-    A weight exp(-a f^2) of squared FWHM ``fwhm_sq`` (Hz^2), so
-    a = 4 ln2 / fwhm_sq, has the time kernel exp(-pi^2 tau^2 / a), a
-    Gaussian of sigma = sqrt(a / 2) / pi.  By Poisson summation its sums at
-    step dt err by 2 exp(-2 pi^2 sigma^2 / dt^2) of their value, under
-    1e-16 from sigma = 1.4 dt on; a coarser kernel aliases, and the
-    filtered trace's peak and the derived overlap rise past 1.  ``key``
-    names the config key that sets the weight's width.
-    """
-    step = profile.step
-    sigma = math.sqrt(2.0 * math.log(2.0) / fwhm_sq) / math.pi
-    if not sigma >= 1.4 * step:
-        raise ResolutionError(
-            "the spectral weight set by %s has a time kernel of sigma %.3g s, under 1.4 grid steps of %.3g s: "
-            "lower %s, raise grid.samples or shorten grid.time_span_ps" % (key, sigma, step, key)
+            "%s, %.3g s, spans fewer than %g grid steps of %.3g s: %s, raise grid.samples or shorten "
+            "grid.time_span_ps" % (name, width, steps, step, advice)
         )
 
 
@@ -598,24 +582,28 @@ def switching_trace(
     span.
 
     ``delays`` must be strictly increasing and span the gate (where eta
-    exceeds 1e-3 of its peak): a scan that never sees the gate edges, or
-    an unsorted one, would report a meaningless width.  Raises
-    ResolutionError if the signal's FWHM spans fewer than 16 grid steps,
-    or if the filtered trace's round-off bound exceeds 1e-9 of its peak
-    (a signal carrier far off the filter centre).
+    exceeds 1e-3 of its peak), and the trace must fall below half maximum
+    inside them: a scan that never sees the gate edges or the trace's, or
+    an unsorted one, would report a meaningless width.  The two span
+    refusals are ValueErrors that print the delays in ps and name
+    ``trace.delay_min_ps`` and ``trace.delay_max_ps``.  Raises
+    ResolutionError if the signal's FWHM spans fewer than 16 grid steps
+    (``_check_steps``), or if the filtered trace's round-off bound exceeds
+    1e-9 of its peak (a signal carrier far off the filter centre).
     """
-    _check_signal_sampling(signal, profile)
+    _check_steps("signal FWHM", signal.fwhm_duration, 16, profile.step, "lower signal.bandwidth_fwhm_nm")
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 3:
         raise ValueError("delays must be a 1-d array of at least 3 samples")
     if not np.all(np.diff(delays) > 0):
         raise ValueError("delays must be strictly increasing")
+    delay_range = "the delay range [%.6g, %.6g] ps (trace.delay_min_ps, trace.delay_max_ps)"
+    delay_range %= (delays[0] / 1e-12, delays[-1] / 1e-12)
     if profile.peak_efficiency > 0.0:
         lo, hi = profile.support()
         if delays[0] > lo or delays[-1] < hi:
             raise ValueError(
-                "delay range [%.3g, %.3g] s does not cover the gate support [%.3g, %.3g] s"
-                % (delays[0], delays[-1], lo, hi)
+                "%s does not cover the gate support [%.3g, %.3g] ps" % (delay_range, lo / 1e-12, hi / 1e-12)
             )
         trace = (
             _trace(profile, signal.sigma, delays)
@@ -624,7 +612,7 @@ def switching_trace(
         )
     else:
         trace = np.zeros(delays.size)
-    fwhm = sampled_fwhm(delays, trace) if trace.max() > 0 else 0.0
+    fwhm = sampled_fwhm(delays, trace, delay_range) if trace.max() > 0 else 0.0
     return SwitchingTrace(
         delays=delays,
         efficiency=trace,

@@ -273,14 +273,15 @@ def mode_transmission(
     return float(_mode_transmissions(mode.order, mode.characteristic_duration, time_gate, spectral_filter, center)[-1])
 
 
-def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:
+def sampled_fwhm(x: np.ndarray, y: np.ndarray, span: str = "the grid") -> float:
     """Full width at half maximum of a sampled curve.
 
     Crossing points of y = max/2 are located by linear interpolation between
     the bracketing samples; the curve must rise above half max on a single
-    contiguous region wide enough to bracket both crossings.  Only the
-    outermost crossings are found: a dip below half max between them is
-    not seen here (``_split`` sees it).
+    contiguous region wide enough to bracket both crossings, or the
+    ValueError names ``span``, the samples x.  Only the outermost crossings
+    are found: a dip below half max between them is not seen here
+    (``_split`` sees it).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -294,7 +295,7 @@ def sampled_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     first = int(np.argmax(above))
     last = int(y.size - 1 - np.argmax(above[::-1]))
     if first == 0 or last == y.size - 1:
-        raise ValueError("half-maximum crossings not bracketed by the grid")
+        raise ValueError("half-maximum crossings not bracketed by " + span)
     left = np.interp(half, [y[first - 1], y[first]], [x[first - 1], x[first]])
     # right edge: y falls through half max between last and last+1
     right = np.interp(half, [y[last + 1], y[last]], [x[last + 1], x[last]])

@@ -313,6 +313,23 @@ def test_cli_trace_of_an_unresolved_signal_exits_4(tmp_path, capsys, bandwidth_n
 @pytest.mark.parametrize(
     "document, key",
     [
+        # a 4.7-fs pump and a 1-fs walkoff against 2.44-fs steps; both refusals
+        # used to read "grid step ... exceeds min(pump FWHM, walkoff)/16"
+        ({"pump": {"bandwidth_fwhm_nm": 200}}, "pump.bandwidth_fwhm_nm"),
+        ({"fiber": {"walkoff_ps_per_m": 0.01}}, "fiber.walkoff_ps_per_m"),
+    ],
+)
+def test_cli_unresolved_pump_or_walkoff_exits_4_naming_its_key(tmp_path, capsys, document, key):
+    path = _write(tmp_path, document)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "switch-profile"]) == 4
+    err = capsys.readouterr().err
+    assert "spans fewer than 16 grid steps" in err and key in err and "grid.samples" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
         # 0.27 and 0.67 steps of 2.44 fs: the filter's kernel once lifted the
         # trace's peak to 1.46, the line's the derived overlap to 1.00032
         (
@@ -338,6 +355,47 @@ def test_electronic_window_inside_the_gate_is_refused_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "detector.coincidence_window_ns, 0.5 ps" in err and "1.005332894 ps" in err
     assert main(["--config", path, "--out", str(tmp_path / "keyrate"), "keyrate"]) == 0
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"switch": {"polarization_angle_deg": 0}, "noise": {"spectral_overlap": 0.5}},
+        {"pump": {"pulse_energy_nj": 0}, "fiber": {"mode_area_um2": AREA_UM2}, "noise": {"spectral_overlap": 0.5}},
+    ],
+)
+def test_dark_gate_with_a_pinned_overlap_has_no_noise_reduction_factor(tmp_path, capsys, document):
+    # its zero effective width used to end thresholds in "float division by zero"
+    path = _write(tmp_path, document)
+    assert main(["--config", path, "--out", str(tmp_path / "thresholds"), "thresholds"]) == 2
+    err = capsys.readouterr().err
+    assert "effective width, 0 ps" in err
+    assert "switch.polarization_angle_deg" in err and "pump.pulse_energy_nj" in err
+    assert main(["--config", path, "--out", str(tmp_path / "keyrate"), "keyrate"]) == 0
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        # delays inside the gate's support
+        (
+            {"trace": {"delay_min_ps": -0.3, "delay_max_ps": 1.3}},
+            "error: the delay range [-0.3, 1.3] ps (trace.delay_min_ps, trace.delay_max_ps) does not cover the "
+            "gate support [-0.389, 1.39] ps\n",
+        ),
+        # a 15-ps signal, whose trace stays above half maximum over the default delays
+        (
+            {"signal": {"bandwidth_fwhm_nm": 0.05}},
+            "error: half-maximum crossings not bracketed by the delay range [-3.5, 4.5] ps (trace.delay_min_ps, "
+            "trace.delay_max_ps)\n",
+        ),
+    ],
+)
+def test_trace_delay_refusals_name_their_keys_in_ps(tmp_path, capsys, document, message):
+    path = _write(tmp_path, document)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_out_collision_exits_2(tmp_path, capsys):
