@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import MIN_RELATIVE_WIDTH, SweepSpec, _line_passband_fwhm_sq, spectral_overlap_factor
 from .errors import ConfigError, ResolutionError
-from .kerr import FiberSpec, SwitchProfile, _check_steps, calibrated_mode_area, switch_profile
+from .kerr import FiberSpec, SwitchProfile, _check_pump, _check_steps, calibrated_mode_area, switch_profile
 from .pulses import GaussianPulse, SpectralFilter, default_time_grid
 from .qkd import _DARK_MODES, ChannelScenario, DecoyParams, DetectorParams
 
@@ -337,6 +337,8 @@ def _resolve(config: dict) -> RunConfig:
     if fiber_cfg["mode_area_um2"] is None:
         if pump.pulse_energy == 0:
             raise ConfigError("pump.pulse_energy_nj = 0 makes no pi gate: set fiber.mode_area_um2 to model that pump")
+        # the calibration divides by the pump's width, so an unresolved pump is refused first
+        _check_pump(pump, (time_grid[-1] - time_grid[0]) / (time_grid.size - 1))
         mode_area = calibrated_mode_area(pump, length, walkoff, n2, signal.center_wavelength)
     else:
         mode_area = fiber_cfg["mode_area_um2"] * _UM2

@@ -158,7 +158,7 @@ def nonlinear_phase_profile(
     grid, step = _check_uniform(time_grid)
     walk = fiber.total_walkoff
     fwhm = pump.fwhm_duration
-    _check_steps("pump FWHM", fwhm, 16, step, "lower pump.bandwidth_fwhm_nm")
+    _check_pump(pump, step)
     _check_steps("walkoff", walk, 16, step, "raise fiber.walkoff_ps_per_m or fiber.length_cm")
     margin = 3.0 * fwhm
     if grid[0] > -margin or grid[-1] < walk + margin:
@@ -189,6 +189,11 @@ def _check_steps(name: str, width: float, steps: float, step: float, advice: str
             "%s, %.3g s, spans fewer than %g grid steps of %.3g s: %s, raise grid.samples or shorten "
             "grid.time_span_ps" % (name, width, steps, step, advice)
         )
+
+
+def _check_pump(pump: GaussianPulse, step: float) -> None:
+    """``_check_steps`` on the pump FWHM; ``resolve`` runs it before it calibrates the mode area."""
+    _check_steps("pump FWHM", pump.fwhm_duration, 16, step, "lower pump.bandwidth_fwhm_nm")
 
 
 def switching_efficiency(theta: float, delta_phi) -> np.ndarray | float:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli_cases import CASES, run_case
 
 from kerrgate import DEFAULTS, ConfigError, ResolutionError, dump_effective, load_config, resolve
 from kerrgate.cli import main
@@ -230,172 +231,129 @@ def test_cli_modes_has_no_order_limit(tmp_path):
     assert np.all(combined <= spectral + 1e-12)
 
 
-def test_cli_dark_filter_exits_2(tmp_path, capsys):
-    # a filter that passes nothing is a config error, not a trace that
-    # blames the signal carrier
-    path = _write(tmp_path, {"spectral_filter": {"peak_transmission": 0.0}})
-    assert main(["--config", path, "trace"]) == 2
-    assert "peak_transmission" in capsys.readouterr().err
+# One-config CLI tests: each runs its rows of test_cli_cases.CASES, which
+# hold the documents, every subcommand's status and the words each refusal
+# must name, and are rerun from their dumps.
 
 
-def test_cli_zero_pump_needs_explicit_mode_area(tmp_path, capsys):
-    path = _write(tmp_path, {"pump": {"pulse_energy_nj": 0.0}})
-    assert main(["--config", path, "switch-profile"]) == 2
-    err = capsys.readouterr().err
-    assert "pump.pulse_energy_nj" in err and "fiber.mode_area_um2" in err
-    # with the area set the gate is dark; its overlap has no spectral content to derive from
-    document = {"pump": {"pulse_energy_nj": 0.0}, "fiber": {"mode_area_um2": 20.0}, "noise": {"spectral_overlap": 0.85}}
-    path = _write(tmp_path, document)
-    assert main(["--config", path, "--no-banner", "--out", str(tmp_path / "dark"), "modes"]) == 0
+def test_cli_dark_filter_exits_2(tmp_path):
+    assert run_case("filter-dark", tmp_path) == []
 
 
-@pytest.mark.parametrize("factor", [2.0, 3.0])
-def test_cli_split_gate_exits_2(tmp_path, capsys, factor):
-    # with the mode area pinned, twice the pump energy leaves the gate dark at
-    # its centre (a 2 pi phase) and three times splits it into two lobes (3
-    # pi): the half-maximum width spanning them used to be printed as the FWHM
-    energy = round(DEFAULTS["pump"]["pulse_energy_nj"] * factor, 4)
-    path = _write(tmp_path, {"pump": {"pulse_energy_nj": energy}, "fiber": {"mode_area_um2": AREA_UM2}})
-    assert main(["--config", path, "switch-profile"]) == 2
-    err = capsys.readouterr().err
-    assert "pump.pulse_energy_nj = %s" % energy in err and "fiber.mode_area_um2" in err
-    assert "splits the gate" in err
+def test_cli_zero_pump_needs_explicit_mode_area(tmp_path):
+    assert run_case("pump-zero", tmp_path) + run_case("pump-zero-area-20", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param("pump-4.94nj-pinned", id="2.0"), pytest.param("pump-7.41nj-pinned", id="3.0")]
+)
+def test_cli_split_gate_exits_2(tmp_path, case):
+    assert run_case(case, tmp_path) == []
 
 
 def test_cli_unknown_key_exits_2(tmp_path):
-    path = _write(tmp_path, {"tipo": 1})
-    assert main(["--config", path, "switch-profile"]) == 2
+    assert run_case("unknown-key", tmp_path) == []
 
 
-def test_cli_coarse_grid_exits_4(tmp_path, capsys):
-    path = _write(tmp_path, {"grid": {"samples": 64}})
-    assert main(["--config", path, "switch-profile"]) == 4
-    assert "grid.samples" in capsys.readouterr().err
+def test_cli_coarse_grid_exits_4(tmp_path):
+    assert run_case("grid-64", tmp_path) == []
 
 
-def test_cli_trace_baseline_underflow_exits_4(tmp_path, capsys):
-    # 648.7 nm is 47 filter FWHMs off centre: the filtered trace's open-gate
-    # energy underflows to 0, which is a numerics failure, not a width
-    path = _write(tmp_path, {"signal": {"center_wavelength_nm": 648.7}})
-    assert main(["--config", path, "trace"]) == 4
-    assert "signal.center_wavelength_nm" in capsys.readouterr().err
+def test_cli_trace_baseline_underflow_exits_4(tmp_path):
+    assert run_case("signal-648.7nm", tmp_path) == []
 
 
 @pytest.mark.parametrize("center_nm", [700.0, 730.0])
-def test_cli_trace_below_its_round_off_exits_4(tmp_path, capsys, center_nm):
-    # 12.6 and 5.3 filter FWHMs off centre the cosine cancels the filtered
-    # trace's pair sums down to round-off (700 nm once printed peaks near
-    # 1e50): the bound exceeds 1e-9 of the peak
-    path = _write(tmp_path, {"signal": {"center_wavelength_nm": center_nm}})
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 4
-    err = capsys.readouterr().err
-    assert "round-off" in err and "signal.center_wavelength_nm" in err
+def test_cli_trace_below_its_round_off_exits_4(tmp_path, center_nm):
+    assert run_case("signal-%gnm" % center_nm, tmp_path) == []
 
 
 @pytest.mark.parametrize("center_nm", [721.3, 722.0, 724.0, 726.0])
 def test_cli_trace_off_the_filter_centre_above_its_round_off(tmp_path, center_nm):
-    # round-off bounds of 8e-16 (722 nm) to 3e-12 (726 nm) of the peak
-    path = _write(tmp_path, {"signal": {"center_wavelength_nm": center_nm}})
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 0
+    assert run_case("signal-%gnm" % center_nm, tmp_path) == []
 
 
 @pytest.mark.parametrize("bandwidth_nm", [1000.0, 200.0])
-def test_cli_trace_of_an_unresolved_signal_exits_4(tmp_path, capsys, bandwidth_nm):
-    # a signal FWHM under 16 grid steps (0.76 and 3.8 fs against 2.4-fs
-    # steps) falls between the gate's samples; 1000 nm once printed a peak of 3
-    path = _write(tmp_path, {"signal": {"bandwidth_fwhm_nm": bandwidth_nm}})
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 4
-    err = capsys.readouterr().err
-    assert "signal.bandwidth_fwhm_nm" in err and "grid.samples" in err
-    assert not (tmp_path / "out").exists()
+def test_cli_trace_of_an_unresolved_signal_exits_4(tmp_path, bandwidth_nm):
+    assert run_case("signal-%gnm-fwhm" % bandwidth_nm, tmp_path) == []
 
 
 @pytest.mark.parametrize(
-    "document, key",
+    "case",
     [
-        # a 4.7-fs pump and a 1-fs walkoff against 2.44-fs steps; both refusals
-        # used to read "grid step ... exceeds min(pump FWHM, walkoff)/16"
-        ({"pump": {"bandwidth_fwhm_nm": 200}}, "pump.bandwidth_fwhm_nm"),
-        ({"fiber": {"walkoff_ps_per_m": 0.01}}, "fiber.walkoff_ps_per_m"),
+        pytest.param("pump-200nm-fwhm", id="document0-pump.bandwidth_fwhm_nm"),
+        pytest.param("walkoff-0.01ps-per-m", id="document1-fiber.walkoff_ps_per_m"),
     ],
 )
-def test_cli_unresolved_pump_or_walkoff_exits_4_naming_its_key(tmp_path, capsys, document, key):
-    path = _write(tmp_path, document)
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "switch-profile"]) == 4
-    err = capsys.readouterr().err
-    assert "spans fewer than 16 grid steps" in err and key in err and "grid.samples" in err
-    assert not (tmp_path / "out").exists()
+def test_cli_unresolved_pump_or_walkoff_exits_4_naming_its_key(tmp_path, case):
+    assert run_case(case, tmp_path) == []
 
 
 @pytest.mark.parametrize(
-    "document, key",
+    "case",
     [
-        # 0.27 and 0.67 steps of 2.44 fs: the filter's kernel once lifted the
-        # trace's peak to 1.46, the line's the derived overlap to 1.00032
-        (
-            {"spectral_filter": {"bandwidth_fwhm_nm": 1000}, "noise": {"spectral_overlap": 0.9}},
-            "spectral_filter.bandwidth_fwhm_nm",
+        pytest.param("filter-1000nm-overlap-0.9", id="document0-spectral_filter.bandwidth_fwhm_nm"),
+        pytest.param("linewidth-400nm", id="document1-noise.linewidth_nm"),
+    ],
+)
+def test_cli_unresolved_spectral_kernel_exits_4(tmp_path, case):
+    assert run_case(case, tmp_path) == []
+
+
+def test_electronic_window_inside_the_gate_is_refused_by_name(tmp_path):
+    assert run_case("window-0.0005ns", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param("dark-gate-pinned", id="document0"), pytest.param("pump-zero-pinned", id="document1")]
+)
+def test_dark_gate_with_a_pinned_overlap_has_no_noise_reduction_factor(tmp_path, case):
+    assert run_case(case, tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(
+            "delays-inside-gate",
+            id="document0-error: the delay range [-0.3, 1.3] ps (trace.delay_min_ps, trace.delay_max_ps) does not "
+            "cover the gate support [-0.389, 1.39] ps\n",
         ),
-        ({"noise": {"linewidth_nm": 400}}, "noise.linewidth_nm"),
-    ],
-)
-def test_cli_unresolved_spectral_kernel_exits_4(tmp_path, capsys, document, key):
-    path = _write(tmp_path, document)
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 4
-    err = capsys.readouterr().err
-    assert "lower %s" % key in err and "grid.samples" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_electronic_window_inside_the_gate_is_refused_by_name(tmp_path, capsys):
-    # the noise-reduction factor needs a window wider than the gate; the
-    # subcommands that do not print it still run
-    path = _write(tmp_path, {"detector": {"coincidence_window_ns": 0.0005}})
-    assert main(["--config", path, "--out", str(tmp_path / "thresholds"), "thresholds"]) == 2
-    err = capsys.readouterr().err
-    assert "detector.coincidence_window_ns, 0.5 ps" in err and "1.005332894 ps" in err
-    assert main(["--config", path, "--out", str(tmp_path / "keyrate"), "keyrate"]) == 0
-
-
-@pytest.mark.parametrize(
-    "document",
-    [
-        {"switch": {"polarization_angle_deg": 0}, "noise": {"spectral_overlap": 0.5}},
-        {"pump": {"pulse_energy_nj": 0}, "fiber": {"mode_area_um2": AREA_UM2}, "noise": {"spectral_overlap": 0.5}},
-    ],
-)
-def test_dark_gate_with_a_pinned_overlap_has_no_noise_reduction_factor(tmp_path, capsys, document):
-    # its zero effective width used to end thresholds in "float division by zero"
-    path = _write(tmp_path, document)
-    assert main(["--config", path, "--out", str(tmp_path / "thresholds"), "thresholds"]) == 2
-    err = capsys.readouterr().err
-    assert "effective width, 0 ps" in err
-    assert "switch.polarization_angle_deg" in err and "pump.pulse_energy_nj" in err
-    assert main(["--config", path, "--out", str(tmp_path / "keyrate"), "keyrate"]) == 0
-
-
-@pytest.mark.parametrize(
-    "document, message",
-    [
-        # delays inside the gate's support
-        (
-            {"trace": {"delay_min_ps": -0.3, "delay_max_ps": 1.3}},
-            "error: the delay range [-0.3, 1.3] ps (trace.delay_min_ps, trace.delay_max_ps) does not cover the "
-            "gate support [-0.389, 1.39] ps\n",
-        ),
-        # a 15-ps signal, whose trace stays above half maximum over the default delays
-        (
-            {"signal": {"bandwidth_fwhm_nm": 0.05}},
-            "error: half-maximum crossings not bracketed by the delay range [-3.5, 4.5] ps (trace.delay_min_ps, "
-            "trace.delay_max_ps)\n",
+        pytest.param(
+            "signal-0.05nm-fwhm",
+            id="document1-error: half-maximum crossings not bracketed by the delay range [-3.5, 4.5] ps "
+            "(trace.delay_min_ps, trace.delay_max_ps)\n",
         ),
     ],
 )
-def test_trace_delay_refusals_name_their_keys_in_ps(tmp_path, capsys, document, message):
-    path = _write(tmp_path, document)
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "trace"]) == 2
-    assert capsys.readouterr().err == message
-    assert not (tmp_path / "out").exists()
+def test_trace_delay_refusals_name_their_keys_in_ps(tmp_path, case):
+    assert run_case(case, tmp_path) == []
+
+
+def test_cli_hopeless_brackets_exit_3(tmp_path):
+    assert run_case("brackets-hopeless", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param("fluct-efficiency-1.5", id="detector_efficiency-1.5-efficiency"),
+        pytest.param("fluct-efficiency-0", id="detector_efficiency-0.0-efficiency"),
+        pytest.param("fluct-window-negative", id="electronic_window_ns--1.0-fluctuation.electronic_window_ns"),
+        pytest.param("fluct-dark-negative", id="dark_rate_hz--5.0-dark_rate"),
+    ],
+)
+def test_cli_fluctuation_detector_keys_validated(tmp_path, case):
+    assert run_case(case, tmp_path) == []
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_tokens_are_refused(tmp_path, token):
+    # Python's json module reads these tokens as floats; the rows' documents
+    # are written with them (json.dumps writes a non-finite float so)
+    case = {"NaN": "nan-error-correction", "Infinity": "inf-error-correction", "-Infinity": "-inf-error-correction"}
+    assert token in json.dumps(CASES[case[token]][0])
+    assert run_case(case[token], tmp_path) == []
 
 
 def test_cli_out_collision_exits_2(tmp_path, capsys):
@@ -403,15 +361,6 @@ def test_cli_out_collision_exits_2(tmp_path, capsys):
     blocker.write_text("")
     assert main(["--out", str(blocker), "modes"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_cli_hopeless_brackets_exit_3(tmp_path):
-    document = {
-        "thresholds": {"noise_bracket_hz": [1e11, 1e12], "loss_bracket_db": [44.0, 45.0]},
-        "sweep": {"noise_samples": 4, "loss_samples": 4},
-    }
-    path = _write(tmp_path, document)
-    assert main(["--config", path, "thresholds"]) == 3
 
 
 @pytest.mark.parametrize(
@@ -498,23 +447,6 @@ def test_cli_fluctuations_outputs(tmp_path):
     thresholds = (out / "fluctuation_thresholds.tsv").read_text().strip().split("\n")
     assert len(thresholds) == 1 + 1 * 2 * 2
     assert any("ultrafast" in line for line in thresholds[1:])
-
-
-@pytest.mark.parametrize(
-    "key, value, named",
-    [
-        ("detector_efficiency", 1.5, "efficiency"),
-        ("detector_efficiency", 0.0, "efficiency"),
-        ("electronic_window_ns", -1.0, "fluctuation.electronic_window_ns"),
-        ("dark_rate_hz", -5.0, "dark_rate"),
-    ],
-)
-def test_cli_fluctuation_detector_keys_validated(tmp_path, capsys, key, value, named):
-    # refused by the config's value rules, as detector.* is, before any rate is formed
-    path = _write(tmp_path, {"fluctuation": {key: value}})
-    assert main(["--config", path, "fluctuations"]) == 2
-    err = capsys.readouterr().err
-    assert named in err and "binary_entropy" not in err
 
 
 def test_cli_stdout_multi_output_separators(capsys, tmp_path):
@@ -757,16 +689,6 @@ def test_documents_passed_straight_to_resolve_are_checked(section, key, value, m
         resolve(document)
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_json_non_finite_tokens_are_refused(tmp_path, capsys, token):
-    # Python's json module reads these tokens as floats; a NaN once printed nan cells
-    path = tmp_path / "config.json"
-    path.write_text('{"decoy": {"error_correction_f": %s}}' % token)
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "keyrate"]) == 2
-    assert capsys.readouterr().err == "config error: decoy.error_correction_f must be finite and at least 1\n"
-    assert not (tmp_path / "out").exists()
-
-
 # Probes of every numeric leaf on a base with a small grid, trace and sweeps.
 # Each non-finite value fails its leaf's rule.  A finite one may pass the rule
 # and still be refused by a derived guard; these few refusals still name no
@@ -781,7 +703,6 @@ _PROBE_BASE = {
 _PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300)
 _UNNAMED = {
     "pump.center_wavelength_nm",
-    "pump.bandwidth_fwhm_nm",
     "signal.center_wavelength_nm",
     "fiber.nonlinear_index_m2_per_w",
     "spectral_filter.center_wavelength_nm",
