@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand is a pure function of its config document: the same config
-produces byte-identical outputs (modulo the suppressible banner line).
-Tables go to stdout or, with --out, to one .tsv file per table; error
-messages go to stderr.
+produces byte-identical outputs (modulo the suppressible banner line,
+which .tsv tables carry and JSON output, having no comments, never does).
+Outputs go to stdout or, with --out, to one file each; error messages go
+to stderr.
 
 Exit codes: 0 success, 2 config, domain or floating-point error, 3 no
 threshold found anywhere in a thresholds run, 4 numerical-resolution error.
@@ -70,44 +71,33 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print("resolution error: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # an --out collision or unwritable path is a usage error
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        # --out collisions and unwritable paths are usage errors, not crashes
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-
-
-def _banner(args) -> str:
-    if args.no_banner:
-        return ""
-    return "# kerrgate %s :: %s\n" % (__version__, args.command)
 
 
 def _emit(args, outputs: dict[str, str]):
-    """Write named text outputs to --out files or stdout."""
+    """Write named text outputs to --out files or stdout; JSON has no comments, so only .tsv carries the banner."""
+    banner = "" if args.no_banner else "# kerrgate %s :: %s\n" % (__version__, args.command)
+    outputs = {name: (banner if name.endswith(".tsv") else "") + text for name, text in outputs.items()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, text in outputs.items():
             with open(os.path.join(args.out, name), "w") as handle:
-                handle.write(_banner(args) + text)
+                handle.write(text)
         return
     multiple = len(outputs) > 1
     for name, text in outputs.items():
         if multiple:
             sys.stdout.write("# output: %s\n" % name)
-        sys.stdout.write(_banner(args) + text)
+        sys.stdout.write(text)
 
 
 def _cmd_switch_profile(args, run: RunConfig) -> int:
     switch = run.switch
     table = Table.of(time_ps=switch.time_grid / _PS, delta_phi_rad=switch.phase, efficiency=switch.efficiency)
-    footer = "# fwhm_ps = %.10g\teffective_width_ps = %.10g\n" % (
-        switch.fwhm / _PS,
-        switch.effective_width / _PS,
-    )
-    _emit(args, {"switch_profile.tsv": table.format_tsv() + footer})
+    text = table.format_tsv(fwhm_ps=switch.fwhm / _PS, effective_width_ps=switch.effective_width / _PS)
+    _emit(args, {"switch_profile.tsv": text})
     return 0
 
 
@@ -115,9 +105,8 @@ def _cmd_trace(args, run: RunConfig) -> int:
     delays = run.trace_delays()
     trace = switching_trace(run.switch, run.signal, delays, run.spectral_filter)
     table = Table.of(delay_ps=trace.delays / _PS, switched_efficiency=trace.efficiency)
-    split = "\tsplit = true" if trace.split else ""
-    footer = "# fwhm_ps = %.10g\tpeak = %.10g%s\n" % (trace.fwhm / _PS, trace.peak_value, split)
-    _emit(args, {"trace.tsv": table.format_tsv() + footer})
+    split = {"split": True} if trace.split else {}
+    _emit(args, {"trace.tsv": table.format_tsv(fwhm_ps=trace.fwhm / _PS, peak=trace.peak_value, **split)})
     return 0
 
 
@@ -228,13 +217,7 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
 
 
 def _cmd_dump_defaults(args, run: RunConfig) -> int:
-    text = dump_effective(run)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "defaults.json"), "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, {"defaults.json": dump_effective(run)})
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Config documents are JSON with unit-suffixed keys (``*_nm``, ``*_ps``,
 ``*_db``, ``*_hz``, ...); everything is converted to SI on resolution.
-Unknown keys are rejected so typos cannot silently fall back to defaults.
+Unknown and repeated keys are rejected, so no value is silently dropped.
 Three keys accept null and are then derived from the physics: the fiber
 mode area (calibrated so the configured pump reaches a peak phase of pi),
 the noise spectral overlap (computed from the gate kernel and linewidth),
@@ -156,16 +156,16 @@ _UM2 = 1e-12
 def load_config(path: str | None) -> dict:
     """Defaults merged with the user document at ``path`` (None = defaults).
 
-    Raises ConfigError on JSON syntax errors, unknown keys, type
-    mismatches and nulls where the leaf's rule takes none; the message
-    carries the dotted key path.  The value rules run in ``resolve``.
+    Raises ConfigError on JSON syntax errors, repeated or unknown keys, type
+    mismatches and nulls where the leaf's rule takes none; the message names
+    the dotted key path, or a repeated key.  The value rules run in ``resolve``.
     """
     merged = copy.deepcopy(DEFAULTS)
     if path is None:
         return merged
     try:
         with open(path) as handle:
-            user = json.load(handle)
+            user = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
@@ -174,6 +174,16 @@ def load_config(path: str | None) -> dict:
         raise ConfigError("config root must be a JSON object")
     _merge(merged, user, _TABLE, prefix="")
     return merged
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object; ConfigError on a repeated key, where ``json`` would keep only the last value."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ConfigError("repeated config key: %s" % key)
+        document[key] = value
+    return document
 
 
 def _merge(target: dict, user: dict, table: dict, prefix: str):

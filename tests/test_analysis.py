@@ -986,3 +986,5 @@ def test_table_behaviour():
     assert sub.columns == ("c", "a") and sub.rows == [(False, 1), (False, None), (True, 3)]
     # -0.0 normalizes so reruns are byte-stable
     assert Table.of(x=[-0.0], y=np.array([-0.0])).format_tsv() == "x\ty\n0\t0\n"
+    # a footer's values are cells too
+    assert Table.of(x=[1.0]).format_tsv(a=-0.0, b=True, c=1 / 3) == "x\n1\n# a = 0\tb = true\tc = 0.3333333333\n"

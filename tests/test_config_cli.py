@@ -15,7 +15,7 @@ import pytest
 from test_cli_cases import CASES, run_case
 
 from kerrgate import DEFAULTS, ConfigError, ResolutionError, dump_effective, load_config, resolve
-from kerrgate.cli import main
+from kerrgate.cli import _HANDLERS, main
 
 AREA_UM2 = 23.553721366133519
 OVERLAP = 0.8504217937836734
@@ -118,6 +118,11 @@ def test_malformed_documents(tmp_path):
     array_root.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config(str(array_root))
+    # json.load would keep the last "trace" and drop samples = 41 unheard
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"trace": {"samples": 41}, "trace": {"delay_min_ps": -4}}')
+    with pytest.raises(ConfigError, match="repeated config key: trace"):
+        load_config(str(repeated))
 
 
 def test_resolution_guards(tmp_path):
@@ -166,6 +171,9 @@ def test_cli_dump_defaults_json(capsys):
     out = capsys.readouterr().out
     document = json.loads(out)
     assert document["fiber"]["mode_area_um2"] == pytest.approx(AREA_UM2, rel=1e-12)
+    # JSON has no comments, so the banner never heads it
+    assert main(["dump-defaults"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_banner_toggle(capsys):
@@ -463,6 +471,30 @@ def test_cli_stdout_multi_output_separators(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "# output: keyrate_vs_loss.tsv" in out
     assert "# output: gains_qber.tsv" in out
+
+
+# the outputs of the subcommands that write more than one, in the order stdout prints them
+_ORDER = {
+    "keyrate": ("keyrate_vs_loss.tsv", "keyrate_vs_noise.tsv", "gains_qber.tsv"),
+    "thresholds": ("noise_thresholds.tsv", "noise_improvement.tsv", "loss_thresholds.tsv", "summary.tsv"),
+    "fluctuations": ("fluctuation_rates.tsv", "fluctuation_thresholds.tsv"),
+}
+
+
+@pytest.mark.parametrize("command", list(_HANDLERS))
+def test_stdout_prints_the_out_files(tmp_path, capsys, command):
+    # banner on: stdout and --out differ only in the separators between several outputs
+    assert main(["--out", str(tmp_path), command]) == 0
+    files = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert main([command]) == 0
+    printed = capsys.readouterr().out
+    if command in _ORDER:
+        assert sorted(_ORDER[command]) == sorted(files)
+        expected = "".join("# output: %s\n%s" % (name, files[name]) for name in _ORDER[command])
+    else:
+        (expected,) = files.values()
+    # compared as lines: a text diff of megabytes would take minutes
+    assert printed.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("command", ["keyrate", "thresholds"])
