@@ -2,7 +2,10 @@
 
 Config documents are JSON with unit-suffixed keys (``*_nm``, ``*_ps``,
 ``*_db``, ``*_hz``, ...); everything is converted to SI on resolution.
-Unknown and repeated keys are rejected, so no value is silently dropped.
+``resolve`` is the one door for a document, whole or partial: it merges
+it over ``DEFAULTS`` and checks each leaf with its one rule in ``_TABLE``;
+``load_config`` only reads the JSON.  Unknown and repeated keys are
+rejected, so no value is silently dropped.
 Three keys accept null and are then derived from the physics: the fiber
 mode area (calibrated so the configured pump reaches a peak phase of pi),
 the noise spectral overlap (computed from the gate kernel and linewidth),
@@ -47,7 +50,7 @@ def _nullable(rule: tuple) -> tuple:
 
 
 def _each(rule: tuple) -> tuple:
-    return (lambda v: all(map(rule[0], v)), "a list of %s numbers" % rule[1])
+    return (lambda v: len(v) > 0 and all(map(rule[0], v)), "a list of %s numbers" % rule[1])
 
 
 def _bracket(rule: tuple) -> tuple:
@@ -56,8 +59,9 @@ def _bracket(rule: tuple) -> tuple:
 
 
 # Every leaf of the config document, once, as (default, rule); the counts
-# are the leaves with an int default.  A 2^22-sample grid array takes
-# 32 MiB, and each mode order one recurrence step.
+# are the leaves with an int default.  The rule is the leaf's only check,
+# and a value of the wrong type (a bool too) fails it.  A 2^22-sample grid
+# array takes 32 MiB, and each mode order one recurrence step.
 _TABLE = {
     "grid": {"time_span_ps": (40.0, _POSITIVE), "samples": (16384, _count(16, 1 << 22))},
     "pump": {
@@ -154,26 +158,20 @@ _UM2 = 1e-12
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults merged with the user document at ``path`` (None = defaults).
+    """The user's config document at ``path`` as read ({} for None); ``resolve`` merges and checks it.
 
-    Raises ConfigError on JSON syntax errors, repeated or unknown keys, type
-    mismatches and nulls where the leaf's rule takes none; the message names
-    the dotted key path, or a repeated key.  The value rules run in ``resolve``.
+    Raises ConfigError on a file it cannot read, JSON syntax errors and
+    repeated keys; the message names the path or the repeated key.
     """
-    merged = copy.deepcopy(DEFAULTS)
     if path is None:
-        return merged
+        return {}
     try:
         with open(path) as handle:
-            user = json.load(handle, object_pairs_hook=_unique_keys)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from exc
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    _merge(merged, user, _TABLE, prefix="")
-    return merged
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -186,45 +184,30 @@ def _unique_keys(pairs: list) -> dict:
     return document
 
 
-def _merge(target: dict, user: dict, table: dict, prefix: str):
+def _merge(target: dict, user, prefix: str = ""):
+    """Assign ``user``'s leaves into ``target``; ConfigError on an unknown key or a non-object where one belongs."""
+    if not isinstance(user, dict):
+        raise ConfigError("%s must be an object" % prefix if prefix else "config root must be a JSON object")
     for key, value in user.items():
-        path = prefix + key if not prefix else "%s.%s" % (prefix, key)
+        path = "%s.%s" % (prefix, key) if prefix else key
         if key not in target:
             raise ConfigError("unknown config key: %s" % path)
-        default = target[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError("%s must be an object" % path)
-            _merge(default, value, table[key], path)
-            continue
-        if value is not None:
-            _check_type(path, value, default)
-        else:  # only the nullable leaves' rules hold for null
-            _check_value(path, value, table[key][1])
-        target[key] = value
-
-
-def _check_type(path: str, value, default):
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError("%s must be a string" % path)
-    elif isinstance(default, list):
-        if not isinstance(value, list) or not value:
-            raise ConfigError("%s must be a non-empty list" % path)
-        for item in value:
-            if not isinstance(item, (int, float)) or isinstance(item, bool):
-                raise ConfigError("%s must contain numbers only" % path)
-    # a number, or a nullable leaf's value (whose default may be null)
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError("%s must be a number" % path)
+        if isinstance(target[key], dict):
+            _merge(target[key], value, path)
+        else:
+            target[key] = value
 
 
 def _check_value(path: str, value, rule: tuple):
-    """ConfigError "<path> must be <words>" unless ``value`` passes ``rule``."""
+    """ConfigError "<path> must be <words>" unless ``value`` passes ``rule``.
+
+    A bool, or a list that holds one, passes no rule: JSON true would pass as 1.
+    """
     test, words = rule
+    items = value if isinstance(value, list) else [value]
     try:
-        valid = test(value)
-    except TypeError:  # a null, a string or a list where a number belongs
+        valid = not any(isinstance(item, bool) for item in items) and test(value)
+    except TypeError:  # a null, a string, an object or a list where a number belongs
         valid = False
     if not valid:
         raise ConfigError("%s must be %s" % (path, words))
@@ -304,14 +287,17 @@ class RunConfig:
 
 
 def resolve(config: dict) -> RunConfig:
-    """Build model objects from a config document; raises only ConfigError and ResolutionError."""
+    """Merge a config document, partial or whole, over the defaults, check every leaf and build model objects.
+
+    Raises only ConfigError and ResolutionError; ``run.effective`` shares no list with ``config``.
+    """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _resolve(config)
     except ResolutionError:
         # an undersampled grid is a numerics problem, not a schema problem
         raise
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -322,7 +308,8 @@ def _check_kernel(fwhm_sq: float, step: float, key: str):
 
 
 def _resolve(config: dict) -> RunConfig:
-    effective = copy.deepcopy(config)
+    effective = copy.deepcopy(DEFAULTS)
+    _merge(effective, copy.deepcopy(config))
     _check_values(effective)
     grid_cfg = effective["grid"]
     time_grid = default_time_grid(grid_cfg["time_span_ps"] * _PS, grid_cfg["samples"])

@@ -180,6 +180,21 @@ CASES = {
     "inf-error-correction": ({"decoy": {"error_correction_f": math.inf}}, dict.fromkeys(COMMANDS, 2), _ERROR_F),
     "-inf-error-correction": ({"decoy": {"error_correction_f": -math.inf}}, dict.fromkeys(COMMANDS, 2), _ERROR_F),
     "unknown-key": ({"tipo": 1}, dict.fromkeys(COMMANDS, 2), ("tipo",)),
+    # a bool (JSON true would pass as 1), an empty list and a string each
+    # fail their leaf's one rule, in the rule's words
+    "mu-true": (
+        {"decoy": {"mu": True}}, dict.fromkeys(COMMANDS, 2), "config error: decoy.mu must be positive and finite"
+    ),
+    "curve-levels-empty": (
+        {"sweep": {"curve_loss_levels_db": []}},
+        dict.fromkeys(COMMANDS, 2),
+        "config error: sweep.curve_loss_levels_db must be a list of non-negative and finite numbers",
+    ),
+    "dark-rate-string": (
+        {"detector": {"dark_rate_hz": "quiet"}},
+        dict.fromkeys(COMMANDS, 2),
+        "config error: detector.dark_rate_hz must be non-negative and finite",
+    ),
     # a dark gate with its overlap pinned has no noise-reduction factor (it
     # used to divide by its zero effective width), nor has a gate wider
     # than its electronic window

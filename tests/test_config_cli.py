@@ -41,25 +41,25 @@ def test_defaults_resolve(default_run):
 def test_unknown_key_carries_dotted_path(tmp_path):
     path = _write(tmp_path, {"fiber": {"lenght_cm": 10.0}})
     with pytest.raises(ConfigError, match="fiber.lenght_cm"):
-        load_config(path)
+        resolve(load_config(path))
 
 
 def test_type_mismatch_rejected(tmp_path):
     path = _write(tmp_path, {"detector": {"dark_rate_hz": "quiet"}})
     with pytest.raises(ConfigError, match="detector.dark_rate_hz"):
-        load_config(path)
+        resolve(load_config(path))
     path = _write(tmp_path, {"sweep": {"curve_loss_levels_db": []}})
     with pytest.raises(ConfigError):
-        load_config(path)
+        resolve(load_config(path))
     path = _write(tmp_path, {"grid": 40.0})
     with pytest.raises(ConfigError, match="grid"):
-        load_config(path)
+        resolve(load_config(path))
 
 
 def test_null_only_where_derivable(tmp_path):
     path = _write(tmp_path, {"pump": {"pulse_energy_nj": None}})
     with pytest.raises(ConfigError, match="pump.pulse_energy_nj"):
-        load_config(path)
+        resolve(load_config(path))
     path = _write(tmp_path, {"fiber": {"mode_area_um2": None}, "noise": {"linewidth_nm": None}})
     config = load_config(path)
     run = resolve(config)
@@ -117,7 +117,7 @@ def test_malformed_documents(tmp_path):
     array_root = tmp_path / "root.json"
     array_root.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        load_config(str(array_root))
+        resolve(load_config(str(array_root)))
     # json.load would keep the last "trace" and drop samples = 41 unheard
     repeated = tmp_path / "repeated.json"
     repeated.write_text('{"trace": {"samples": 41}, "trace": {"delay_min_ps": -4}}')
@@ -132,7 +132,7 @@ def test_resolution_guards(tmp_path):
     # the gate phase is a closed form, so there is no quadrature to tune
     path = _write(tmp_path, {"switch": {"z_samples": 257}})
     with pytest.raises(ConfigError, match="unknown config key: switch.z_samples"):
-        load_config(path)
+        resolve(load_config(path))
 
 
 @pytest.mark.parametrize(
@@ -512,7 +512,7 @@ def test_pump_noise_section_is_unknown(tmp_path):
     # scenario.pump_noise_per_pulse is the only pump-noise input
     path = _write(tmp_path, {"pump_noise": {"exponent": 2.0}})
     with pytest.raises(ConfigError, match="unknown config key: pump_noise"):
-        load_config(path)
+        resolve(load_config(path))
     # every study sets the channel loss, the noise rate and the arm itself, and
     # the phase depends on the fiber's length only through the mode area
     for section, key, value in (
@@ -523,7 +523,7 @@ def test_pump_noise_section_is_unknown(tmp_path):
     ):
         path = _write(tmp_path, {section: {key: value}})
         with pytest.raises(ConfigError, match="unknown config key: %s.%s" % (section, key)):
-            load_config(path)
+            resolve(load_config(path))
 
 
 def test_cli_has_no_jobs_flag(capsys):
@@ -711,6 +711,16 @@ def test_increasing_pairs_are_refused_by_name(section, lower, upper):
         ("thresholds", "relative_width", math.inf, "thresholds.relative_width must be finite and >= 1e-15"),
         # a gain: the broadening study once printed transmittances above 1
         ("fluctuation", "loss_min_db", -20.0, "fluctuation.loss_min_db must be non-negative and finite"),
+        # each once resolved: true as mu = 1, and a misspelt key beside its leaf's default
+        ("decoy", "mu", True, "decoy.mu must be positive and finite"),
+        ("fluctuation", "pulse_fwhm_ps", [], "fluctuation.pulse_fwhm_ps must be a list of positive and finite numbers"),
+        (
+            "sweep",
+            "curve_noise_levels_hz",
+            [True],
+            "sweep.curve_noise_levels_hz must be a list of non-negative and finite numbers",
+        ),
+        ("grid", "sampels", 8192, "unknown config key: grid.sampels"),
     ],
 )
 def test_documents_passed_straight_to_resolve_are_checked(section, key, value, message):
@@ -719,6 +729,17 @@ def test_documents_passed_straight_to_resolve_are_checked(section, key, value, m
     document[section][key] = value
     with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
         resolve(document)
+
+
+def test_resolve_merges_partial_documents_over_the_defaults(tmp_path):
+    partial = {"grid": {"samples": 8192}}
+    run = resolve(partial)
+    assert run.effective == resolve(load_config(_write(tmp_path, partial))).effective
+    assert run.effective["grid"] == {"time_span_ps": 40.0, "samples": 8192} and partial == {"grid": {"samples": 8192}}
+    assert dump_effective(resolve({})) == dump_effective(resolve(load_config(None)))
+    for document in ([1, 2], None):
+        with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+            resolve(document)
 
 
 # Probes of every numeric leaf on a base with a small grid, trace and sweeps.
