@@ -309,6 +309,10 @@ _MIN_LEVELS, _MAX_LEVELS = 4, 7
 # narrowest relative stopping width: below about 2.2e-16 the width is less
 # than one double step, so a bisection would never stop
 MIN_RELATIVE_WIDTH = 1e-15
+# the threshold functions' default loss (dB) and noise (Hz) brackets and stopping width
+LOSS_BRACKET_DB = (5.0, 45.0)
+NOISE_BRACKET_HZ = (1.0, 1e12)
+RELATIVE_WIDTH = 0.005
 
 
 def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric) -> tuple:
@@ -478,8 +482,8 @@ def noise_threshold(
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
     filter_kind: str | None = None,
-    bracket: tuple[float, float] = (1.0, 1e12),
-    rel_width: float = 0.005,
+    bracket: tuple[float, float] = NOISE_BRACKET_HZ,
+    rel_width: float = RELATIVE_WIDTH,
 ) -> ThresholdResult:
     """Largest noise rate (Hz) with positive key rate, by geometric bisection."""
     gate = (detector, decoy, switch, spectral_overlap)
@@ -493,8 +497,8 @@ def loss_threshold(
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
     filter_kind: str | None = None,
-    bracket: tuple[float, float] = (5.0, 45.0),
-    rel_width: float = 0.005,
+    bracket: tuple[float, float] = LOSS_BRACKET_DB,
+    rel_width: float = RELATIVE_WIDTH,
 ) -> ThresholdResult:
     """Largest channel loss (dB) with positive key rate, by linear bisection."""
     gate = (detector, decoy, switch, spectral_overlap)
@@ -535,9 +539,9 @@ def improvement_factors(
     decoy: DecoyParams,
     switch: SwitchProfile,
     spectral_overlap: float = 1.0,
-    loss_bracket: tuple[float, float] = (5.0, 45.0),
-    noise_bracket: tuple[float, float] = (1.0, 1e12),
-    rel_width: float = 0.005,
+    loss_bracket: tuple[float, float] = LOSS_BRACKET_DB,
+    noise_bracket: tuple[float, float] = NOISE_BRACKET_HZ,
+    rel_width: float = RELATIVE_WIDTH,
 ) -> ImprovementFactors:
     """UTF-over-ETF threshold ratios across the two grids.
 
@@ -667,9 +671,9 @@ def fluctuation_study(
     detector_efficiency: float = 0.8,
     dark_rate: float = 100.0,
     electronic_window: float = 1e-9,
-    sifting_q: float = 0.5,
-    error_correction_f: float = 1.22,
-    rel_width: float = 0.005,
+    sifting_q: float = DecoyParams.sifting_q,
+    error_correction_f: float = DecoyParams.error_correction_f,
+    rel_width: float = RELATIVE_WIDTH,
 ) -> FluctuationStudy:
     """Single-photon QKD under deterministic temporal broadening.
 

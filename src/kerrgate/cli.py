@@ -45,16 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", help="write tables to files in DIR instead of stdout")
     parser.add_argument("--no-banner", action="store_true", help="suppress the version banner line")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("switch-profile", "time-resolved switching efficiency of the optical gate"),
-        ("trace", "detected switching efficiency versus pump-to-signal delay"),
-        ("keyrate", "decoy-state key rates, gains, and QBERs over noise and loss"),
-        ("thresholds", "noise/loss thresholds and improvement factors"),
-        ("modes", "Hermite-Gauss mode transmissions through gate and filter"),
-        ("fluctuations", "single-photon key rates under pulse broadening"),
-        ("dump-defaults", "print the fully-resolved effective config as JSON"),
-    ):
-        commands.add_parser(name, help=doc)
+    for name, handler in _HANDLERS.items():
+        commands.add_parser(name, help=handler.__doc__)
     return parser
 
 
@@ -94,6 +86,7 @@ def _emit(args, outputs: dict[str, str]):
 
 
 def _cmd_switch_profile(args, run: RunConfig) -> int:
+    """time-resolved switching efficiency of the optical gate"""
     switch = run.switch
     table = Table.of(time_ps=switch.time_grid / _PS, delta_phi_rad=switch.phase, efficiency=switch.efficiency)
     text = table.format_tsv(fwhm_ps=switch.fwhm / _PS, effective_width_ps=switch.effective_width / _PS)
@@ -102,6 +95,7 @@ def _cmd_switch_profile(args, run: RunConfig) -> int:
 
 
 def _cmd_trace(args, run: RunConfig) -> int:
+    """detected switching efficiency versus pump-to-signal delay"""
     delays = run.trace_delays()
     trace = switching_trace(run.switch, run.signal, delays, run.spectral_filter)
     table = Table.of(delay_ps=trace.delays / _PS, switched_efficiency=trace.efficiency)
@@ -111,6 +105,7 @@ def _cmd_trace(args, run: RunConfig) -> int:
 
 
 def _cmd_keyrate(args, run: RunConfig) -> int:
+    """decoy-state key rates, gains, and QBERs over noise and loss"""
     sweep_cfg = run.effective["sweep"]
     noise_levels = np.array(sweep_cfg["curve_noise_levels_hz"], dtype=float)
     loss_levels = np.array(sweep_cfg["curve_loss_levels_db"], dtype=float)
@@ -133,6 +128,7 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
 
 
 def _cmd_thresholds(args, run: RunConfig) -> int:
+    """noise/loss thresholds and improvement factors"""
     imp = improvement_factors(
         run.loss_grid(),
         run.noise_grid(),
@@ -180,6 +176,7 @@ def _summary_table(run: RunConfig, imp: ImprovementFactors) -> Table:
 
 
 def _cmd_modes(args, run: RunConfig) -> int:
+    """Hermite-Gauss mode transmissions through gate and filter"""
     table = hg_mode_comparison(
         run.effective["modes"]["max_order"],
         run.switch,
@@ -191,6 +188,7 @@ def _cmd_modes(args, run: RunConfig) -> int:
 
 
 def _cmd_fluctuations(args, run: RunConfig) -> int:
+    """single-photon key rates under pulse broadening"""
     cfg = run.effective["fluctuation"]
     loss_grid = np.linspace(cfg["loss_min_db"], cfg["loss_max_db"], cfg["loss_samples"])
     study = fluctuation_study(
@@ -217,6 +215,7 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
 
 
 def _cmd_dump_defaults(args, run: RunConfig) -> int:
+    """print the fully-resolved effective config as JSON"""
     _emit(args, {"defaults.json": dump_effective(run)})
     return 0
 

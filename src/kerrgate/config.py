@@ -4,8 +4,9 @@ Config documents are JSON with unit-suffixed keys (``*_nm``, ``*_ps``,
 ``*_db``, ``*_hz``, ...); everything is converted to SI on resolution.
 ``resolve`` is the one door for a document, whole or partial: it merges
 it over ``DEFAULTS`` and checks each leaf with its one rule in ``_TABLE``;
-``load_config`` only reads the JSON.  Unknown and repeated keys are
-rejected, so no value is silently dropped.
+``load_config`` only reads the JSON.  A leaf that a library signature also
+takes reads its default from there.  Unknown and repeated keys, and values
+of types that JSON does not make, are rejected, so no value is misread.
 Three keys accept null and are then derived from the physics: the fiber
 mode area (calibrated so the configured pump reaches a peak phase of pi),
 the noise spectral overlap (computed from the gate kernel and linewidth),
@@ -18,19 +19,37 @@ act only once ``fiber.mode_area_um2`` is set.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MIN_RELATIVE_WIDTH, SweepSpec, _line_passband_fwhm_sq, spectral_overlap_factor
+from .analysis import (
+    LOSS_BRACKET_DB,
+    MIN_RELATIVE_WIDTH,
+    NOISE_BRACKET_HZ,
+    RELATIVE_WIDTH,
+    SweepSpec,
+    _line_passband_fwhm_sq,
+    fluctuation_study,
+    spectral_overlap_factor,
+)
 from .errors import ConfigError, ResolutionError
 from .kerr import FiberSpec, SwitchProfile, _check_pump, _check_steps, calibrated_mode_area, switch_profile
 from .pulses import GaussianPulse, SpectralFilter, default_time_grid
 from .qkd import _DARK_MODES, ChannelScenario, DecoyParams, DetectorParams
 
 _INF = float("inf")
+
+_NM = 1e-9
+_PS = 1e-12
+_NS = 1e-9
+_CM = 1e-2
+_NJ = 1e-9
+_MHZ = 1e6
+_UM2 = 1e-12
 
 # A value rule is (test, words), and a refusal reads "<dotted key> must be
 # <words>".  Every test compares, and NaN fails every comparison.
@@ -58,12 +77,21 @@ def _bracket(rule: tuple) -> tuple:
     return (lambda v: len(v) == 2 and each(v) and v[0] < v[1], "[low, high] with low < high, both %s" % rule[1])
 
 
-# Every leaf of the config document, once, as (default, rule); the counts
-# are the leaves with an int default.  The rule is the leaf's only check,
-# and a value of the wrong type (a bool too) fails it.  A 2^22-sample grid
-# array takes 32 MiB, and each mode order one recurrence step.
+def _default(function, name: str):
+    """The default of ``function``'s parameter ``name``."""
+    return inspect.signature(function).parameters[name].default
+
+
+# Every leaf of the config document, once, as (default, rule); a default
+# that a library signature also takes is read from it, and the counts are
+# the leaves with an int default.  The rule is the leaf's only check, and a
+# type that JSON does not make (a bool, a numpy value, a tuple) fails it.
+# A 2^22-sample grid array takes 32 MiB, and each mode order one recurrence step.
 _TABLE = {
-    "grid": {"time_span_ps": (40.0, _POSITIVE), "samples": (16384, _count(16, 1 << 22))},
+    "grid": {
+        "time_span_ps": (_default(default_time_grid, "span") / _PS, _POSITIVE),
+        "samples": (_default(default_time_grid, "samples"), _count(16, 1 << 22)),
+    },
     "pump": {
         "center_wavelength_nm": (800.0, _POSITIVE),
         "bandwidth_fwhm_nm": (2.1, _POSITIVE),
@@ -76,35 +104,38 @@ _TABLE = {
         "nonlinear_index_m2_per_w": (2.6e-20, _POSITIVE),
         "mode_area_um2": (None, _nullable(_POSITIVE)),
     },
-    "switch": {"polarization_angle_deg": (45.0, _FINITE)},
+    "switch": {"polarization_angle_deg": (math.degrees(_default(switch_profile, "theta")), _FINITE)},
     "spectral_filter": {
         "center_wavelength_nm": (720.8, _POSITIVE),
         "bandwidth_fwhm_nm": (1.7, _POSITIVE),
-        "peak_transmission": (0.93, _FRACTION),
+        "peak_transmission": (SpectralFilter.peak_transmission, _FRACTION),
     },
     "noise": {
-        "linewidth_nm": (0.83, _nullable(_NON_NEGATIVE)),
+        "linewidth_nm": (ChannelScenario.noise_linewidth / _NM, _nullable(_NON_NEGATIVE)),
         "center_wavelength_nm": (None, _nullable(_POSITIVE)),
         "spectral_overlap": (None, _nullable(_FRACTION)),
     },
     "detector": {
-        "efficiency": (1.0, _FRACTION),
-        "dark_rate_hz": (100.0, _NON_NEGATIVE),
-        "coincidence_window_ns": (2.0, _POSITIVE),
-        "repetition_rate_mhz": (80.0, _POSITIVE),
+        "efficiency": (DetectorParams.efficiency, _FRACTION),
+        "dark_rate_hz": (DetectorParams.dark_rate, _NON_NEGATIVE),
+        "coincidence_window_ns": (DetectorParams.coincidence_window / _NS, _POSITIVE),
+        "repetition_rate_mhz": (DetectorParams.repetition_rate / _MHZ, _POSITIVE),
     },
     "decoy": {
-        "mu": (0.6, _POSITIVE),
-        "nu": (0.3, _POSITIVE),
-        "sifting_q": (0.5, _FRACTION),
-        "error_correction_f": (1.22, (lambda v: 1 <= v < _INF, "finite and at least 1")),
+        "mu": (DecoyParams.mu, _POSITIVE),
+        "nu": (DecoyParams.nu, _POSITIVE),
+        "sifting_q": (DecoyParams.sifting_q, _FRACTION),
+        "error_correction_f": (DecoyParams.error_correction_f, (lambda v: 1 <= v < _INF, "finite and at least 1")),
     },
     "scenario": {
-        "receiver_loss_db": (8.25, _NON_NEGATIVE),
-        "utf_insertion_loss_db": (2.05, _NON_NEGATIVE),
-        "misalignment_error": (0.0403, (lambda v: 0 <= v <= 0.5, "in [0, 0.5]")),
-        "pump_noise_per_pulse": (2.8e-6, _NON_NEGATIVE),
-        "dark_count_mode": ("electronic", (lambda v: v in _DARK_MODES, "one of %s" % ", ".join(_DARK_MODES))),
+        "receiver_loss_db": (ChannelScenario.receiver_loss_db, _NON_NEGATIVE),
+        "utf_insertion_loss_db": (ChannelScenario.utf_insertion_loss_db, _NON_NEGATIVE),
+        "misalignment_error": (ChannelScenario.misalignment_error, (lambda v: 0 <= v <= 0.5, "in [0, 0.5]")),
+        "pump_noise_per_pulse": (ChannelScenario.pump_noise_per_pulse, _NON_NEGATIVE),
+        "dark_count_mode": (
+            ChannelScenario.dark_count_mode,
+            (lambda v: v in _DARK_MODES, "one of %s" % ", ".join(_DARK_MODES)),
+        ),
     },
     "trace": {"delay_min_ps": (-3.5, _FINITE), "delay_max_ps": (4.5, _FINITE), "samples": (801, _count(3))},
     "sweep": {
@@ -120,9 +151,12 @@ _TABLE = {
     "thresholds": {
         # noise rates bisect geometrically, so from above 0; a bisection narrower
         # than a few double steps never stops
-        "loss_bracket_db": ([5.0, 45.0], _bracket(_NON_NEGATIVE)),
-        "noise_bracket_hz": ([1.0, 1.0e12], _bracket(_POSITIVE)),
-        "relative_width": (0.005, (lambda v: MIN_RELATIVE_WIDTH <= v < _INF, "finite and >= %g" % MIN_RELATIVE_WIDTH)),
+        "loss_bracket_db": (list(LOSS_BRACKET_DB), _bracket(_NON_NEGATIVE)),
+        "noise_bracket_hz": (list(NOISE_BRACKET_HZ), _bracket(_POSITIVE)),
+        "relative_width": (
+            RELATIVE_WIDTH,
+            (lambda v: MIN_RELATIVE_WIDTH <= v < _INF, "finite and >= %g" % MIN_RELATIVE_WIDTH),
+        ),
     },
     "modes": {"max_order": (10, _count(0, 10**4))},
     "fluctuation": {
@@ -131,10 +165,10 @@ _TABLE = {
         "loss_min_db": (0.0, _NON_NEGATIVE),
         "loss_max_db": (70.0, _NON_NEGATIVE),
         "loss_samples": (71, _count(1)),
-        "visibility": (0.99, _FRACTION),
-        "detector_efficiency": (0.8, _FRACTION),
-        "dark_rate_hz": (100.0, _NON_NEGATIVE),
-        "electronic_window_ns": (1.0, _POSITIVE),
+        "visibility": (_default(fluctuation_study, "visibility"), _FRACTION),
+        "detector_efficiency": (_default(fluctuation_study, "detector_efficiency"), _FRACTION),
+        "dark_rate_hz": (_default(fluctuation_study, "dark_rate"), _NON_NEGATIVE),
+        "electronic_window_ns": (_default(fluctuation_study, "electronic_window") / _NS, _POSITIVE),
     },
 }
 
@@ -147,14 +181,6 @@ _INCREASING = (
 )
 
 DEFAULTS: dict = {section: {key: leaf[0] for key, leaf in leaves.items()} for section, leaves in _TABLE.items()}
-
-_NM = 1e-9
-_PS = 1e-12
-_NS = 1e-9
-_CM = 1e-2
-_NJ = 1e-9
-_MHZ = 1e6
-_UM2 = 1e-12
 
 
 def load_config(path: str | None) -> dict:
@@ -201,13 +227,13 @@ def _merge(target: dict, user, prefix: str = ""):
 def _check_value(path: str, value, rule: tuple):
     """ConfigError "<path> must be <words>" unless ``value`` passes ``rule``.
 
-    A bool, or a list that holds one, passes no rule: JSON true would pass as 1.
+    Only ``json.load``'s types pass, less bool (JSON true would pass as 1): a numpy value or a tuple fails.
     """
     test, words = rule
-    items = value if isinstance(value, list) else [value]
+    items = value if type(value) is list else [value]
     try:
-        valid = not any(isinstance(item, bool) for item in items) and test(value)
-    except TypeError:  # a null, a string, an object or a list where a number belongs
+        valid = all(type(item) in (int, float, str, type(None)) for item in items) and test(value)
+    except TypeError:  # a null, a string or a list where a number belongs
         valid = False
     if not valid:
         raise ConfigError("%s must be %s" % (path, words))
@@ -362,25 +388,12 @@ def _resolve(config: dict) -> RunConfig:
         repetition_rate=detector_cfg["repetition_rate_mhz"] * _MHZ,
     )
 
-    decoy_cfg = effective["decoy"]
-    decoy = DecoyParams(
-        mu=decoy_cfg["mu"],
-        nu=decoy_cfg["nu"],
-        sifting_q=decoy_cfg["sifting_q"],
-        error_correction_f=decoy_cfg["error_correction_f"],
-    )
+    # the decoy and scenario keys are the classes' field names, with no unit to convert
+    decoy = DecoyParams(**effective["decoy"])
 
     noise_cfg = effective["noise"]
     linewidth = None if noise_cfg["linewidth_nm"] is None else noise_cfg["linewidth_nm"] * _NM
-    scenario_cfg = effective["scenario"]
-    scenario = ChannelScenario(
-        receiver_loss_db=scenario_cfg["receiver_loss_db"],
-        noise_linewidth=linewidth,
-        utf_insertion_loss_db=scenario_cfg["utf_insertion_loss_db"],
-        misalignment_error=scenario_cfg["misalignment_error"],
-        pump_noise_per_pulse=scenario_cfg["pump_noise_per_pulse"],
-        dark_count_mode=scenario_cfg["dark_count_mode"],
-    )
+    scenario = ChannelScenario(noise_linewidth=linewidth, **effective["scenario"])
 
     switch_cfg = effective["switch"]
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])

@@ -160,7 +160,7 @@ class SpectralFilter:
 
     center_wavelength: float  # m
     fwhm_bandwidth: float  # m, intensity FWHM
-    peak_transmission: float = 1.0
+    peak_transmission: float = 0.93
 
     def __post_init__(self):
         if not (self.center_wavelength > 0 and self.fwhm_bandwidth > 0):

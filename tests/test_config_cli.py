@@ -14,7 +14,21 @@ import numpy as np
 import pytest
 from test_cli_cases import CASES, run_case
 
-from kerrgate import DEFAULTS, ConfigError, ResolutionError, dump_effective, load_config, resolve
+from kerrgate import (
+    DEFAULTS,
+    ChannelScenario,
+    ConfigError,
+    DecoyParams,
+    DetectorParams,
+    ResolutionError,
+    SpectralFilter,
+    default_time_grid,
+    dump_effective,
+    fluctuation_study,
+    improvement_factors,
+    load_config,
+    resolve,
+)
 from kerrgate.cli import _HANDLERS, main
 
 AREA_UM2 = 23.553721366133519
@@ -721,6 +735,28 @@ def test_increasing_pairs_are_refused_by_name(section, lower, upper):
             "sweep.curve_noise_levels_hz must be a list of non-negative and finite numbers",
         ),
         ("grid", "sampels", 8192, "unknown config key: grid.sampels"),
+        # each once resolved: values that JSON cannot hold, built in code
+        ("decoy", "mu", np.True_, "decoy.mu must be positive and finite"),
+        ("decoy", "mu", np.float64(0.6), "decoy.mu must be positive and finite"),
+        ("grid", "time_span_ps", np.int64(40), "grid.time_span_ps must be positive and finite"),
+        (
+            "thresholds",
+            "loss_bracket_db",
+            np.array([5.0, 45.0]),
+            "thresholds.loss_bracket_db must be [low, high] with low < high, both non-negative and finite",
+        ),
+        (
+            "thresholds",
+            "loss_bracket_db",
+            (5.0, 45.0),
+            "thresholds.loss_bracket_db must be [low, high] with low < high, both non-negative and finite",
+        ),
+        (
+            "scenario",
+            "dark_count_mode",
+            np.str_("optical"),
+            "scenario.dark_count_mode must be one of electronic, optical, ungated",
+        ),
     ],
 )
 def test_documents_passed_straight_to_resolve_are_checked(section, key, value, message):
@@ -729,6 +765,33 @@ def test_documents_passed_straight_to_resolve_are_checked(section, key, value, m
     document[section][key] = value
     with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
         resolve(document)
+
+
+def test_library_defaults_are_the_default_config(tmp_path):
+    # each default is stated once, in the library signature that takes it
+    run = resolve({})
+    assert run.decoy == DecoyParams() and run.detector == DetectorParams() and run.scenario == ChannelScenario()
+    # 1.7 * 1e-9 is not 1.7e-9, so the filter keeps its resolved wavelengths
+    wavelengths = (run.spectral_filter.center_wavelength, run.spectral_filter.fwhm_bandwidth)
+    assert run.spectral_filter == SpectralFilter(*wavelengths)
+    assert run.time_grid.tobytes() == default_time_grid().tobytes() and run.theta == np.pi / 4
+    gate = (run.scenario, run.detector, run.decoy, run.switch, run.spectral_overlap)
+    imp = improvement_factors(run.loss_grid(), run.noise_grid(), *gate)
+    cfg = run.effective["fluctuation"]
+    durations = [d * 1e-12 for d in cfg["pulse_fwhm_ps"]]
+    losses = np.linspace(cfg["loss_min_db"], cfg["loss_max_db"], cfg["loss_samples"])
+    study = fluctuation_study(durations, cfg["noise_levels_hz"], losses, run.switch)
+    for command in ("thresholds", "fluctuations"):
+        assert main(["--no-banner", "--out", str(tmp_path), command]) == 0
+    tables = {
+        "noise_thresholds.tsv": imp.noise_thresholds,
+        "noise_improvement.tsv": imp.noise_ratio,
+        "loss_thresholds.tsv": imp.distance,
+        "fluctuation_rates.tsv": study.rates,
+        "fluctuation_thresholds.tsv": study.thresholds,
+    }
+    for name, table in tables.items():
+        assert (tmp_path / name).read_text() == table.format_tsv(), name
 
 
 def test_resolve_merges_partial_documents_over_the_defaults(tmp_path):

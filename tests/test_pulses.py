@@ -182,7 +182,7 @@ def test_mode_transmission_passthrough():
     # open everywhere except the outermost samples so the width stays defined
     open_gate = _unit_gate(grid, grid[2], grid[-3])
     assert mode_transmission(mode, open_gate) == pytest.approx(1.0, abs=1e-9)
-    wide = SpectralFilter(720.8e-9, 400e-9)
+    wide = SpectralFilter(720.8e-9, 400e-9, peak_transmission=1.0)
     assert mode_transmission(mode, None, wide) == pytest.approx(1.0, abs=1e-4)
 
 
