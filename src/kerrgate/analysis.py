@@ -8,6 +8,7 @@ comparison, and the pulse-broadening (temporal fluctuation) study.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,53 +55,88 @@ def _cell(value) -> str:
 
 
 def _format_column(values: list):
-    """The cells of one column, made as the rows take them; Python floats skip the type tests.
-
-    Lazy cells keep the peak memory of a long table's text below that of
-    its rows: only the joined lines are ever held.
-    """
+    """The cells of one block of a column, made as the rows take them; Python floats skip the type tests."""
     if set(map(type, values)) == {float}:
         return ("%.10g" % (value + 0.0) for value in values)  # + 0.0 normalizes -0.0
     return map(_cell, values)
 
 
-@dataclass
+def _kept(values) -> np.ndarray | list:
+    """A column as a table stores it: a list, or an array that its caller cannot write.
+
+    An array is kept as it is if neither it nor any array it views can be
+    written (``SwitchProfile``'s are frozen); any other array is copied.
+    """
+    if not isinstance(values, np.ndarray):
+        return list(values)
+    base = values
+    while base is not None:
+        if not isinstance(base, np.ndarray) or base.flags.writeable:
+            return values.copy()
+        base = base.base
+    return values
+
+
+def _listed(values) -> list:
+    """A new list of a column's values: Python scalars for an array."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+# rows rendered per text chunk: a chunk's cells and text stay near 100 KiB,
+# so writing a long table costs no more memory than its arrays
+_BLOCK_ROWS = 1024
+
+
+@dataclass(eq=False)
 class Table:
     """Named columns of equal length with deterministic text serialization.
 
-    The table stores one list per column (arrays enter through ``tolist``);
-    ``rows``, the list of row tuples, is derived from them on each read.
+    The table stores one column per name (``_kept``: a list, or an array
+    no caller can write).  ``rows`` and ``column`` are derived from them on
+    each read, and ``chunks`` renders them a block of rows at a time, so an
+    array becomes Python values only while its block is written.
     """
 
     columns: tuple[str, ...]
-    _values: tuple[list, ...]
+    _values: tuple[np.ndarray | list, ...]
 
     @classmethod
     def of(cls, **columns) -> Table:
         """The table of the given columns, in keyword order; ValueError on unequal lengths."""
-        values = tuple(v.tolist() if isinstance(v, np.ndarray) else list(v) for v in columns.values())
+        values = tuple(map(_kept, columns.values()))
         if len({len(v) for v in values}) > 1:
             raise ValueError("table columns must have equal lengths")
         return cls(tuple(columns), values)
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*self._values))
+        return list(zip(*map(_listed, self._values)))
 
     def column(self, name: str) -> list:
-        return list(self._values[self.columns.index(name)])
+        return _listed(self._values[self.columns.index(name)])
 
     def select(self, *names: str) -> Table:
         """The sub-table of the named columns, in that order."""
         return Table(names, tuple(self._values[self.columns.index(name)] for name in names))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.columns == other.columns and self.rows == other.rows
+
+    def chunks(self, **footer) -> Iterator[str]:
+        """The text of ``format_tsv``: the header line, then at most ``_BLOCK_ROWS`` lines per chunk, then the footer."""
+        yield "\t".join(self.columns) + "\n"
+        length = len(self._values[0]) if self._values else 0
+        for start in range(0, length, _BLOCK_ROWS):
+            block = (_format_column(_listed(v[start : start + _BLOCK_ROWS])) for v in self._values)
+            yield "\n".join(map("\t".join, zip(*block))) + "\n"
+        if footer:
+            yield "# " + "\t".join("%s = %s" % (name, _cell(value)) for name, value in footer.items()) + "\n"
+
     def format_tsv(self, **footer) -> str:
         """Header, rows, and one ``# name = cell`` footer line of the keyword values, if any."""
-        lines = ["\t".join(self.columns)]
-        lines += map("\t".join, zip(*map(_format_column, self._values)))
-        if footer:
-            lines.append("# " + "\t".join("%s = %s" % (name, _cell(value)) for name, value in footer.items()))
-        return "\n".join(lines) + "\n"
+        return "".join(self.chunks(**footer))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ threshold found anywhere in a thresholds run, 4 numerical-resolution error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -29,11 +31,9 @@ from .analysis import (
     noise_reduction_factor,
     sweep_table,
 )
-from .config import RunConfig, dump_effective, load_config, resolve
+from .config import _NS, _PS, RunConfig, dump_effective, load_config, resolve
 from .errors import ConfigError, ResolutionError
 from .kerr import switching_trace
-
-_PS = 1e-12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,29 +68,29 @@ def main(argv=None) -> int:
         return 2
 
 
-def _emit(args, outputs: dict[str, str]):
-    """Write named text outputs to --out files or stdout; JSON has no comments, so only .tsv carries the banner."""
+def _emit(args, outputs: dict[str, Iterable[str]]):
+    """Write named outputs, each a stream of text chunks, to --out files or stdout a chunk at a time.
+
+    JSON has no comments, so only .tsv outputs carry the banner.
+    """
     banner = "" if args.no_banner else "# kerrgate %s :: %s\n" % (__version__, args.command)
-    outputs = {name: (banner if name.endswith(".tsv") else "") + text for name, text in outputs.items()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for name, text in outputs.items():
-            with open(os.path.join(args.out, name), "w") as handle:
-                handle.write(text)
-        return
-    multiple = len(outputs) > 1
-    for name, text in outputs.items():
-        if multiple:
-            sys.stdout.write("# output: %s\n" % name)
-        sys.stdout.write(text)
+    for name, chunks in outputs.items():
+        with open(os.path.join(args.out, name), "w") if args.out else contextlib.nullcontext(sys.stdout) as handle:
+            if not args.out and len(outputs) > 1:
+                handle.write("# output: %s\n" % name)
+            if name.endswith(".tsv"):
+                handle.write(banner)
+            handle.writelines(chunks)
 
 
 def _cmd_switch_profile(args, run: RunConfig) -> int:
     """time-resolved switching efficiency of the optical gate"""
     switch = run.switch
     table = Table.of(time_ps=switch.time_grid / _PS, delta_phi_rad=switch.phase, efficiency=switch.efficiency)
-    text = table.format_tsv(fwhm_ps=switch.fwhm / _PS, effective_width_ps=switch.effective_width / _PS)
-    _emit(args, {"switch_profile.tsv": text})
+    chunks = table.chunks(fwhm_ps=switch.fwhm / _PS, effective_width_ps=switch.effective_width / _PS)
+    _emit(args, {"switch_profile.tsv": chunks})
     return 0
 
 
@@ -100,7 +100,7 @@ def _cmd_trace(args, run: RunConfig) -> int:
     trace = switching_trace(run.switch, run.signal, delays, run.spectral_filter)
     table = Table.of(delay_ps=trace.delays / _PS, switched_efficiency=trace.efficiency)
     split = {"split": True} if trace.split else {}
-    _emit(args, {"trace.tsv": table.format_tsv(fwhm_ps=trace.fwhm / _PS, peak=trace.peak_value, **split)})
+    _emit(args, {"trace.tsv": table.chunks(fwhm_ps=trace.fwhm / _PS, peak=trace.peak_value, **split)})
     return 0
 
 
@@ -119,9 +119,9 @@ def _cmd_keyrate(args, run: RunConfig) -> int:
     _emit(
         args,
         {
-            "keyrate_vs_loss.tsv": vs_loss.format_tsv(),
-            "keyrate_vs_noise.tsv": vs_noise.format_tsv(),
-            "gains_qber.tsv": gains.format_tsv(),
+            "keyrate_vs_loss.tsv": vs_loss.chunks(),
+            "keyrate_vs_noise.tsv": vs_noise.chunks(),
+            "gains_qber.tsv": gains.chunks(),
         },
     )
     return 0
@@ -147,10 +147,10 @@ def _cmd_thresholds(args, run: RunConfig) -> int:
     _emit(
         args,
         {
-            "noise_thresholds.tsv": imp.noise_thresholds.format_tsv(),
-            "noise_improvement.tsv": imp.noise_ratio.format_tsv(),
-            "loss_thresholds.tsv": imp.distance.format_tsv(),
-            "summary.tsv": summary.format_tsv(),
+            "noise_thresholds.tsv": imp.noise_thresholds.chunks(),
+            "noise_improvement.tsv": imp.noise_ratio.chunks(),
+            "loss_thresholds.tsv": imp.distance.chunks(),
+            "summary.tsv": summary.chunks(),
         },
     )
     if "ok" not in statuses:
@@ -183,7 +183,7 @@ def _cmd_modes(args, run: RunConfig) -> int:
         run.spectral_filter,
         run.signal,
     )
-    _emit(args, {"modes.tsv": table.format_tsv()})
+    _emit(args, {"modes.tsv": table.chunks()})
     return 0
 
 
@@ -199,7 +199,7 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
         visibility=cfg["visibility"],
         detector_efficiency=cfg["detector_efficiency"],
         dark_rate=cfg["dark_rate_hz"],
-        electronic_window=cfg["electronic_window_ns"] * 1e-9,
+        electronic_window=cfg["electronic_window_ns"] * _NS,
         sifting_q=run.decoy.sifting_q,
         error_correction_f=run.decoy.error_correction_f,
         rel_width=run.effective["thresholds"]["relative_width"],
@@ -207,8 +207,8 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
     _emit(
         args,
         {
-            "fluctuation_rates.tsv": study.rates.format_tsv(),
-            "fluctuation_thresholds.tsv": study.thresholds.format_tsv(),
+            "fluctuation_rates.tsv": study.rates.chunks(),
+            "fluctuation_thresholds.tsv": study.thresholds.chunks(),
         },
     )
     return 0
@@ -216,7 +216,7 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
 
 def _cmd_dump_defaults(args, run: RunConfig) -> int:
     """print the fully-resolved effective config as JSON"""
-    _emit(args, {"defaults.json": dump_effective(run)})
+    _emit(args, {"defaults.json": [dump_effective(run)]})
     return 0
 
 

@@ -36,7 +36,7 @@ from kerrgate import (
     switch_profile,
 )
 from kerrgate import analysis, qkd
-from kerrgate.analysis import KEYRATE_COLUMNS, _bisect_positive, _threshold_columns, sweep_table
+from kerrgate.analysis import _BLOCK_ROWS, KEYRATE_COLUMNS, _bisect_positive, _threshold_columns, sweep_table
 from kerrgate.pulses import FWHM_TO_SIGMA
 from kerrgate.qkd import ARMS, ELECTRONIC, ULTRAFAST, binary_entropy
 
@@ -948,10 +948,66 @@ _TABLE_CASES = {
 }
 
 
+def _every_kind(rows: int) -> dict:
+    """``rows`` rows of every kind of cell: floats with -0.0 and NaN, None, bools, large ints and strings."""
+    index = np.arange(rows)
+    floats = np.resize(np.array(_SPECIALS), rows)
+    return {
+        "float": floats,
+        "float or none": np.where(index % 3 == 0, floats, None),
+        # Python floats fill the first block, so only a later block holds None
+        "late none": [0.25 if i < _BLOCK_ROWS else None for i in range(rows)],
+        "bool": index % 2 == 0,
+        "bool list": [bool(i % 3) if i % 2 else np.bool_(i % 5) for i in range(rows)],
+        "int": index * 2**40,
+        "str": np.where(index % 2 == 0, "ultrafast", "electronic"),
+    }
+
+
+# tables are rendered a block of rows at a time: none, exactly one, and two and a row
+_TABLE_CASES.update(
+    {
+        "every kind, no rows": _every_kind(0),
+        "every kind, one block": _every_kind(_BLOCK_ROWS),
+        "every kind, two blocks and a row": _every_kind(2 * _BLOCK_ROWS + 1),
+    }
+)
+
+
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
 def test_table_columns_format_as_rows_did(case):
     columns = _TABLE_CASES[case]
     assert Table.of(**columns).format_tsv() == _row_by_row_tsv(columns)
+
+
+def test_table_chunks_hold_a_block_of_rows_and_the_bytes_do_not_depend_on_it(monkeypatch):
+    table = Table.of(**_TABLE_CASES["every kind, two blocks and a row"])
+    text = table.format_tsv(peak=0.5)
+    chunks = list(table.chunks(peak=0.5))
+    assert "".join(chunks) == text
+    # header, two whole blocks, the last row, footer
+    assert [chunk.count("\n") for chunk in chunks] == [1, _BLOCK_ROWS, _BLOCK_ROWS, 1, 1]
+    for rows in (1, 7, 3 * _BLOCK_ROWS):
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
+        assert table.format_tsv(peak=0.5) == text
+
+
+def test_table_keeps_its_columns_from_later_writes():
+    values, base = np.array([0.5, -0.0, 2.0]), np.arange(6.0)
+    view = base[::2]
+    view.flags.writeable = False  # a frozen view of an array its caller can still write
+    frozen = np.array([1.0, 2.0, 3.0])
+    frozen.flags.writeable = False
+    listed = [1, None, "x"]
+    table = Table.of(a=values, b=view, c=frozen, d=listed)
+    text = table.format_tsv()
+    values[:] = 7.0
+    base[:] = 7.0
+    listed[0] = 7
+    assert table.format_tsv() == text == "a\tb\tc\td\n0.5\t0\t1\t1\n0\t2\t2\t\n2\t4\t3\tx\n"
+    # an array that nothing can write is kept, not copied
+    assert np.shares_memory(table.select("c")._values[0], frozen)
+    assert not np.shares_memory(table.select("b")._values[0], base)
 
 
 def test_table_stores_columns():

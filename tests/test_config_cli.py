@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -792,6 +793,22 @@ def test_library_defaults_are_the_default_config(tmp_path):
     }
     for name, table in tables.items():
         assert (tmp_path / name).read_text() == table.format_tsv(), name
+
+
+def test_switch_profile_writes_its_table_within_a_mebibyte_of_dump_defaults(tmp_path):
+    # the table is written a block of rows at a time, so switch-profile's
+    # traced peak is resolve's, as dump-defaults' is; holding its 65536 rows
+    # as Python cells and text cost about 12 MiB more
+    path = _write(tmp_path, {"grid": {"samples": 65536}})
+    peaks = {}
+    for command in ("dump-defaults", "switch-profile"):
+        tracemalloc.start()
+        try:
+            assert main(["--config", path, "--out", str(tmp_path / command), command]) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["switch-profile"] <= peaks["dump-defaults"] + (1 << 20), peaks
 
 
 def test_resolve_merges_partial_documents_over_the_defaults(tmp_path):
