@@ -8,6 +8,8 @@ to stderr.
 
 Exit codes: 0 success, 2 config, domain or floating-point error, 3 no
 threshold found anywhere in a thresholds run, 4 numerical-resolution error.
+A reader that closes stdout early (``kerrgate keyrate | head -1``) ends the
+run with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print("resolution error: %s" % exc, file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): that is its choice, not
+        # a failure, and any other status would depend on the output's size.
+        # The interpreter's final flush goes to devnull, so it stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, ArithmeticError, OSError) as exc:  # an --out collision or unwritable path is a usage error
         print("error: %s" % exc, file=sys.stderr)
         return 2

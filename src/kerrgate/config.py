@@ -52,7 +52,8 @@ _MHZ = 1e6
 _UM2 = 1e-12
 
 # A value rule is (test, words), and a refusal reads "<dotted key> must be
-# <words>".  Every test compares, and NaN fails every comparison.
+# <words>".  Every test compares, and NaN fails every comparison.  Losses
+# are non-negative: a -20 dB loss, a gain, once printed transmittances above 1.
 _FINITE = (lambda v: -_INF < v < _INF, "finite")
 _POSITIVE = (lambda v: 0 < v < _INF, "positive and finite")
 _NON_NEGATIVE = (lambda v: 0 <= v < _INF, "non-negative and finite")
@@ -86,7 +87,8 @@ def _default(function, name: str):
 # that a library signature also takes is read from it, and the counts are
 # the leaves with an int default.  The rule is the leaf's only check, and a
 # type that JSON does not make (a bool, a numpy value, a tuple) fails it.
-# A 2^22-sample grid array takes 32 MiB, and each mode order one recurrence step.
+# A 2^22-sample grid array takes 32 MiB, and each mode order one recurrence
+# step (a max_order of 1e300 once ran without end).
 _TABLE = {
     "grid": {
         "time_span_ps": (_default(default_time_grid, "span") / _PS, _POSITIVE),
@@ -360,7 +362,9 @@ def _resolve(config: dict) -> RunConfig:
     if fiber_cfg["mode_area_um2"] is None:
         if pump.pulse_energy == 0:
             raise ConfigError("pump.pulse_energy_nj = 0 makes no pi gate: set fiber.mode_area_um2 to model that pump")
-        # the calibration divides by the pump's width, so an unresolved pump is refused first
+        # the calibration divides by the pump's width, so an unresolved pump is refused
+        # first: a 1e300-nm pump band, whose FWHM underflows to 0, fails here as it
+        # fails the phase's guard with the area pinned
         _check_pump(pump, (time_grid[-1] - time_grid[0]) / (time_grid.size - 1))
         mode_area = calibrated_mode_area(pump, length, walkoff, n2, signal.center_wavelength)
     else:
@@ -398,7 +402,8 @@ def _resolve(config: dict) -> RunConfig:
     switch_cfg = effective["switch"]
     theta = np.deg2rad(switch_cfg["polarization_angle_deg"])
     switch = switch_profile(pump, fiber, time_grid, signal.center_wavelength, theta=theta)
-    # a half-maximum width across lobes measures nothing
+    # a half-maximum width across lobes measures nothing; with the area pinned, twice
+    # the default pump energy leaves the gate centre at eta ~ 2e-12
     if switch.split:
         raise ConfigError(
             "pump.pulse_energy_nj = %s with fiber.mode_area_um2 = %.6g splits the gate: its efficiency falls below "
@@ -421,7 +426,8 @@ def _resolve(config: dict) -> RunConfig:
         overlap = spectral_overlap_factor(switch, spectral_filter, linewidth, None if center is None else center * _NM)
         if not 0.0 < overlap <= 1.0:
             # off the filter centre the gate can broaden more noise into the passband
-            # than the unbroadened line passes, and background_yield needs (0, 1]
+            # than the unbroadened line passes (1.15 at 722 nm, 4e18 at 730 nm), and
+            # background_yield needs (0, 1]
             raise ConfigError(
                 "noise.center_wavelength_nm = %s is too far off the filter centre: its derived spectral "
                 "overlap %.6g lies outside (0, 1]" % (noise_cfg["center_wavelength_nm"], overlap)

@@ -5,11 +5,22 @@ error must say.
 ``run_cases`` runs each case through ``cli.main`` into
 ``OUT_DIR/<case>/<command>/``, writing each non-zero exit's stderr line
 to ``OUT_DIR/<case>/<command>.stderr``, then reruns it from the config its
-``dump-defaults`` wrote, which must give the same statuses and bytes.  As
-a script it exits 1 on any wrong status, message or output, or differing
-rerun; its trees compare with ``diff -r`` across processes or commits
-(README, "Tests"), and ``--compare`` prints the cells that moved between
-two trees (``compare``; it reports and always exits 0)::
+``dump-defaults`` wrote, which must give the same statuses and bytes.  On
+the run and on the rerun it checks that each subcommand
+
+- exits with the listed status;
+- writes nothing to stderr on exit 0;
+- on any other exit writes exactly one stderr line, holding every listed
+  word, or being the listed line;
+- on exit 2 or 4 writes no ``<case>/<command>/`` directory (exit 3, no
+  threshold found, still writes its tables).
+
+As a script it exits 1 on any failed check or differing rerun; its trees
+compare with ``diff -r`` across processes or commits (README, "Tests"),
+and ``--compare`` prints, for each file that differs, the count of cells
+whose number moved and the largest absolute and relative move with its
+place, then each changed text cell and each file on one side only
+(``compare``; it reports and always exits 0)::
 
     PYTHONPATH=src python tests/test_cli_cases.py OUT_DIR
     PYTHONPATH=src python tests/test_cli_cases.py --compare BASE HEAD

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_cli_cases import CASES, run_case
 
 from kerrgate import (
@@ -31,6 +33,8 @@ from kerrgate import (
     resolve,
 )
 from kerrgate.cli import _HANDLERS, main
+from kerrgate.config import _TABLE, _check_value
+from kerrgate.qkd import _DARK_MODES
 
 AREA_UM2 = 23.553721366133519
 OVERLAP = 0.8504217937836734
@@ -549,12 +553,32 @@ def test_cli_has_no_jobs_flag(capsys):
     assert err.startswith("usage: kerrgate") and "--jobs" not in err
 
 
-def test_import_pulls_no_scipy_or_thread_pool():
+def _source_env() -> dict:
+    """This environment with the repository's ``src`` first on PYTHONPATH, for a subprocess."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_import_pulls_no_scipy_or_thread_pool():
     code = "import sys, kerrgate; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["keyrate", "switch-profile"])
+def test_a_reader_closing_stdout_early_ends_the_run_with_exit_0(command):
+    # both outputs outgrow a pipe's 64 KiB buffer (keyrate's by 15 KiB), so a
+    # write fails once the reader has gone (``kerrgate keyrate | head -1``);
+    # trace's fits and never saw it.  Unbuffered, the line read takes no
+    # more than its own bytes out of the pipe
+    arguments = [sys.executable, "-m", "kerrgate.cli", command]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "bufsize": 0}
+    with subprocess.Popen(arguments, env=_source_env(), **pipes) as process:
+        assert process.stdout.readline().startswith(b"# ")
+        process.stdout.close()
+        err = process.stderr.read()
+        code = process.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def _tsv(path):
@@ -912,3 +936,82 @@ def test_every_numeric_leaf_resolves_or_is_refused_by_name(tmp_path, path):
             assert code in ((0, 2, 3, 4) if command == "thresholds" else (0, 2, 4)), (value, command, code)
             if code in (0, 3):
                 assert _finite_cells(out), (value, command)
+
+
+# Documents drawn from _TABLE: each drawn leaf takes a valid value, a value
+# at a boundary of its rule or one off it, or a type that JSON does not make.
+# The three counts that size arrays stay at or below their defaults where
+# valid and meet their cap only as cap + 1, which is refused before any array
+# exists.
+_CAPPED = {"grid.samples", "trace.samples", "modes.max_order"}
+_LEAVES = {section + "." + key: leaf for section, leaves in _TABLE.items() for key, leaf in leaves.items()}
+_WRONG_TYPES = st.sampled_from(
+    [True, np.True_, np.int64(1), np.float64(0.5), "1", [], {"value": 1}, None, math.nan, math.inf, -math.inf]
+)
+
+
+def _boundaries(path: str) -> list:
+    """The numbers a leaf's rule words print (0 for a sign), each with its neighbours one off."""
+    default, (_, words) = _LEAVES[path]
+    ends = {float(n) for n in re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", words)} or {0.0}
+    if "positive" in words or "negative" in words:
+        ends.add(0.0)
+    if path in _CAPPED:
+        low, cap = sorted(ends)
+        return [int(low) - 1, int(low), int(low) + 1, int(cap) + 1]
+    values = sorted({end + step for end in ends for step in (-1.0, 0.0, 1.0)})
+    if type(default) is int:
+        return [int(value) for value in values]
+    return values + [math.nextafter(end, side) for end in sorted(ends) for side in (-math.inf, math.inf)]
+
+
+def _valid(path: str, resolved) -> list:
+    """Values that pass the leaf's rule: null, and its resolved default, halved and doubled."""
+    default, rule = _LEAVES[path]
+    if path == "scenario.dark_count_mode":
+        return list(_DARK_MODES)
+    candidates = [None]
+    for factor in (1.0, 0.5, 2.0):
+        if type(resolved) is list:
+            candidates.append([item * factor for item in resolved])
+        elif path not in _CAPPED or factor <= 1.0:
+            candidates.append(type(resolved)(resolved * factor))
+    valid = []
+    for value in candidates:
+        try:
+            _check_value(path, value, rule)
+        except ConfigError:
+            continue
+        valid.append(value)
+    return valid
+
+
+@st.composite
+def _documents(draw, resolved: dict):
+    """A partial document of one to three leaves over the ``resolved`` defaults."""
+    paths = draw(st.lists(st.sampled_from(sorted(_LEAVES)), min_size=1, max_size=3, unique=True))
+    document = {}
+    for path in paths:
+        section, key = path.split(".")
+        boundary = st.sampled_from(_boundaries(path))
+        if type(_LEAVES[path][0]) is list:
+            boundary = st.lists(boundary, max_size=3)
+        valid = st.sampled_from(_valid(path, resolved[section][key]))
+        wrong = _WRONG_TYPES | st.lists(_WRONG_TYPES, min_size=1, max_size=2)
+        document.setdefault(section, {})[key] = draw(valid | boundary | wrong)
+    return document
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_resolve_refuses_by_key_or_resolves_to_a_stable_dump(default_run, data):
+    document = data.draw(_documents(default_run.effective))
+    try:
+        run = resolve(document)
+    except (ConfigError, ResolutionError) as exc:
+        # a refusal names a leaf, but an overflow in a derived quantity has none to blame
+        drawn = {section + "." + key for section in document for key in document[section]}
+        assert any(path in str(exc) for path in _LEAVES) or drawn & _UNNAMED, (document, str(exc))
+        return
+    dump = dump_effective(run)
+    assert dump_effective(resolve(json.loads(dump))) == dump, document
