@@ -21,7 +21,7 @@ from .pulses import (
     GaussianPulse,
     SpectralFilter,
     TemporalMode,
-    _lag_energy,
+    _lag_energies,
     _mode_transmissions,
 )
 from .qkd import (
@@ -162,12 +162,14 @@ def spectral_overlap_factor(
     from the center of a passband of FWHM w_f) the line-passband
     cross-correlation is closed form, so the factor is the integral of K w
     over that of K, with w(f) = exp(-alpha [(f + off)^2 - off^2]) and
-    alpha = 4 ln2 / (w_f^2 + w_l^2).  By Parseval the numerator is the lag
-    sum of sqrt(eta)'s autocorrelation against w's closed-form time kernel
-    (``_lag_energy``), on eta's support (``profile.window``) at the
-    profile's uniform step; the denominator is the energy of sqrt(eta).  A
-    zero linewidth is the monochromatic limit of the same expression.  The
-    value does not depend on grid parity.
+    alpha = 4 ln2 / (w_f^2 + w_l^2).  The numerator is the energy of
+    sqrt(eta) on eta's support (``profile.window``), at the profile's
+    uniform step, after the power weight w: one ``_lag_energies`` call,
+    which weighs sqrt(eta)'s zero-padded rfft with the spectrum of w's time
+    kernel truncated to the support's lags.  The denominator is the energy
+    of sqrt(eta), a pairwise sum like the numerator's, so no BLAS thread
+    count reaches the bits.  A zero linewidth is the monochromatic limit
+    of the same expression.  The value does not depend on grid parity.
 
     ``noise_linewidth`` of None selects the broadband bookkeeping (factor
     1.0: for noise much wider than the filter the gate kernel does not
@@ -192,12 +194,12 @@ def spectral_overlap_factor(
 
     dt = profile.step
     gate = profile.amplitude
-    area = dt * np.dot(gate, gate)
+    area = dt * np.add.reduce(gate * gate)
     if area <= 0:
         raise ValueError("switch profile has no spectral content")
     # the weight's peak exp(alpha off^2) rides in the kernel's scale
     scale = np.exp(alpha * line_offset**2) * np.sqrt(np.pi / alpha)
-    return float(_lag_energy(gate, dt, scale, np.pi**2 / alpha, line_offset) / area)
+    return float(_lag_energies([gate], gate.size, dt, scale, np.pi**2 / alpha, line_offset)[0] / area)
 
 
 def _line_passband_fwhm_sq(spectral_filter: SpectralFilter, noise_linewidth: float) -> float:

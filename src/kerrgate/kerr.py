@@ -104,19 +104,21 @@ def calibrated_mode_area(
     return float(_walkoff_phase(pump, unit, center, signal_wavelength)[0]) / np.pi
 
 
-# math.erf on arrays; numpy has no erf and scipy is not a dependency
-_math_erf = np.frompyfunc(math.erf, 1, 1)
-
 # math.erf is exactly +-1 from |x| = 5.9216 on (erfc < 2^-54 there), so
 # beyond this cut the sign is the erf, and the phase is the same bit for bit
 _ERF_SATURATED = 6.0
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
-    """erf of each element of ``x``, calling math.erf only where it is not +-1."""
-    out = np.sign(x)
-    inside = np.abs(x) < _ERF_SATURATED
-    out[inside] = _math_erf(x[inside]).astype(float)
+    """erf of each element of the increasing ``x``, calling math.erf only where it is not +-1.
+
+    numpy has no erf and scipy is not a dependency.  The saturated ends are
+    found by bisection (``np.searchsorted``), so no full-grid mask is formed.
+    """
+    low, high = np.searchsorted(x, -_ERF_SATURATED, "right"), np.searchsorted(x, _ERF_SATURATED, "left")
+    out = np.empty(x.size)
+    out[:low], out[high:] = -1.0, 1.0
+    out[low:high] = np.fromiter(map(math.erf, x[low:high].tolist()), float, high - low)
     return out
 
 
@@ -270,7 +272,8 @@ class SwitchProfile:
         width = float(weights.sum())
         object.__setattr__(self, "effective_width", width)
         if width != 0.0:
-            object.__setattr__(self, "centroid", float(weights @ grid[window] / width))
+            # numpy's pairwise sum, not a BLAS dot product, which splits a long sum by thread
+            object.__setattr__(self, "centroid", float(np.add.reduce(weights * grid[window]) / width))
         fwhm = sampled_fwhm(grid, eta) if eta.max() > 0 else 0.0
         object.__setattr__(self, "fwhm", fwhm)
         object.__setattr__(self, "split", _split(eta))

@@ -86,6 +86,9 @@ CASES = {
     "grid-32768": ({"grid": {"samples": 32768}}, {}),
     "grid-65536": ({"grid": {"samples": 65536}}, {}),
     "span-640ps": ({"grid": {"samples": 65536, "time_span_ps": 640}}, {}),
+    # a support of 13254 samples, past OpenBLAS's threading threshold: CI's
+    # one-thread rerun must match it byte for byte
+    "grid-131072": ({"grid": {"samples": 131072}}, {}),
     # a grid too coarse for the gate
     "grid-64": ({"grid": {"samples": 64}}, dict.fromkeys(COMMANDS, 4), ("grid.samples",)),
     # the trace's Gaussian sums over one delay per centre row (the direct

@@ -1,6 +1,9 @@
 """Pulse, filter, and temporal-mode layer."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from kerrgate import (
     switch_profile,
     transform_limited_duration,
 )
+from kerrgate.analysis import _line_passband_fwhm_sq
 from kerrgate.kerr import SwitchProfile
 from kerrgate.pulses import (
     FWHM_TO_SIGMA,
@@ -243,6 +247,68 @@ def test_mode_transmission_matches_full_grid_parseval(default_run, samples):
         spectral = spectral_energy(grid, psi, filt.intensity_transmission) / energy
         assert mode_transmission(mode, gate, filt, center=center) == pytest.approx(combined, rel=1e-11, abs=0)
         assert mode_transmission(mode, None, filt, center=center) == pytest.approx(spectral, rel=1e-11, abs=0)
+
+
+def _lag_sum(field, kernel, dt):
+    """dt^2 sum_{|L| < n} k_L R(L) in longdouble, one lag at a time, and eps dt^2 sum |k_L f_{i+L} f_i|.
+
+    ``field`` and ``kernel`` (k_L at lags L = 0 ... n - 1) are float64; each
+    lag's autocorrelation is a longdouble dot product, so no FFT is involved.
+    """
+    f, k = field.astype(np.longdouble), kernel.astype(np.longdouble)
+    a = np.abs(f)
+    total, size = k[0] * np.dot(f, f), abs(k[0]) * np.dot(a, a)
+    for lag in range(1, f.size):
+        total += 2 * k[lag] * np.dot(f[lag:], f[:-lag])
+        size += 2 * abs(k[lag]) * np.dot(a[lag:], a[:-lag])
+    return dt**2 * total, np.finfo(float).eps * dt**2 * size
+
+
+def test_lag_energies_lie_within_round_off_of_a_longdouble_lag_sum(default_run):
+    # the FFT route against the lag sum on the same float64 samples and
+    # kernel: the derived overlap with its line at the filter centre and at
+    # 724, 726 and 728 nm (bounds of 2.2e-16, 2.4e-14, 3.0e-12 and 6.1e-10 of
+    # the value), and the combined transmissions of orders 0-10
+    gate, filt = default_run.switch, default_run.spectral_filter
+    dt, amplitude = gate.step, gate.amplitude
+    lags = np.arange(amplitude.size) * dt
+    area = dt * np.dot(amplitude.astype(np.longdouble), amplitude.astype(np.longdouble))
+    alpha = 4.0 * np.log(2.0) / _line_passband_fwhm_sq(filt, 0.83e-9)
+    for center in (None, 724e-9, 726e-9, 728e-9):
+        offset = 0.0 if center is None else SPEED_OF_LIGHT / center - SPEED_OF_LIGHT / filt.center_wavelength
+        scale = np.exp(alpha * offset**2) * np.sqrt(np.pi / alpha)
+        kernel = scale * np.exp(-(np.pi**2 / alpha) * lags**2) * np.cos(2.0 * np.pi * offset * lags)
+        energy, bound = _lag_sum(amplitude, kernel, dt)
+        assert abs(spectral_overlap_factor(gate, filt, 0.83e-9, center) - energy / area) <= bound / area
+    tau = TemporalMode.matched_to(default_run.signal).characteristic_duration
+    a = 4.0 * np.log(2.0) / filt.frequency_fwhm**2
+    kernel = filt.peak_transmission * np.sqrt(np.pi / a) * np.exp(-(np.pi**2 / a) * lags**2)
+    combined = _mode_transmissions(10, tau, gate, filt, gate.centroid)
+    phis = _hermite_functions(10, (gate.time_grid[gate.window] - gate.centroid) / tau)
+    for value, phi in zip(combined, phis):
+        energy, bound = _lag_sum(amplitude * phi, kernel, dt)
+        assert abs(value - energy / tau) <= bound / tau
+
+
+def test_gate_sums_do_not_depend_on_the_blas_thread_count():
+    # from 2^17 samples the gate's support (13254 samples) passes OpenBLAS's
+    # threading threshold, past which a BLAS dot product splits its sum by
+    # thread; the overlap, the centroid and the modes sum with numpy's own
+    # pairwise reduction instead
+    code = (
+        "from kerrgate import resolve\n"
+        "from kerrgate.analysis import hg_mode_comparison\n"
+        "for samples in (131072, 262144):\n"
+        "    run = resolve({'grid': {'samples': samples}})\n"
+        "    modes = hg_mode_comparison(10, run.switch, run.spectral_filter, run.signal)\n"
+        "    print(repr(run.spectral_overlap), repr(run.switch.centroid), *map(repr, modes.column('t_combined')))\n"
+    )
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("s2", [1.0001, 1.5, 2.0, 3.0, 100.0, 1e4])
