@@ -26,13 +26,6 @@ from .pulses import (
     sampled_fwhm,
 )
 
-# Bytes of one block of the Gaussian sums (512 KiB): rows of delays with their
-# factors, table and products.  Caps their working set whatever the number
-# of delays, as long as one row of delays fits; on fine grids it does not
-# (one plain-trace-sized call peaks at 1.5 MiB on a 2^18-sample grid and
-# 5.6 MiB on 2^20).
-_BLOCK_BYTES = 1 << 19
-
 # Largest |2 d g / var| that the Gaussian sums take to first order: there
 # exp(x) and 1 + x differ by under 2^-55.  Every profile's grid keeps it
 # (``pulses._UNIFORM``).
@@ -246,10 +239,12 @@ class SwitchProfile:
     def __post_init__(self):
         grid = np.asarray(self.time_grid, dtype=float)
         eta = np.asarray(self.efficiency, dtype=float)
-        if grid.shape != eta.shape or grid.ndim != 1:
-            raise ValueError("time_grid and efficiency must be matching 1-d arrays")
+        phase = None if self.phase is None else np.asarray(self.phase, dtype=float)
+        if grid.shape != eta.shape or grid.ndim != 1 or (phase is not None and phase.shape != grid.shape):
+            raise ValueError("time_grid, efficiency and any phase must be matching 1-d arrays")
         grid, step = _check_uniform(grid)
-        if np.any(eta < -1e-12) or np.any(eta > 1.0 + 1e-12):
+        # written so that NaN fails it
+        if not (np.all(eta >= -1e-12) and np.all(eta <= 1.0 + 1e-12)):
             raise ValueError("efficiency samples must lie in [0, 1]")
         eta = np.clip(eta, 0.0, 1.0)
         grid.flags.writeable = False
@@ -265,8 +260,7 @@ class SwitchProfile:
         for name, values in (("amplitude", np.sqrt(eta[window])), ("weights", weights)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if self.phase is not None:
-            phase = np.asarray(self.phase, dtype=float)
+        if phase is not None:
             phase.flags.writeable = False
             object.__setattr__(self, "phase", phase)
         width = float(weights.sum())
@@ -324,8 +318,7 @@ def _rows(values: np.ndarray, width: float) -> tuple[np.ndarray, float]:
     A row holds floor(width / largest step) members, at least one, so it
     spans less than ``width``; the last row is filled by continuing the
     values in mean steps.  An infinite width makes one row of the values
-    as they are.  The rows depend on the values and the width only, not on
-    ``_BLOCK_BYTES``.
+    as they are.  The rows depend on the values and the width only.
     """
     if values.size == 1 or width == math.inf:
         return values.reshape(1, -1), 0.0
@@ -379,10 +372,10 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     0.10 M exps plain and 0.17 M filtered, where one exp per point and
     delay took 1.3 M and 2.7 M.
 
-    Centre rows are evaluated a few at a time, under ``_BLOCK_BYTES`` of
-    float64 where one row fits.  The rows do not depend on that budget,
-    and each sum takes its point rows in order, so neither do the bits.
-    The block products go through BLAS; one thread and the default give
+    Rows of centres are evaluated one at a time, in buffers of one row:
+    one call peaks at 0.17 MiB on the default gate with 801 delays, 0.07
+    MiB with 41, and 1.5 and 5.6 MiB on grids of 2^18 and 2^20 samples.
+    The row products go through BLAS; one thread and the default give
     the same bytes.
     Raises ValueError unless ``var`` is positive, or if the points stray
     from their grid past the first-order bound.
@@ -393,7 +386,6 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
         return np.zeros(centers.size)
     width = math.sqrt(var)
     crows, _ = _rows(centers, 2.0 * width)
-    anchor_c = crows[:, :1, None]
     gamma = crows - crows[:, :1]
     reach = gamma[:, -1].max()
     pts, step = _rows(points, width / 2.0 if reach > 0.0 else math.inf)
@@ -409,50 +401,50 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
             raise ValueError("points stray from a uniform grid past the first-order bound")
         offsets = nominal[:, None]
 
-    # float64 of the first factors and their products with d, the table of
-    # third factors, the products and the stacked terms, per centre row
+    # float64 of one centre row: the first factors and their products with
+    # d, the table of third factors, the products and the stacked terms.
+    # Filled in place: array expressions took the 5001-delay filtered trace
+    # from 5.3-5.6 ms to 6.6-7.8 ms
     span = gamma.shape[1]
-    rows = max(1, _BLOCK_BYTES // (8 * (2 * blocks * size + size * span + 3 * blocks * span + 3 * span)))
-    rows = min(rows, gamma.shape[0])
-    factors = np.empty((rows, 2 * blocks, size))
-    table = np.empty((rows, size, span))
-    products = np.empty((rows, 2 * blocks, span))
+    factors = np.empty((2 * blocks, size))
+    first = factors[:blocks]
+    table = np.empty((size, span))
+    products = np.empty((2 * blocks, span))
+    middle = products[:blocks]
     # each sum starts from +0.0 and adds its point rows in order
-    stack = np.zeros((rows, blocks + 1, span))
+    stack = np.zeros((blocks + 1, span))
+    part = stack[1:]
     sums = np.empty(gamma.shape)
-    for n0 in range(0, gamma.shape[0], rows):
-        n1 = min(n0 + rows, gamma.shape[0])
-        c, g = anchor_c[n0:n1], gamma[n0:n1, None, :]
-        first = factors[: n1 - n0, :blocks]
+    for c, g, row in zip(crows[:, 0], gamma, sums):
         np.subtract(pts, c, out=first)
         first *= first
         first /= -var
         np.exp(first, out=first)
         first *= wts
-        part = stack[: n1 - n0, 1:]
+        # lone centres take one point row: rows sqrt(var) / 2 wide took the
+        # four single-centre traces of a fluctuation study from 75-80 us to
+        # 210 us and moved its values by a few ulp
         if reach == 0.0:
-            first.sum(axis=-1, out=part[..., 0])
+            first.sum(axis=-1, out=part[:, 0])
         else:
             scaled = g / var
             twice = scaled + scaled
             # exp((2 k h - g) g / var)
-            third = table[: n1 - n0]
-            np.multiply(offsets, 2.0, out=third)
-            third -= g
-            third *= scaled
-            np.exp(third, out=third)
-            np.multiply(first, deviation, out=factors[: n1 - n0, blocks:])
-            both = np.matmul(factors[: n1 - n0], third, out=products[: n1 - n0])
-            np.multiply(twice, both[:, blocks:], out=part)
-            part += both[:, :blocks]
+            np.multiply(offsets, 2.0, out=table)
+            table -= g
+            table *= scaled
+            np.exp(table, out=table)
+            np.multiply(first, deviation, out=factors[blocks:])
+            np.matmul(factors, table, out=products)
+            np.multiply(twice, products[blocks:], out=part)
+            part += products[:blocks]
             # exp(2 (P - C) g / var), capped
-            middle = products[: n1 - n0, :blocks]
             np.subtract(anchor_p, c, out=middle)
             middle *= twice
             np.minimum(middle, _ANCHOR_CAP, out=middle)
             np.exp(middle, out=middle)
             part *= middle
-        np.add.reduce(stack[: n1 - n0], axis=1, out=sums[n0:n1])
+        np.add.reduce(stack, axis=0, out=row)
     return sums.ravel()[: centers.size]
 
 

@@ -358,38 +358,47 @@ def test_pair_sums_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
-def test_gaussian_sums_do_not_depend_on_the_budget():
-    profile = _default_profile()
-    window = profile.window
-    points, weights = profile.time_grid[window], profile.efficiency[window]
-    # 801 delays: 7 rows per block leave a partial block of 3
-    centers = np.linspace(-3.5e-12, 4.5e-12, 801)
-    var = 2.0 * _signal().sigma ** 2
-    default = _gaussian_sums(points, weights, centers, var)
-    for budget in (8, 8 * points.size * 7):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kerr, "_BLOCK_BYTES", budget)
-            assert _gaussian_sums(points, weights, centers, var).tobytes() == default.tobytes()
-
-
 def test_trace_blocks_stay_within_the_byte_budget():
-    # one 1-MiB block of delays at a time (here 2 of the 6 rows of delays,
-    # each 0.41 MiB), and pair sums that hold a few vectors of the support;
-    # the support's vectors and numpy's iteration buffers add about 150 KiB
+    # one row of delays at a time (here one of the 6 rows, 0.41 MiB), and
+    # pair sums that hold a few vectors of the support; the support's
+    # vectors and numpy's iteration buffers add about 150 KiB.  Two rows at
+    # once would pass 0.98 MiB
     rng = np.random.default_rng(1)
-    size, budget = 400, 1 << 20
+    size, budget = 400, 3 << 18
     weights, amp = rng.random(size), rng.random(size)
     points, centers = np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, 3000)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kerr, "_BLOCK_BYTES", budget)
-        for call in (lambda: _pair_sums(amp, 0.9, 1e-3, 0.3), lambda: _gaussian_sums(points, weights, centers, 0.01)):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= budget + (1 << 18)
+    for call in (lambda: _pair_sums(amp, 0.9, 1e-3, 0.3), lambda: _gaussian_sums(points, weights, centers, 0.01)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+
+# one row of delays at a time: 0.17 and 0.07 MiB on the default gate; on
+# 2^18 samples one row alone takes 1.5 MiB
+@pytest.mark.parametrize(
+    "samples, delays, bound",
+    [
+        (16384, 801, 1 << 18),
+        (16384, 41, 1 << 18),
+        (1 << 18, 801, 1 << 21),
+    ],
+)
+def test_gaussian_sums_peak_memory(samples, delays, bound):
+    profile = switch_profile(_pump(), _fiber(), default_time_grid(40e-12, samples), SIGNAL_WL)
+    points, weights = profile.time_grid[profile.window], profile.weights
+    centers = np.linspace(-3.5e-12, 4.5e-12, delays)
+    var = 2.0 * _signal().sigma ** 2
+    tracemalloc.start()
+    try:
+        _gaussian_sums(points, weights, centers, var)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _direct_sums(points, weights, centers, var):
@@ -509,6 +518,10 @@ def test_kerr_guards_reject_nan():
     delays[10] = math.nan
     with pytest.raises(ValueError, match="strictly increasing"):
         switching_trace(profile, _signal(), delays)
+    eta = profile.efficiency.copy()
+    eta[profile.window.start] = math.nan
+    with pytest.raises(ValueError, match=r"efficiency samples must lie in \[0, 1\]"):
+        SwitchProfile(profile.time_grid, eta)
 
 
 def test_filtered_trace_narrower_than_plain():
@@ -724,6 +737,8 @@ def test_switch_profile_construction_guards():
         SwitchProfile(time_grid=grid, efficiency=np.ones(100))
     with pytest.raises(ValueError):
         SwitchProfile(time_grid=grid, efficiency=np.full(grid.size, 1.5))
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        SwitchProfile(time_grid=grid, efficiency=np.ones(grid.size), phase=np.ones(3))
     profile = _default_profile()
     assert not profile.efficiency.flags.writeable
     assert not profile.time_grid.flags.writeable
