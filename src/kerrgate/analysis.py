@@ -8,6 +8,7 @@ comparison, and the pulse-broadening (temporal fluctuation) study.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -381,10 +382,8 @@ def _bisect_positive(rate_fn, lo, hi, rel_width: float, geometric) -> tuple:
     elements thus bisect in lockstep, each taking the midpoints and
     iteration count it would take alone, one step at a time.  On the
     default config a single ``noise_threshold`` or ``loss_threshold``
-    takes 7 levels and 2 chain calls; ``improvement_factors`` bisects its
-    124 elements at 4 levels in 4 calls, and the broadening study its 24
-    thresholds at 5 levels, so ``thresholds`` and ``fluctuations`` each
-    make 4 chain calls.
+    takes 7 levels and 2 chain calls, and ``improvement_factors`` bisects
+    its 124 elements at 4 levels in 4 calls.
 
     Returns the arrays ``(threshold, lo, hi, iterations, side)``; ``side``
     is "low" or "high" where that bracket end already fails (threshold
@@ -697,9 +696,27 @@ def hg_mode_comparison(
 # pulse-broadening study
 
 
-# channel losses (dB) bisected for the broadening study's loss thresholds;
+# channel losses (dB) over which the broadening study reports loss thresholds;
 # the paper's operating points cross zero rate between about 13 and 53 dB
 BROADENING_LOSS_BRACKET_DB = (0.0, 80.0)
+
+
+def _qber_limit(error_correction_f: float) -> float:
+    """The QBER E* where an ideal single-photon source's key rate reaches zero.
+
+    R = q Q (1 - (1 + f) H2(E)) is positive exactly where H2(E) < 1 / (1 + f),
+    that is where E < E*.  H2 increases on [0, 1/2], so E* is bisected there
+    on scalars until the midpoint equals an end: E* = 0.094235165957764 at
+    f = 1.22.
+    """
+    target = 1.0 / (1.0 + error_correction_f)
+    lo, hi = 0.0, 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 @dataclass
@@ -721,7 +738,6 @@ def fluctuation_study(
     electronic_window: float = 1e-9,
     sifting_q: float = DecoyParams.sifting_q,
     error_correction_f: float = DecoyParams.error_correction_f,
-    rel_width: float = RELATIVE_WIDTH,
 ) -> FluctuationStudy:
     """Single-photon QKD under deterministic temporal broadening.
 
@@ -736,8 +752,18 @@ def fluctuation_study(
     Luetkenhaus and Preskill, QIC 4, 325, 2004), so its gains stay <= 1
     and its QBERs <= 1/2 even where 1e10 Hz of noise saturates the
     electronic window.  Pump noise is not
-    modeled here: the study isolates the temporal-overlap penalty.  Loss
-    thresholds are bisected inside ``BROADENING_LOSS_BRACKET_DB``.
+    modeled here: the study isolates the temporal-overlap penalty.
+
+    Loss thresholds are exact roots.  The rate is positive exactly where
+    E < E* (``_qber_limit``), and E = (Y0 / 2 + e_d x) / (Y0 + x) falls as
+    the signal's click probability x = eta T 10^(-L / 10) grows, so the
+    threshold is x* = Y0 (1/2 - E*) / (E* - e_d), at
+    L* = 10 log10(eta T / x*).  ``BROADENING_LOSS_BRACKET_DB`` is the range
+    of losses reported: an element whose rate is non-positive at its low
+    end has status "no-threshold-low", one still positive at its high end
+    "no-threshold-high", as a bisection of that bracket would give.  Where
+    the gain's cap binds, E rises with x, so a rate positive at 0 dB
+    changes sign once, at the uncapped x*.
     """
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
@@ -792,15 +818,22 @@ def fluctuation_study(
         rate_per_pulse=rate.ravel(),
     )
     noise, duration, kind = np.meshgrid(*axes, indexing="ij")
-    lo, hi = (np.full(noise.shape + (1,), end) for end in BROADENING_LOSS_BRACKET_DB)
-    value, _, status = _threshold_columns(
-        _bisect_positive(lambda loss: point(loss)[2], lo, hi, rel_width, geometric=False)
+    ends = point(np.array(BROADENING_LOSS_BRACKET_DB))[2]
+    side = np.where(ends[..., 0] <= 0.0, "low", np.where(ends[..., -1] > 0.0, "high", ""))
+    found = side == ""
+    # x* and L* only where found: there Y0 > 0, E* > e_d and eta T > 0
+    background = np.broadcast_to(y0[..., 0], found.shape)[found]
+    signal = np.broadcast_to(detector.efficiency * transmission[..., 0], found.shape)[found]
+    e_star = _qber_limit(decoy.error_correction_f)
+    threshold = np.full(found.shape, None)
+    threshold[found] = 10.0 * np.log10(
+        signal / (background * (0.5 - e_star) / (e_star - scenario.misalignment_error))
     )
     thresholds = Table.of(
         noise_rate_hz=noise.ravel(),
         pulse_fwhm_ps=duration.ravel(),
         filter=kind.ravel(),
-        loss_threshold_db=value,
-        status=status,
+        loss_threshold_db=threshold.ravel(),
+        status=np.where(found, "ok", np.char.add("no-threshold-", side)).ravel(),
     )
     return FluctuationStudy(rates=rates, thresholds=thresholds)

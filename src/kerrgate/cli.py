@@ -210,7 +210,6 @@ def _cmd_fluctuations(args, run: RunConfig) -> int:
         electronic_window=cfg["electronic_window_ns"] * _NS,
         sifting_q=run.decoy.sifting_q,
         error_correction_f=run.decoy.error_correction_f,
-        rel_width=run.effective["thresholds"]["relative_width"],
     )
     _emit(
         args,

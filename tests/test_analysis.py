@@ -16,6 +16,7 @@ from kerrgate import (
     DecoyParams,
     DetectorParams,
     SweepSpec,
+    SwitchProfile,
     Table,
     ThresholdNotFoundError,
     ThresholdResult,
@@ -534,8 +535,8 @@ def test_lockstep_thresholds_match_scalar_reference(default_run, monkeypatch, da
     ]
 
 
-def _scalar_fluctuation_rate(gate, kind, duration, noise, loss_db, dark_rate):
-    """One point of the broadening study at its default parameters, computed alone."""
+def _scalar_fluctuation_rate(gate, kind, duration, noise, loss_db, dark_rate, efficiency=0.8):
+    """One point of the broadening study at its default parameters but ``efficiency``, computed alone."""
     e_d = (1.0 - 0.99) / 2.0
     window = 1e-9
     if kind == ELECTRONIC:
@@ -547,38 +548,84 @@ def _scalar_fluctuation_rate(gate, kind, duration, noise, loss_db, dark_rate):
         shape = np.exp(-(times**2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
         transmission = float(np.trapezoid(gate.efficiency * shape, gate.time_grid))
         y0 = dark_rate * window + noise * gate.effective_width
-    eta = 10.0 ** (-loss_db / 10.0) * 0.8
-    gain = y0 + eta * transmission
-    qber = (0.5 * y0 + e_d * eta * transmission) / gain
+    # the caps: Y0 and Q are probabilities, and E stays at most 1/2
+    y0 = min(y0, 1.0)
+    opened = 10.0 ** (-loss_db / 10.0) * efficiency * transmission
+    gain = min(y0 + opened, 1.0)
+    qber = min(0.5 * y0 + e_d * opened, 0.5 * gain) / gain
     h = binary_entropy(qber)
     return 0.5 * gain * (1.0 - 1.22 * h - h)
 
 
 @pytest.mark.parametrize(
-    "noise_levels, dark_rate",
-    # the second case has no background at all, so its rate stays positive
-    [([920.0, 2.5e4, 8.0e6, 1e10], 100.0), ([0.0, 920.0], 0.0)],
+    "noise_levels, dark_rate, efficiency",
+    # the second case has no background at all, so its rate stays positive;
+    # in the third every photon clicks, so the electronic arm's gain caps at
+    # 1 near 0 dB, and 1e10 Hz saturates its window
+    [([920.0, 2.5e4, 8.0e6, 1e10], 100.0, 0.8), ([0.0, 920.0], 0.0, 0.8), ([920.0, 8.0e6, 1e10], 100.0, 1.0)],
+    ids=["noise_levels0-100.0", "noise_levels1-0.0", "capped-gain"],
 )
-def test_fluctuation_thresholds_match_scalar_reference(default_run, monkeypatch, noise_levels, dark_rate):
+def test_fluctuation_thresholds_match_scalar_reference(default_run, monkeypatch, noise_levels, dark_rate, efficiency):
     gate = default_run.switch
     durations = [1e-12, 10e-12, 100e-12, 500e-12]
     results = _spy_bisections(monkeypatch)
-    study = fluctuation_study(durations, noise_levels, np.linspace(0.0, 70.0, 71), gate, dark_rate=dark_rate)
-    assert len(results) == 1
+    study = fluctuation_study(
+        durations, noise_levels, np.linspace(0.0, 70.0, 71), gate, dark_rate=dark_rate, detector_efficiency=efficiency
+    )
+    # the thresholds are closed-form roots: no bisection
+    assert results == []
     expected = [
         _reference_cells(
-            lambda loss: _scalar_fluctuation_rate(gate, kind, duration, noise, loss, dark_rate),
+            lambda loss: _scalar_fluctuation_rate(gate, kind, duration, noise, loss, dark_rate, efficiency),
             (0.0, 80.0),
             geometric=False,
+            rel_width=1e-14,
         )
         for noise in noise_levels
         for duration in durations
         for kind in ARMS
     ]
-    assert _threshold_cells(results[0]) == expected
-    assert [row[3:] for row in study.thresholds.rows] == [(value, status) for value, _, status in expected]
+    cells = [row[3:] for row in study.thresholds.rows]
+    assert [status for _, status in cells] == [status for _, _, status in expected]
+    for (value, _), (reference, _, _) in zip(cells, expected):
+        assert (value is None) == (reference is None)
+        if value is not None:
+            assert value == pytest.approx(reference, rel=0, abs=1e-9)
     statuses = {status for _, _, status in expected}
     assert statuses == ({"ok", "no-threshold-low"} if dark_rate else {"ok", "no-threshold-high"})
+    if efficiency == 1.0:
+        # some element with a threshold has its gain capped at 0 dB
+        capped = {row[:3] for row in study.rates.rows if row[3] == 0.0 and row[4] == 1.0}
+        assert any(row[:3] in capped for row in study.thresholds.rows if row[4] == "ok")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    visibility=st.floats(0.8, 1.0),
+    dark_rate=st.floats(0.0, 1e4),
+    noise=st.floats(0.0, 1e11),
+    error_correction_f=st.floats(1.0, 2.0),
+    efficiency=st.floats(0.01, 1.0),
+)
+def test_fluctuation_rate_changes_sign_at_each_threshold(
+    default_run, visibility, dark_rate, noise, error_correction_f, efficiency
+):
+    durations = [1e-12, 100e-12]
+    options = dict(
+        visibility=visibility,
+        detector_efficiency=efficiency,
+        dark_rate=dark_rate,
+        error_correction_f=error_correction_f,
+    )
+    study = fluctuation_study(durations, [noise], [0.0], default_run.switch, **options)
+    for row, duration in zip(study.thresholds.rows, np.repeat(durations, len(ARMS))):
+        _, _, kind, threshold, status = row
+        if status != "ok":
+            continue
+        losses = [max(threshold - 1e-6, 0.0), threshold + 1e-6]
+        rates = fluctuation_study([duration], [noise], losses, default_run.switch, **options).rates
+        below, above = [row[6] for row in rates.rows if row[2] == kind]
+        assert below > 0.0 >= above
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -617,7 +664,8 @@ def test_rate_sign_changes_at_most_once(
 
 @pytest.mark.parametrize("dark_rate", [0.0, 100.0, 1e4])
 def test_fluctuation_rate_sign_changes_at_most_once(default_run, dark_rate):
-    # the broadening study bisects its loss thresholds with _bisect_positive too
+    # the broadening study's statuses rate only the ends of its loss bracket,
+    # and an element with a threshold has one root: both rest on this
     durations = [1e-12, 10e-12, 100e-12, 500e-12]
     noise_levels = [0.0, 920.0, 2.5e4, 8.0e6, 1e10]
     loss = np.linspace(0.0, 80.0, 321)
@@ -822,12 +870,13 @@ def test_fluctuation_study_frozen_thresholds(default_run):
         for row in study.thresholds.rows
         if row[4] == "ok"
     }
-    # the electronic window passes every tested duration untouched
-    assert got[(920.0, 1, ELECTRONIC)] == pytest.approx(52.421875, abs=1e-9)
-    assert got[(920.0, 500, ELECTRONIC)] == pytest.approx(52.421875, abs=1e-9)
-    assert got[(920.0, 10, ULTRAFAST)] == pytest.approx(52.109375, abs=1e-9)
-    assert got[(8.0e6, 1, ELECTRONIC)] == pytest.approx(13.41796875, abs=1e-9)
-    assert got[(8.0e6, 500, ULTRAFAST)] == pytest.approx(16.1328125, abs=1e-9)
+    # the exact roots, which a scalar bisection at relative_width 1e-14 gives
+    # to 1e-9 dB; the electronic window passes every tested duration untouched
+    assert got[(920.0, 1, ELECTRONIC)] == pytest.approx(52.367514451, abs=1e-9)
+    assert got[(920.0, 500, ELECTRONIC)] == pytest.approx(52.367514451, abs=1e-9)
+    assert got[(920.0, 10, ULTRAFAST)] == pytest.approx(52.153403244, abs=1e-9)
+    assert got[(8.0e6, 1, ELECTRONIC)] == pytest.approx(13.422562012, abs=1e-9)
+    assert got[(8.0e6, 500, ULTRAFAST)] == pytest.approx(16.107923489, abs=1e-9)
     # optical-arm thresholds fall monotonically as the pulse outgrows the gate
     for noise in (920.0, 2.5e4, 8.0e6):
         utf = [got[(noise, d, ULTRAFAST)] for d in (1, 10, 100, 500)]
@@ -888,6 +937,15 @@ def test_fluctuation_study_validation(default_run):
     # a negative loss is a gain: its rows once showed transmittances above 1
     with pytest.raises(ValueError, match="losses must be non-negative"):
         fluctuation_study([1e-12], [920.0], [-20.0, 10.0], default_run.switch)
+
+
+def test_fluctuation_study_without_clicks_has_no_threshold():
+    # a dark gate and no background: nothing clicks in the optical arm, and
+    # its rate of 0 at the bracket's low end is no threshold there
+    grid = default_time_grid(40e-12, 8192)
+    dark = SwitchProfile(time_grid=grid, efficiency=np.zeros_like(grid))
+    study = fluctuation_study([1e-12], [0.0], [0.0, 10.0], dark, dark_rate=0.0)
+    assert [row[3:] for row in study.thresholds.rows] == [(None, "no-threshold-high"), (None, "no-threshold-low")]
 
 
 @pytest.mark.parametrize("durations", [[math.nan], [1e-12, math.nan], [0.0]])

@@ -453,6 +453,21 @@ def test_gaussian_sums_match_the_direct_sum_on_filtered_trace_sums(center_nm, mo
     assert np.all(np.abs(_gaussian_sums(sums, pairs, centers, var) - reference) <= 1e-13 * magnitude)
 
 
+@pytest.mark.parametrize("bound, refused", [(2.0**-22, True), (2.0**-30, False)], ids=["2^-22", "2^-30"])
+def test_gaussian_sums_refuse_points_past_the_first_order_bound(bound, refused):
+    # centres 50-60 reach 10, so a point shifted by d off the unit-step grid
+    # has |2 d g / var| = d / 5 at var 100
+    points = np.arange(200.0)
+    points[101] += 5.0 * bound
+    centers = np.arange(50.0, 61.0)
+    if refused:
+        with pytest.raises(ValueError, match="stray .* first-order bound"):
+            _gaussian_sums(points, np.ones(200), centers, 100.0)
+    else:
+        direct, magnitude = _direct_sums(points, np.ones(200), centers, 100.0)
+        assert np.all(np.abs(_gaussian_sums(points, np.ones(200), centers, 100.0) - direct) <= 1e-13 * magnitude)
+
+
 @pytest.mark.parametrize("var", [0.0, -1e-24, math.nan])
 def test_gaussian_sums_reject_nan_and_nonpositive_var(var):
     grid = default_time_grid(40e-12, 8192)

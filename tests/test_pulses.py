@@ -31,6 +31,7 @@ from kerrgate.pulses import (
     _check_uniform,
     _hermite_functions,
     _mode_transmissions,
+    _split,
 )
 
 def spectral_energy(time_grid, fields, weight):
@@ -371,3 +372,9 @@ def test_sampled_fwhm_guards():
     with pytest.raises(ValueError):
         # curve still above half max at the grid edge
         sampled_fwhm(grid, np.exp(-((grid - 0.5) ** 2) / 10.0))
+
+
+def test_one_sample_dip_below_half_maximum_splits():
+    # a dip of one sample between the crossings splits; one at half max or above does not
+    assert _split(np.array([0.0, 1.0, 0.4, 1.0, 0.0]))
+    assert not _split(np.array([0.0, 1.0, 0.6, 1.0, 0.0]))
