@@ -761,9 +761,8 @@ def fluctuation_study(
     L* = 10 log10(eta T / x*).  ``BROADENING_LOSS_BRACKET_DB`` is the range
     of losses reported: an element whose rate is non-positive at its low
     end has status "no-threshold-low", one still positive at its high end
-    "no-threshold-high", as a bisection of that bracket would give.  Where
-    the gain's cap binds, E rises with x, so a rate positive at 0 dB
-    changes sign once, at the uncapped x*.
+    "no-threshold-high".  Where the gain's cap binds, E rises with x, so a
+    rate positive at 0 dB changes sign once, at the uncapped x*.
     """
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")

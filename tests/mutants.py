@@ -6,8 +6,7 @@ turn, never two at once, the script applies it, runs the tier-1 suite with
 or ``survived``.  It edits the tree it lives in, so run it on a spare
 checkout:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py split      # the mutants whose names contain "split"
+    python tests/mutants.py
 
 A survivor is a missing test, or a constant whose comment says that it
 moves no printed byte (``kerr._PAIR_EXPONENT``).  Standard library only.
@@ -72,13 +71,11 @@ def run_mutant(path: Path, text: str, replacement: str) -> tuple[bool, str, floa
     return killed, failed.group(1) if failed else ("exit %d" % result.returncode if killed else ""), time.perf_counter() - start
 
 
-def main(argv: list[str]) -> None:
+def main() -> None:
     for name, filename, text, replacement in MUTANTS:
-        if argv and not any(word in name for word in argv):
-            continue
         killed, test, seconds = run_mutant(ROOT / "src" / "kerrgate" / filename, text, replacement)
         print("%-8s %-34s %5.1f s  %s" % ("killed" if killed else "survived", name, seconds, test), flush=True)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
