@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdNotFoundError
-from .kerr import SwitchProfile, _trace
+from .kerr import SwitchProfile
 from .pulses import (
     FWHM_TO_SIGMA,
     SPEED_OF_LIGHT,
@@ -754,6 +754,11 @@ def fluctuation_study(
     electronic window.  Pump noise is not
     modeled here: the study isolates the temporal-overlap penalty.
 
+    The optical arm transmits the plain trace at the gate's centroid,
+    summed here one duration at a time: numpy's pairwise sum over the
+    gate's window of its weights times exp(-(T - centroid)^2 / 2 sigma^2),
+    over sigma sqrt(2 pi).  A dark gate transmits exactly 0.
+
     Loss thresholds are exact roots.  The rate is positive exactly where
     E < E* (``_qber_limit``), and E = (Y0 / 2 + e_d x) / (Y0 + x) falls as
     the signal's click probability x = eta T 10^(-L / 10) grows, so the
@@ -781,9 +786,14 @@ def fluctuation_study(
     # elements on the axes (noise, duration, arm, loss)
     kinds = np.array(ARMS)
     electronic = np.where(durations <= electronic_window, 1.0, electronic_window / durations)
-    center = np.array([gate.centroid])
     # the plain trace at the gate's centroid per duration
-    optical = np.array([_trace(gate, s, center)[0] for s in durations * FWHM_TO_SIGMA])
+    offsets = gate.time_grid[gate.window] - gate.centroid
+    optical = np.array(
+        [
+            np.add.reduce(np.exp(offsets * offsets / -(2.0 * s**2)) * gate.weights) / (s * math.sqrt(2.0 * math.pi))
+            for s in durations * FWHM_TO_SIGMA
+        ]
+    )
     transmission = np.where(kinds == ULTRAFAST, optical[:, None], electronic[:, None])[:, :, None]
     scenario = ChannelScenario(
         channel_loss_db=0.0,

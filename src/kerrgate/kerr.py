@@ -320,10 +320,10 @@ def _rows(values: np.ndarray, width: float) -> tuple[np.ndarray, float]:
 
     A row holds floor(width / largest step) members, at least one, so it
     spans less than ``width``; the last row is filled by continuing the
-    values in mean steps.  An infinite width makes one row of the values
-    as they are.  The rows depend on the values and the width only.
+    values in mean steps.  The rows depend on the values and the width
+    only.
     """
-    if values.size == 1 or width == math.inf:
+    if values.size == 1:
         return values.reshape(1, -1), 0.0
     steps = values[1:] - values[:-1]
     mean = (values[-1] - values[0]) / (values.size - 1)
@@ -355,9 +355,7 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     it serves every point row, and the sum over each row's b is one matrix
     product per centre row, the d term a second half of it.  Narrow point
     rows balance the table's exps against the second factor's; wide centre
-    rows save first factors until the exponents' round-off shows.  Where
-    no centre row has a second member, g = 0 makes the last two factors 1
-    and the points one row.
+    rows save first factors until the exponents' round-off shows.
 
     The third factor's exponent lies in [-4, 1/4] and the second's is
     capped at ``_ANCHOR_CAP``: where the cap binds, the row's points lie
@@ -385,24 +383,21 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     """
     if not var > 0:
         raise ValueError("var must be positive, got %r" % var)
-    if points.size == 0 or centers.size == 0:
-        return np.zeros(centers.size)
     width = math.sqrt(var)
     crows, _ = _rows(centers, 2.0 * width)
     gamma = crows - crows[:, :1]
     reach = gamma[:, -1].max()
-    pts, step = _rows(points, width / 2.0 if reach > 0.0 else math.inf)
+    pts, step = _rows(points, width / 2.0)
     blocks, size = pts.shape
     if pts.size > weights.size:
         weights = np.concatenate([weights, np.zeros(pts.size - weights.size)])
     wts = weights.reshape(blocks, size)
-    if reach > 0.0:
-        anchor_p = pts[:, :1]
-        nominal = np.arange(size) * step
-        deviation = pts - anchor_p - nominal
-        if not abs(deviation).max() * 2.0 * reach / var <= _FIRST_ORDER:
-            raise ValueError("points stray from a uniform grid past the first-order bound")
-        offsets = nominal[:, None]
+    anchor_p = pts[:, :1]
+    nominal = np.arange(size) * step
+    deviation = pts - anchor_p - nominal
+    if not abs(deviation).max() * 2.0 * reach / var <= _FIRST_ORDER:
+        raise ValueError("points stray from a uniform grid past the first-order bound")
+    offsets = nominal[:, None]
 
     # float64 of one centre row: the first factors and their products with
     # d, the table of third factors, the products and the stacked terms.
@@ -424,29 +419,23 @@ def _gaussian_sums(points: np.ndarray, weights: np.ndarray, centers: np.ndarray,
         first /= -var
         np.exp(first, out=first)
         first *= wts
-        # lone centres take one point row: rows sqrt(var) / 2 wide took the
-        # four single-centre traces of a fluctuation study from 75-80 us to
-        # 210 us and moved its values by a few ulp
-        if reach == 0.0:
-            first.sum(axis=-1, out=part[:, 0])
-        else:
-            scaled = g / var
-            twice = scaled + scaled
-            # exp((2 k h - g) g / var)
-            np.multiply(offsets, 2.0, out=table)
-            table -= g
-            table *= scaled
-            np.exp(table, out=table)
-            np.multiply(first, deviation, out=factors[blocks:])
-            np.matmul(factors, table, out=products)
-            np.multiply(twice, products[blocks:], out=part)
-            part += products[:blocks]
-            # exp(2 (P - C) g / var), capped
-            np.subtract(anchor_p, c, out=middle)
-            middle *= twice
-            np.minimum(middle, _ANCHOR_CAP, out=middle)
-            np.exp(middle, out=middle)
-            part *= middle
+        scaled = g / var
+        twice = scaled + scaled
+        # exp((2 k h - g) g / var)
+        np.multiply(offsets, 2.0, out=table)
+        table -= g
+        table *= scaled
+        np.exp(table, out=table)
+        np.multiply(first, deviation, out=factors[blocks:])
+        np.matmul(factors, table, out=products)
+        np.multiply(twice, products[blocks:], out=part)
+        part += products[:blocks]
+        # exp(2 (P - C) g / var), capped
+        np.subtract(anchor_p, c, out=middle)
+        middle *= twice
+        np.minimum(middle, _ANCHOR_CAP, out=middle)
+        np.exp(middle, out=middle)
+        part *= middle
         np.add.reduce(stack, axis=0, out=row)
     return sums.ravel()[: centers.size]
 

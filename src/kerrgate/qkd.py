@@ -268,11 +268,12 @@ def simulate_observed_rates(
 
     Q = Y0 + 1 - exp(-eta mu) and E Q = Y0 / 2 + e_d (1 - exp(-eta mu));
     background clicks are random (error 1/2), photon clicks err with the
-    misalignment probability e_d.
+    misalignment probability e_d.  A loss past about 3080 dB underflows
+    eta to 0: then Q = Y0 and E = 1/2, and no key is left.
     """
     eta = scenario.transmittance(detector)
-    if not np.all((0.0 < eta) & (eta <= 1.0)):
-        raise ValueError("total transmittance must lie in (0, 1]")
+    if not np.all((0.0 <= eta) & (eta <= 1.0)):
+        raise ValueError("total transmittance must lie in [0, 1]")
     e_d = scenario.misalignment_error
     q_mu, e_mu = _gain_and_error(y0, 1.0 - np.exp(-eta * decoy.mu), e_d)
     q_nu, e_nu = _gain_and_error(y0, 1.0 - np.exp(-eta * decoy.nu), e_d)
@@ -314,11 +315,9 @@ def secret_key_rate(
     """Asymptotic secret key rate R = q (-Q_mu f H2(E_mu) + Q1 [1 - H2(e1)]).
 
     Negative rates are reported as computed; thresholds bisect on the sign.
-    H2 is taken once when ``e1`` is ``rates.e_mu`` itself, as for the ideal
-    single-photon source of the broadening study.
     """
     h_mu = binary_entropy(rates.e_mu)
-    h1 = h_mu if e1 is rates.e_mu else binary_entropy(e1)
+    h1 = binary_entropy(e1)
     leak = rates.q_mu * decoy.error_correction_f * h_mu
     gain = q1 * (1.0 - h1)
     rate = decoy.sifting_q * (gain - leak)

@@ -42,6 +42,25 @@ MUTANTS = [
     ("split dip test", "pulses.py", "opened[-1] - opened[0] >= opened.size", "opened[-1] - opened[0] > opened.size"),
     ("first-order bound", "kerr.py", "_FIRST_ORDER = 2.0**-27", "_FIRST_ORDER = 2.0**-18"),
     ("pair exponent", "kerr.py", "_PAIR_EXPONENT = 16.0", "_PAIR_EXPONENT = 30.0"),
+    ("grid-step rule at its bound", "kerr.py", "if not width >= steps * step:", "if not width > steps * step:"),
+    (
+        "noise-reduction factor's dark gate",
+        "analysis.py",
+        "if not 0.0 < profile.effective_width < electronic_window:",
+        "if not 0.0 <= profile.effective_width < electronic_window:",
+    ),
+    (
+        "narrowest stopping width",
+        "analysis.py",
+        "if not rel_width >= MIN_RELATIVE_WIDTH:",
+        "if not rel_width > MIN_RELATIVE_WIDTH:",
+    ),
+    (
+        "zero transmittance",
+        "qkd.py",
+        "if not np.all((0.0 <= eta) & (eta <= 1.0)):",
+        "if not np.all((0.0 < eta) & (eta <= 1.0)):",
+    ),
     (
         "broadening status at a zero rate",
         "analysis.py",

@@ -36,7 +36,7 @@ from kerrgate import (
     spectral_overlap_factor,
     switch_profile,
 )
-from kerrgate import analysis, qkd
+from kerrgate import analysis, kerr, qkd
 from kerrgate.analysis import _BLOCK_ROWS, KEYRATE_COLUMNS, _bisect_positive, _threshold_columns, sweep_table
 from kerrgate.pulses import FWHM_TO_SIGMA
 from kerrgate.qkd import ARMS, ELECTRONIC, ULTRAFAST, binary_entropy
@@ -905,28 +905,38 @@ def test_fluctuation_rates_consistent_with_closed_form(default_run):
     assert rate == pytest.approx(0.5 * expected_gain * (1.0 - 1.22 * h - h), rel=1e-12, abs=0)
 
 
-def test_key_rate_takes_one_entropy_when_e1_is_the_observed_error(default_run, monkeypatch):
-    # the broadening study's ideal single-photon source passes E_mu as e1
-    entropies, key_rates = [], []
+def _centroid_transmissions(gate, durations, monkeypatch):
+    """The broadening study's optical-arm transmissions: the signal's click
+    probability at 0 dB behind a unit-efficiency detector, taken where the
+    study hands it to the click model."""
+    opened = []
 
-    def counting_entropy(x):
-        entropies.append(x)
-        return binary_entropy(x)
+    def spy(y0, signal, e_d):
+        opened.append(signal)
+        return qkd._gain_and_error(y0, signal, e_d)
 
-    def counting_key_rate(rates, decoy, q1, e1, repetition_rate):
-        key_rates.append(e1 is rates.e_mu)
-        return qkd.secret_key_rate(rates, decoy, q1, e1, repetition_rate)
+    monkeypatch.setattr(analysis, "_gain_and_error", spy)
+    fluctuation_study(durations, [0.0], [0.0], gate, detector_efficiency=1.0)
+    return opened[0][:, ARMS.index(ULTRAFAST), 0]
 
-    monkeypatch.setattr(qkd, "binary_entropy", counting_entropy)
-    monkeypatch.setattr(analysis, "secret_key_rate", counting_key_rate)
-    fluctuation_study([1e-12, 100e-12], [920.0, 8.0e6], np.linspace(0.0, 70.0, 71), default_run.switch)
-    assert key_rates and all(key_rates)
-    assert len(entropies) == len(key_rates)
-    # a decoy bound e1 is a different quantity: H2 of each
-    entropies.clear()
-    run = default_run
-    evaluate_scenario(run.scenario, _detector(), run.decoy, run.switch, run.spectral_overlap)
-    assert len(entropies) == 2
+
+@pytest.mark.parametrize("samples", [16384, 8192, 32768, 131072])
+def test_fluctuation_centroid_transmissions_match_the_plain_trace(samples, monkeypatch):
+    # the study sums the plain trace at the centroid itself, one duration at
+    # a time; the trace's Gaussian sums take the same terms in rows
+    gate = resolve({"grid": {"samples": samples}}).switch
+    durations = np.array([1e-12, 10e-12, 100e-12, 500e-12])
+    got = _centroid_transmissions(gate, durations, monkeypatch)
+    center = np.array([gate.centroid])
+    expected = [kerr._trace(gate, s, center)[0] for s in durations * FWHM_TO_SIGMA]
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+
+def test_fluctuation_centroid_transmissions_of_a_dark_gate_are_zero(monkeypatch):
+    grid = default_time_grid()
+    gate = SwitchProfile(time_grid=grid, efficiency=np.zeros(grid.size))
+    got = _centroid_transmissions(gate, np.array([1e-12, 500e-12]), monkeypatch)
+    assert got.tolist() == [0.0, 0.0]
 
 
 def test_fluctuation_study_validation(default_run):

@@ -91,8 +91,9 @@ CASES = {
     "grid-131072": ({"grid": {"samples": 131072}}, {}),
     # a grid too coarse for the gate
     "grid-64": ({"grid": {"samples": 64}}, dict.fromkeys(COMMANDS, 4), ("grid.samples",)),
-    # the trace's Gaussian sums over one delay per centre row (the direct
-    # sum), two per row, and dense delays
+    # the trace's Gaussian sums over one delay per centre row, in the plain
+    # and the filtered trace alike (3 and 11), two per row, and dense delays
+    "trace-3": ({"trace": {"samples": 3}}, {}),
     "trace-11": ({"trace": {"samples": 11}}, {}),
     "trace-41": ({"trace": {"samples": 41}}, {}),
     "trace-5001": ({"trace": {"samples": 5001}}, {}),
@@ -168,6 +169,16 @@ CASES = {
             "sweep": {"noise_samples": 4, "loss_samples": 4},
         },
         {"thresholds": 3},
+    ),
+    # losses whose transmittance underflows to 0 (from about 3080 dB on) in
+    # every loss range: sweeps, threshold brackets and the broadening study
+    "loss-4000db": (
+        {
+            "sweep": {"loss_max_db": 4000},
+            "thresholds": {"loss_bracket_db": [5, 4000]},
+            "fluctuation": {"loss_max_db": 4000},
+        },
+        {},
     ),
     # the other branches of background_yield and of the rate signs the bisections count
     "dark-optical": ({"scenario": {"dark_count_mode": "optical"}}, {}),

@@ -523,6 +523,14 @@ def test_narrow_signal_is_refused():
         switching_trace(profile, broad, scan)
 
 
+def test_grid_step_rule_admits_a_width_of_exactly_its_steps():
+    # a width spans its steps when it reaches them: 16 steps pass, one ulp less does not
+    step = np.max(np.diff(default_time_grid()))
+    kerr._check_steps("signal FWHM", 16 * step, 16, step, "lower signal.bandwidth_fwhm_nm")
+    with pytest.raises(ResolutionError, match="signal FWHM, .* spans fewer than 16 grid steps"):
+        kerr._check_steps("signal FWHM", np.nextafter(16 * step, 0.0), 16, step, "lower signal.bandwidth_fwhm_nm")
+
+
 def test_kerr_guards_reject_nan():
     profile = _default_profile()
     with pytest.raises(ValueError, match="signal_wavelength"):

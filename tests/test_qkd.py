@@ -1,6 +1,7 @@
 """Decoy-state chain: entropy, yields, bounds, key rate."""
 
 import re
+import types
 
 import numpy as np
 import pytest
@@ -268,6 +269,28 @@ def test_background_yield_is_probability():
     assert background_yield(absurd, detector) == 1.0
     rates = simulate_observed_rates(absurd, detector, DecoyParams(), 1.0)
     assert rates.q_mu == 1.0 and 0.0 <= rates.e_mu <= 1.0
+
+
+@pytest.mark.parametrize("dark_rate", [100.0, 0.0])
+def test_a_loss_past_the_transmittance_underflow_leaves_no_key(dark_rate):
+    # from about 3080 dB on eta underflows to 0: only background clicks
+    # remain, Q = Y0 and E = 1/2, and the key rate is not positive
+    detector = _detector(dark_rate=dark_rate)
+    scenario = ChannelScenario(channel_loss_db=np.array([3000.0, 4000.0]))
+    eta = scenario.transmittance(detector)
+    assert eta[0] > 0.0 and eta[1] == 0.0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = evaluate_scenario(scenario, detector, DecoyParams())
+    assert report.observed.q_mu[1] == report.observed.q_nu[1] == background_yield(scenario, detector)
+    assert report.observed.e_mu[1] == report.observed.e_nu[1] == 0.5
+    assert report.rate_per_pulse[1] <= 0.0
+
+
+def test_observed_rates_refuse_a_nan_transmittance():
+    # a stand-in scenario whose transmittance holds a NaN
+    scenario = types.SimpleNamespace(transmittance=lambda detector: np.array([0.1, np.nan]), misalignment_error=0.01)
+    with pytest.raises(ValueError, match=r"^total transmittance must lie in \[0, 1\]$"):
+        simulate_observed_rates(scenario, _detector(), DecoyParams(), 1e-5)
 
 
 def test_suppression_constant():
