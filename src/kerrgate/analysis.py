@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdNotFoundError
-from .kerr import SwitchProfile
+from .kerr import SwitchProfile, _check_steps
 from .pulses import (
     FWHM_TO_SIGMA,
     SPEED_OF_LIGHT,
@@ -97,8 +97,9 @@ class Table:
 
     The table stores one column per name (``_kept``: a list, or an array
     no caller can write).  ``rows`` and ``column`` are derived from them on
-    each read, and ``chunks`` renders them a block of rows at a time, so an
-    array becomes Python values only while its block is written.
+    each read, and ``chunks``, the one renderer, writes them a block of rows
+    at a time, so an array becomes Python values only while its block is
+    written.  Tables compare by identity; compare ``columns`` and ``rows``.
     """
 
     columns: tuple[str, ...]
@@ -123,13 +124,8 @@ class Table:
         """The sub-table of the named columns, in that order."""
         return Table(names, tuple(self._values[self.columns.index(name)] for name in names))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Table):
-            return NotImplemented
-        return self.columns == other.columns and self.rows == other.rows
-
     def chunks(self, **footer) -> Iterator[str]:
-        """The text of ``format_tsv``: the header line, then at most ``_BLOCK_ROWS`` lines per chunk, then the footer."""
+        """Header line, ``_BLOCK_ROWS`` row lines at most per chunk, then a ``# name = cell`` line of any keywords."""
         yield "\t".join(self.columns) + "\n"
         length = len(self._values[0]) if self._values else 0
         for start in range(0, length, _BLOCK_ROWS):
@@ -137,10 +133,6 @@ class Table:
             yield "\n".join(map("\t".join, zip(*block))) + "\n"
         if footer:
             yield "# " + "\t".join("%s = %s" % (name, _cell(value)) for name, value in footer.items()) + "\n"
-
-    def format_tsv(self, **footer) -> str:
-        """Header, rows, and one ``# name = cell`` footer line of the keyword values, if any."""
-        return "".join(self.chunks(**footer))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +548,7 @@ def loss_threshold(
 # improvement factors
 
 
-@dataclass
+@dataclass(eq=False)
 class ImprovementFactors:
     """Threshold ratios between the two filter arms.
 
@@ -719,7 +711,7 @@ def _qber_limit(error_correction_f: float) -> float:
     return mid
 
 
-@dataclass
+@dataclass(eq=False)
 class FluctuationStudy:
     """Key rates and loss thresholds under deterministic pulse broadening."""
 
@@ -757,7 +749,14 @@ def fluctuation_study(
     The optical arm transmits the plain trace at the gate's centroid,
     summed here one duration at a time: numpy's pairwise sum over the
     gate's window of its weights times exp(-(T - centroid)^2 / 2 sigma^2),
-    over sigma sqrt(2 pi).  A dark gate transmits exactly 0.
+    over sigma sqrt(2 pi).  A dark gate transmits exactly 0.  That sum
+    samples each pulse on the gate's grid, so its sigma must span 1.4 grid
+    steps (``kerr._check_steps``, the rule of the filter's and the noise
+    line's time kernels): by Poisson summation the sum then errs by under
+    1e-16 of its value, and a narrower pulse aliases, as a 1-fs pulse on the
+    default grid once transmitted 0.586 where 262144 samples give 1.000.
+    The narrowest pulse the default grid admits is 8.05 fs FWHM; a narrower
+    one raises ResolutionError naming ``fluctuation.pulse_fwhm_ps``.
 
     Loss thresholds are exact roots.  The rate is positive exactly where
     E < E* (``_qber_limit``), and E = (Y0 / 2 + e_d x) / (Y0 + x) falls as
@@ -782,6 +781,9 @@ def fluctuation_study(
         raise ValueError("durations must be positive")
     if not np.all(loss_grid >= 0):
         raise ValueError("losses must be non-negative")
+    sigmas = durations * FWHM_TO_SIGMA
+    key = "fluctuation.pulse_fwhm_ps"
+    _check_steps("the pulse sigma set by " + key, min(sigmas, default=math.inf), 1.4, gate.step, "raise " + key)
 
     # elements on the axes (noise, duration, arm, loss)
     kinds = np.array(ARMS)
@@ -791,7 +793,7 @@ def fluctuation_study(
     optical = np.array(
         [
             np.add.reduce(np.exp(offsets * offsets / -(2.0 * s**2)) * gate.weights) / (s * math.sqrt(2.0 * math.pi))
-            for s in durations * FWHM_TO_SIGMA
+            for s in sigmas
         ]
     )
     transmission = np.where(kinds == ULTRAFAST, optical[:, None], electronic[:, None])[:, :, None]

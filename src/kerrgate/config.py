@@ -273,7 +273,6 @@ class RunConfig:
     detector: DetectorParams
     decoy: DecoyParams
     scenario: ChannelScenario
-    theta: float
     switch: SwitchProfile
     spectral_overlap: float
 
@@ -446,7 +445,6 @@ def _resolve(config: dict) -> RunConfig:
         detector=detector,
         decoy=decoy,
         scenario=scenario,
-        theta=theta,
         switch=switch,
         spectral_overlap=overlap,
     )

@@ -62,6 +62,12 @@ MUTANTS = [
         "if not np.all((0.0 < eta) & (eta <= 1.0)):",
     ),
     (
+        "broadened pulse at 0.7 grid steps",
+        "analysis.py",
+        "min(sigmas, default=math.inf), 1.4, gate.step",
+        "min(sigmas, default=math.inf), 0.7, gate.step",
+    ),
+    (
         "broadening status at a zero rate",
         "analysis.py",
         'np.where(ends[..., 0] <= 0.0, "low"',

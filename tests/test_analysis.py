@@ -15,6 +15,7 @@ from kerrgate import (
     ChannelScenario,
     DecoyParams,
     DetectorParams,
+    ResolutionError,
     SweepSpec,
     SwitchProfile,
     Table,
@@ -101,7 +102,8 @@ def _convolved_overlap(profile, spectral_filter, noise_linewidth, noise_center_w
 
 def _profile_on(run, samples):
     grid = default_time_grid(40e-12, samples)
-    return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, run.theta)
+    theta = np.deg2rad(run.effective["switch"]["polarization_angle_deg"])
+    return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, theta)
 
 
 @pytest.mark.parametrize("noise_center", [None, 721.3e-9])
@@ -777,7 +779,8 @@ def test_keyrate_sweep_matches_pointwise_evaluation(default_run):
                 run.scenario.with_(channel_loss_db=loss, noise_rate=noise, filter_kind=kind), *gate
             )
             assert rate == pytest.approx(report.rate_per_pulse, rel=1e-12)
-        assert keyrate_sweep(spec, *gate) == table.select("noise_rate_hz", "filter", *KEYRATE_COLUMNS)
+        swept, selected = keyrate_sweep(spec, *gate), table.select("noise_rate_hz", "filter", *KEYRATE_COLUMNS)
+        assert (swept.columns, swept.rows) == (selected.columns, selected.rows)
     assert len(table.rows) == 20  # two levels, five points, two filter arms
 
 
@@ -964,6 +967,28 @@ def test_fluctuation_study_rejects_nan_and_nonpositive_durations(default_run, du
         fluctuation_study(durations, [920.0], [0.0, 10.0], default_run.switch)
 
 
+@pytest.mark.parametrize("steps", [1e-6, 1.0, 1.39])
+def test_fluctuation_study_refuses_pulses_its_grid_cannot_resolve(default_run, steps):
+    # a sigma under 1.4 grid steps aliases: on the default grid a 1-fs pulse
+    # once transmitted 0.586, where 262144 samples give 1.000
+    gate = default_run.switch
+    durations = [1e-12, steps * gate.step / FWHM_TO_SIGMA]
+    with pytest.raises(ResolutionError, match="fluctuation.pulse_fwhm_ps.*1.4 grid steps.*grid.samples"):
+        fluctuation_study(durations, [920.0], [0.0, 10.0], gate)
+
+
+def test_fluctuation_study_admits_pulses_its_grid_resolves(default_run, monkeypatch):
+    # the narrowest admitted FWHM is 8.05 fs on the default grid; at 8.1 and
+    # 10 fs the sums match those of a grid 16 times as fine
+    gate = default_run.switch
+    assert 1.4 * gate.step / FWHM_TO_SIGMA == pytest.approx(8.05e-15, rel=1e-3)
+    fine = resolve({"grid": {"samples": 262144}}).switch
+    durations = np.array([8.1e-15, 10e-15])
+    got = _centroid_transmissions(gate, durations, monkeypatch)
+    expected = _centroid_transmissions(fine, durations, monkeypatch)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=3e-14)
+
+
 def test_fluctuation_gains_and_qbers_stay_probabilities(default_run):
     # 1e10 Hz in a 1-ns window is ten background clicks per slot: the
     # electronic arm saturates, and the chain's caps keep Q <= 1 and E <= 1/2
@@ -972,6 +997,11 @@ def test_fluctuation_gains_and_qbers_stay_probabilities(default_run):
     assert max(gains) <= 1.0 and max(qbers) <= 0.5
     saturated = [row for row in study.rates.rows if row[2] == ELECTRONIC]
     assert {(row[4], row[5]) for row in saturated} == {(1.0, 0.5)}
+
+
+def _text(table: Table, **footer) -> str:
+    """The whole text of a table, as its chunks write it."""
+    return "".join(table.chunks(**footer))
 
 
 def _row_by_row_tsv(columns: dict) -> str:
@@ -1045,19 +1075,17 @@ _TABLE_CASES.update(
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
 def test_table_columns_format_as_rows_did(case):
     columns = _TABLE_CASES[case]
-    assert Table.of(**columns).format_tsv() == _row_by_row_tsv(columns)
+    assert _text(Table.of(**columns)) == _row_by_row_tsv(columns)
 
 
 def test_table_chunks_hold_a_block_of_rows_and_the_bytes_do_not_depend_on_it(monkeypatch):
     table = Table.of(**_TABLE_CASES["every kind, two blocks and a row"])
-    text = table.format_tsv(peak=0.5)
     chunks = list(table.chunks(peak=0.5))
-    assert "".join(chunks) == text
     # header, two whole blocks, the last row, footer
     assert [chunk.count("\n") for chunk in chunks] == [1, _BLOCK_ROWS, _BLOCK_ROWS, 1, 1]
     for rows in (1, 7, 3 * _BLOCK_ROWS):
         monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
-        assert table.format_tsv(peak=0.5) == text
+        assert _text(table, peak=0.5) == "".join(chunks)
 
 
 def test_table_keeps_its_columns_from_later_writes():
@@ -1068,11 +1096,11 @@ def test_table_keeps_its_columns_from_later_writes():
     frozen.flags.writeable = False
     listed = [1, None, "x"]
     table = Table.of(a=values, b=view, c=frozen, d=listed)
-    text = table.format_tsv()
+    text = _text(table)
     values[:] = 7.0
     base[:] = 7.0
     listed[0] = 7
-    assert table.format_tsv() == text == "a\tb\tc\td\n0.5\t0\t1\t1\n0\t2\t2\t\n2\t4\t3\tx\n"
+    assert _text(table) == text == "a\tb\tc\td\n0.5\t0\t1\t1\n0\t2\t2\t\n2\t4\t3\tx\n"
     # an array that nothing can write is kept, not copied
     assert np.shares_memory(table.select("c")._values[0], frozen)
     assert not np.shares_memory(table.select("b")._values[0], base)
@@ -1088,10 +1116,11 @@ def test_table_stores_columns():
     assert table.rows == [(1.0, "x", 3), (2.0, "y", 4)]
     with pytest.raises(AttributeError):
         table.rows = []
-    assert table.select("c", "a") == Table.of(c=[3, 4], a=[1.0, 2.0])
-    assert table.select("c", "a") != Table.of(a=[1.0, 2.0], c=[3, 4])
-    assert table == Table.of(a=[1.0, 2.0], b=np.array(["x", "y"]), c=[3, 4])
-    assert table != Table.of(a=[1.0, 2.5], b=["x", "y"], c=[3, 4])
+    sub = table.select("c", "a")
+    assert (sub.columns, sub.rows) == (("c", "a"), [(3, 1.0), (4, 2.0)])
+    # an array of strings lists the same cells as a list of them
+    strings = Table.of(a=[1.0, 2.0], b=np.array(["x", "y"]), c=[3, 4])
+    assert (strings.columns, strings.rows) == (table.columns, table.rows)
     with pytest.raises(ValueError, match="equal lengths"):
         Table.of(a=[1.0, 2.0], b=["x"])
     with pytest.raises(ValueError):
@@ -1104,11 +1133,11 @@ def test_table_behaviour():
     table = Table.of(a=[1, None, 3], b=[2.5, True, np.True_], c=np.array([0.1, 0.2, 0.9]) > 0.5)
     assert table.columns == ("a", "b", "c")
     assert table.column("a") == [1, None, 3]
-    lines = table.format_tsv().strip().split("\n")
+    lines = _text(table).strip().split("\n")
     assert lines == ["a\tb\tc", "1\t2.5\tfalse", "\ttrue\tfalse", "3\ttrue\ttrue"]
     sub = table.select("c", "a")
     assert sub.columns == ("c", "a") and sub.rows == [(False, 1), (False, None), (True, 3)]
     # -0.0 normalizes so reruns are byte-stable
-    assert Table.of(x=[-0.0], y=np.array([-0.0])).format_tsv() == "x\ty\n0\t0\n"
+    assert _text(Table.of(x=[-0.0], y=np.array([-0.0]))) == "x\ty\n0\t0\n"
     # a footer's values are cells too
-    assert Table.of(x=[1.0]).format_tsv(a=-0.0, b=True, c=1 / 3) == "x\n1\n# a = 0\tb = true\tc = 0.3333333333\n"
+    assert _text(Table.of(x=[1.0]), a=-0.0, b=True, c=1 / 3) == "x\n1\n# a = 0\tb = true\tc = 0.3333333333\n"

@@ -199,6 +199,14 @@ CASES = {
         dict.fromkeys(COMMANDS, 2),
         "config error: fluctuation.dark_rate_hz must be non-negative and finite",
     ),
+    # a broadened pulse of 1e-21 s, whose sigma spans 1.7e-7 grid steps: its
+    # sums aliased to an ultrafast gain of 1.009249063e-07 at 0 dB, the
+    # background alone, where a resolved pulse gains about 0.8
+    "fluct-pulse-1e-9ps": (
+        {"fluctuation": {"pulse_fwhm_ps": [1e-9], "noise_levels_hz": [920]}},
+        {"fluctuations": 4},
+        ("fluctuation.pulse_fwhm_ps", "spans fewer than 1.4 grid steps", "grid.samples"),
+    ),
     # JSON's NaN and Infinity tokens, which load as floats (NaN used to
     # print nan key rates), and a key the schema does not know
     "nan-error-correction": ({"decoy": {"error_correction_f": math.nan}}, dict.fromkeys(COMMANDS, 2), _ERROR_F),

@@ -31,6 +31,7 @@ from kerrgate import (
     improvement_factors,
     load_config,
     resolve,
+    switch_profile,
 )
 from kerrgate.cli import _HANDLERS, main
 from kerrgate.config import _TABLE, _check_value
@@ -54,7 +55,7 @@ def test_defaults_resolve(default_run):
     # derived noise center defaults to the filter center
     assert run.effective["noise"]["center_wavelength_nm"] == pytest.approx(720.8, rel=1e-12)
     assert run.switch.fwhm == pytest.approx(1.0041189382476258e-12, rel=1e-9, abs=0)
-    assert run.theta == pytest.approx(np.pi / 4.0, rel=1e-12)
+    assert run.effective["switch"]["polarization_angle_deg"] == 45.0
 
 
 def test_unknown_key_carries_dotted_path(tmp_path):
@@ -803,7 +804,10 @@ def test_library_defaults_are_the_default_config(tmp_path):
     # 1.7 * 1e-9 is not 1.7e-9, so the filter keeps its resolved wavelengths
     wavelengths = (run.spectral_filter.center_wavelength, run.spectral_filter.fwhm_bandwidth)
     assert run.spectral_filter == SpectralFilter(*wavelengths)
-    assert run.time_grid.tobytes() == default_time_grid().tobytes() and run.theta == np.pi / 4
+    assert run.time_grid.tobytes() == default_time_grid().tobytes()
+    # the default angle in degrees converts to the library's default theta, bit for bit
+    profile = switch_profile(run.pump, run.fiber, run.time_grid, run.signal.center_wavelength)
+    assert run.switch.efficiency.tobytes() == profile.efficiency.tobytes()
     gate = (run.scenario, run.detector, run.decoy, run.switch, run.spectral_overlap)
     imp = improvement_factors(run.loss_grid(), run.noise_grid(), *gate)
     cfg = run.effective["fluctuation"]
@@ -820,7 +824,7 @@ def test_library_defaults_are_the_default_config(tmp_path):
         "fluctuation_thresholds.tsv": study.thresholds,
     }
     for name, table in tables.items():
-        assert (tmp_path / name).read_text() == table.format_tsv(), name
+        assert (tmp_path / name).read_text() == "".join(table.chunks()), name
 
 
 def test_switch_profile_writes_its_table_within_a_mebibyte_of_dump_defaults(tmp_path):

@@ -229,7 +229,8 @@ def test_gate_only_modes_keep_falling_past_the_seed_underflow(default_run):
 
 def _gate_on(run, samples):
     grid = default_time_grid(40e-12, samples)
-    return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, run.theta)
+    theta = np.deg2rad(run.effective["switch"]["polarization_angle_deg"])
+    return switch_profile(run.pump, run.fiber, grid, run.signal.center_wavelength, theta)
 
 
 @pytest.mark.parametrize("samples", [8192, 16385, 32768])
